@@ -25,6 +25,15 @@ pseudo-measurement a nonzero noise covariance, and :func:`linearize`
 reduces a differentiable nonlinear constraint to the linear form accepted
 everywhere else.
 
+Every hard update except fusion (which keeps its own pseudo-inverted
+saddle solve) is a least-distance correction through the Gram matrix
+``G = A W^-1 A'``, and all of them share one factorization of it,
+:func:`_gram_factorization`: a QR decomposition of ``(A L)'`` with
+``W^-1 = L L'``, guarded by ``matops.CONDITION_LIMIT``.  When the weight
+is a covariance, :func:`_covariance_gram` picks ``L``: its Cholesky factor,
+or, in the semidefinite fallback for a covariance that has none, the
+eigenvalue factor of :func:`matops.psd_factor`.
+
 Hard-constrained covariances are rank deficient (rank ``n - q``); they are
 maintained through the idempotent-projector congruence of
 :func:`joseph_constrained_cov`, which preserves symmetry and positive
@@ -150,14 +159,10 @@ class ProjectionSpec:
 
     ``weight`` is either the ``POSTERIOR_INVERSE`` marker (the default,
     weighting distances by the inverse posterior covariance) or an explicit
-    symmetric positive definite n x n matrix.  ``feedback`` records whether
-    the projected estimate should drive the next filter recursion or only
-    be reported on the side; the projection arithmetic is identical either
-    way, the flag is consumed by simulation drivers.
+    symmetric positive definite n x n matrix.
     """
 
     weight: np.ndarray | str = POSTERIOR_INVERSE
-    feedback: bool = True
 
     def __post_init__(self):
         if isinstance(self.weight, str):
@@ -224,66 +229,45 @@ def _check_state_dims(dim: int, c: EqualityConstraint) -> None:
         )
 
 
-def _orthogonal_gram_projector(l_factor: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Return ``U = W^-1 A' (A W^-1 A')^-1`` given ``L`` with ``W^-1 = L L'``.
+def _gram_factorization(
+    l_factor: np.ndarray, a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(U, G^-1)`` for the Gram matrix ``G = A W^-1 A'``, given
+    ``L`` with ``W^-1 = L L'``, where ``U = W^-1 A' G^-1``.
 
-    The Gram matrix is factored through a QR decomposition of ``(A L)'`` so
-    its condition number is never squared.
+    ``G = R' R`` is factored through one QR decomposition of ``(A L)'`` so
+    its condition number is never squared; ``SingularConstraintGram`` is
+    raised when the diagonal of ``R`` puts that condition number above
+    ``CONDITION_LIMIT``.
     """
-    c = a @ l_factor
-    if c.shape[0] == 0:
-        return np.zeros((l_factor.shape[0], 0))
-    q_mat, r = np.linalg.qr(c.T)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 0.0 or (diag.max() / diag.min()) ** 2 > matops.CONDITION_LIMIT:
-        raise SingularConstraintGram(
-            "constraint Gram matrix is numerically singular"
-        )
-    z = scipy.linalg.solve_triangular(r, q_mat.T, lower=False, check_finite=False)
-    return l_factor @ z.T
-
-
-def _posterior_projector(cov: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Return ``U = P A' (A P A')^-1`` with the Gram matrix factored stably.
-
-    Falls back to a direct Cholesky solve of the q x q Gram matrix when the
-    covariance itself is only positive semidefinite.
-    """
-    sym = symmetrize(cov)
-    try:
-        l_factor = np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        gram = symmetrize(a @ sym @ a.T)
-        return solve_spd(
-            gram, a @ sym, name="constraint Gram matrix", error=SingularConstraintGram
-        ).T
-    return _orthogonal_gram_projector(l_factor, a)
-
-
-def _gram_inverse(cov: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Explicit ``(A P A')^-1`` through the same stable factorization."""
-    sym = symmetrize(cov)
-    q = a.shape[0]
-    try:
-        l_factor = np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        gram = symmetrize(a @ sym @ a.T)
-        return solve_spd(
-            gram, np.eye(q), name="constraint Gram matrix", error=SingularConstraintGram
-        )
-    c = a @ l_factor
-    _, r = np.linalg.qr(c.T)
+    q_mat, r = np.linalg.qr((a @ l_factor).T)
     diag = np.abs(np.diag(r))
     if diag.size and (
         diag.min() <= 0.0 or (diag.max() / diag.min()) ** 2 > matops.CONDITION_LIMIT
     ):
         raise SingularConstraintGram("constraint Gram matrix is numerically singular")
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(q), lower=False, check_finite=False)
-    return r_inv @ r_inv.T
+    z = scipy.linalg.solve_triangular(r, q_mat.T, lower=False, check_finite=False)
+    r_inv = scipy.linalg.solve_triangular(
+        r, np.eye(a.shape[0]), lower=False, check_finite=False
+    )
+    return l_factor @ z.T, r_inv @ r_inv.T
 
 
-def _sandwich_covariance(projector: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    return symmetrize(projector @ cov @ projector.T)
+def _covariance_gram(cov: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_gram_factorization` with the weight ``W^-1 = P``.
+
+    ``L`` is the Cholesky factor of ``P``.  A covariance that is only
+    positive semidefinite (a hard-constrained posterior is rank ``n - q``)
+    has none, and falls back to the eigenvalue factor of
+    :func:`matops.psd_factor`; the Gram matrix is then regular only if no
+    combination of the rows of ``A`` lies in the null space of ``P``.
+    """
+    sym = symmetrize(cov)
+    try:
+        l_factor = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        l_factor = matops.psd_factor(sym)
+    return _gram_factorization(l_factor, a)
 
 
 def constrain_posterior(est: StateEstimate, c: EqualityConstraint) -> ConstrainedUpdateResult:
@@ -302,7 +286,7 @@ def constrain_posterior(est: StateEstimate, c: EqualityConstraint) -> Constraine
     if c.constraint_dim == 0:
         return ConstrainedUpdateResult(est, PROJECTION, 0.0)
     a = c.matrix
-    ups = _posterior_projector(est.covariance, a)
+    ups, _ = _covariance_gram(est.covariance, a)
     defect = a @ est.mean - c.rhs
     mean = est.mean - ups @ defect
     cov = symmetrize(est.covariance - ups @ (a @ est.covariance))
@@ -340,7 +324,7 @@ def block_s_inverse(
         )
     _check_state_dims(model.state_dim, c)
     p_post = symmetrize(p_pred - p_pred @ h.T @ innov.gain.T)
-    g_inv = _gram_inverse(p_post, a)
+    _, g_inv = _covariance_gram(p_post, a)
     m = model.measurement_dim
     s_inv = solve_spd(
         innov.residual_cov,
@@ -375,10 +359,9 @@ def augmented_update(
     """
     _check_state_dims(pred.dim, c)
     try:
-        innov = kalman.innovate(pred, z, model)
+        est_u, innov = kalman.update_joseph(pred, z, model)
         if c.constraint_dim == 0:
-            est, _ = kalman.update_joseph(pred, z, model)
-            return ConstrainedUpdateResult(est, AUGMENTED, 0.0)
+            return ConstrainedUpdateResult(est_u, AUGMENTED, 0.0)
         blocks = block_s_inverse(pred.covariance, model, c, innov)
     except (SingularInnovationCovariance, SingularConstraintGram) as exc:
         raise SingularAugmentedInnovation(
@@ -393,11 +376,7 @@ def augmented_update(
     gain_con = ph @ blocks.upper_right + pa @ blocks.lower_right
     constraint_defect = c.rhs - a @ pred.mean
     mean = pred.mean + gain_meas @ innov.residual + gain_con @ constraint_defect
-    i_kh = np.eye(pred.dim) - innov.gain @ h
-    p_post = symmetrize(
-        i_kh @ p_pred @ i_kh.T + innov.gain @ model.measurement_noise @ innov.gain.T
-    )
-    cov = joseph_constrained_cov(p_post, c)
+    cov = joseph_constrained_cov(est_u.covariance, c)
     est = StateEstimate(mean, cov, pred.step)
     return ConstrainedUpdateResult(est, AUGMENTED, c.residual_norm(mean))
 
@@ -440,10 +419,10 @@ def project(
     l_factor = scipy.linalg.solve_triangular(
         lw, np.eye(est.dim), lower=True, check_finite=False
     ).T
-    ups = _orthogonal_gram_projector(l_factor, c.matrix)
+    ups, _ = _gram_factorization(l_factor, c.matrix)
     mean = est.mean - ups @ (c.matrix @ est.mean - c.rhs)
     pi = np.eye(est.dim) - ups @ c.matrix
-    cov = _sandwich_covariance(pi, est.covariance)
+    cov = symmetrize(pi @ est.covariance @ pi.T)
     constrained = StateEstimate(mean, cov, est.step)
     return ConstrainedUpdateResult(constrained, PROJECTION, c.residual_norm(mean))
 
@@ -464,10 +443,11 @@ def solve_lagrange_system(
         correction  = (S^-1 v (v' S^-1 v)^-1) kron (A' (A A')^-1) (b - A x_post)
         multipliers = -2 ((v' S^-1 v)^-1 kron (A A')^-1) (b - A x_post)
 
-    with ``v`` the innovation.  Raises ``DegenerateResidual`` when the
-    quadratic form ``v' S^-1 v`` is below tolerance (the optimality system
-    is then singular); callers should fall back to the identity-weight
-    projection, which yields the same corrected mean.
+    with ``v`` the innovation; ``A A'`` is factored by the same guarded QR
+    as every other constraint Gram matrix.  Raises ``DegenerateResidual``
+    when the quadratic form ``v' S^-1 v`` is below tolerance (the
+    optimality system is then singular); callers should fall back to the
+    identity-weight projection, which yields the same corrected mean.
     """
     if c.constraint_dim == 0:
         return np.zeros(innov.gain.size), np.zeros(0)
@@ -488,10 +468,7 @@ def solve_lagrange_system(
             f"innovation quadratic form {quad:.3e} is below tolerance"
         )
     a = c.matrix
-    gram_inv = solve_spd(
-        a @ a.T, np.eye(c.constraint_dim),
-        name="constraint Gram matrix", error=SingularConstraintGram,
-    )
+    _, gram_inv = _gram_factorization(np.eye(c.state_dim), a)
     target = -residual  # b - A x_post
     left = (s_inv_nu / quad).reshape(-1, 1)
     right = a.T @ gram_inv
@@ -528,9 +505,9 @@ def restricted_gain_update(
     n, m = innov.gain.shape
     gain = innov.gain + unvec(correction, n, m)
     mean = pred.mean + gain @ innov.residual
-    ups = _orthogonal_gram_projector(np.eye(n), c.matrix)
+    ups, _ = _gram_factorization(np.eye(n), c.matrix)
     pi = np.eye(n) - ups @ c.matrix
-    cov = _sandwich_covariance(pi, est_u.covariance)
+    cov = symmetrize(pi @ est_u.covariance @ pi.T)
     est = StateEstimate(mean, cov, pred.step)
     solution = RestrictedGainSolution(gain, correction, multipliers)
     return solution, ConstrainedUpdateResult(est, RESTRICTED_GAIN, c.residual_norm(mean))
@@ -594,7 +571,7 @@ def gamma_projector(post_cov, c: EqualityConstraint) -> np.ndarray:
     _check_state_dims(p.shape[0], c)
     if c.constraint_dim == 0:
         return np.eye(p.shape[0])
-    ups = _posterior_projector(p, c.matrix)
+    ups, _ = _covariance_gram(p, c.matrix)
     return np.eye(p.shape[0]) - ups @ c.matrix
 
 
@@ -626,17 +603,17 @@ def linearize(nc: NonlinearConstraint, x_ref) -> EqualityConstraint:
         raise DimensionMismatch(
             f"jacobian shape {jac.shape} does not match ({q}, {x.size})"
         )
-    if q and np.linalg.matrix_rank(jac) < q:
-        raise RankDeficientJacobian(
-            "constraint Jacobian lost row rank at the linearization point"
-        )
     value = as_vector(nc.func(x), "constraint value")
     if value.size != q:
         raise DimensionMismatch(
             f"constraint value length {value.size} does not match rhs length {q}"
         )
-    rhs = nc.rhs + jac @ x - value
-    return EqualityConstraint(jac, rhs)
+    try:
+        return EqualityConstraint(jac, nc.rhs + jac @ x - value)
+    except ValueError as exc:
+        raise RankDeficientJacobian(
+            f"constraint Jacobian lost row rank at the linearization point: {exc}"
+        ) from exc
 
 
 def soft_augmented_update(

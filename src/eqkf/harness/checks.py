@@ -19,7 +19,7 @@ from .. import constrained, kalman, matops, oracle
 from ..constrained import EqualityConstraint, ProjectionSpec
 from ..kalman import Measurement, StateEstimate, SystemModel
 from ..matops import SaddlePointBlocks, min_eigenvalue
-from .config import load_bundled_scenario
+from .config import MethodSpec, load_bundled_scenario
 from .run import emit_report, run_scenario
 from .simulate import simulate_truth
 
@@ -520,16 +520,14 @@ def check_soft_limits(
         sim = simulate_truth(config)
         averages = []
         for variance in grid:
-            state = config.initial_estimate
-            total = 0.0
-            for k in range(1, config.steps + 1):
-                pred = kalman.predict(state, config.model_at(k - 1))
-                result = constrained.soft_augmented_update(
-                    pred, sim.measurements[k - 1], config.model_at(k - 1), c,
-                    variance * np.eye(q),
-                )
-                state = result.estimate
-                total += result.constraint_residual
+            soft = replace(
+                config,
+                feedback=True,
+                methods=(MethodSpec("soft_augmented"),),
+                soft_noise=variance * np.eye(q),
+            )
+            report = run_scenario(soft, sim)
+            total = sum(rec.constraint_residual for rec in report.records)
             averages.append(total / config.steps)
         for lo, hi in zip(averages, averages[1:]):
             if lo > hi * (1.0 + 1e-9) + 1e-15:

@@ -132,9 +132,7 @@ def advance_method(
             )
         else:
             weight = spec.weight
-        result = constrained.project(
-            unconstrained, lin, ProjectionSpec(weight=weight, feedback=config.feedback)
-        )
+        result = constrained.project(unconstrained, lin, ProjectionSpec(weight=weight))
     else:  # pragma: no cover - method names are validated at load time
         raise ValueError(f"unknown method '{spec.name}'")
 

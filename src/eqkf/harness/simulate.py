@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..constrained import EqualityConstraint, NonlinearConstraint, linearize
+from ..constrained import EqualityConstraint, NonlinearConstraint
 from ..errors import FilterError
 from ..kalman import Measurement
-from ..matops import frozen_array, symmetrize
+from ..matops import as_vector, frozen_array, psd_factor
 from .config import ScenarioConfig
 
 # Truth states must satisfy the constraint to within this after projection.
@@ -36,15 +36,6 @@ class SimulationResult:
     def __post_init__(self):
         object.__setattr__(self, "truth", frozen_array(self.truth))
         object.__setattr__(self, "measurements", tuple(self.measurements))
-
-
-def _psd_factor(mat: np.ndarray) -> np.ndarray:
-    """A factor L with L L' equal to the (possibly singular) PSD input."""
-    sym = symmetrize(mat)
-    if sym.size == 0:
-        return sym
-    w, v = np.linalg.eigh(sym)
-    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def _project_feasible(
@@ -67,11 +58,10 @@ def _project_feasible(
     scale = 1.0 + float(np.linalg.norm(constraint.rhs))
     current = x
     for _ in range(_MAX_PROJECTION_ITERATIONS):
-        if constraint.residual_norm(current) <= _FEASIBILITY_TOL * scale:
+        defect = as_vector(constraint.func(current), "constraint value") - constraint.rhs
+        if np.linalg.norm(defect) <= _FEASIBILITY_TOL * scale:
             return current
-        lin = linearize(constraint, current)
-        defect = lin.matrix @ current - lin.rhs
-        step, *_ = np.linalg.lstsq(lin.matrix, defect, rcond=None)
+        step, *_ = np.linalg.lstsq(constraint.jacobian(current), defect, rcond=None)
         current = current - step
     raise FilterError("truth projection onto the constraint did not converge")
 
@@ -88,8 +78,8 @@ def simulate_with_rng(config: ScenarioConfig, rng: np.random.Generator) -> Simul
         model = config.model_at(k - 1)
         key = id(model)
         if key not in factors:
-            factors[key] = (_psd_factor(model.process_noise),
-                            _psd_factor(model.measurement_noise))
+            factors[key] = (psd_factor(model.process_noise),
+                            psd_factor(model.measurement_noise))
         lq, lr = factors[key]
         noisy = model.transition @ truth[k - 1] + lq @ rng.standard_normal(n)
         truth[k] = _project_feasible(noisy, config.constraint)

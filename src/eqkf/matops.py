@@ -7,9 +7,9 @@ never mutates its inputs.  Three groups of helpers live here:
   pose matrix-valued least-squares problems as ordinary linear systems.
 * Saddle-point block algebra (``SaddlePointBlocks``, ``saddle_inverse``)
   for two-by-two block matrices of the form ``[[A, B'], [B, -C]]``.
-* Covariance hygiene (``symmetrize``, ``min_eigenvalue``, ``solve_spd``)
-  used to keep error covariances symmetric positive semidefinite over
-  long filter runs.
+* Covariance hygiene (``symmetrize``, ``min_eigenvalue``, ``solve_spd``,
+  ``psd_factor``) used to keep error covariances symmetric positive
+  semidefinite over long filter runs.
 """
 
 from __future__ import annotations
@@ -104,6 +104,17 @@ def min_eigenvalue(p) -> float:
         radius = float(np.hypot(0.5 * (s[0, 0] - s[1, 1]), s[1, 0]))
         return float(half - radius)
     return float(np.linalg.eigvalsh(s)[0])
+
+
+def psd_factor(m) -> np.ndarray:
+    """A factor ``L`` with ``L L'`` equal to the symmetric positive
+    semidefinite (possibly singular) input.
+
+    Built from the eigendecomposition of the symmetrized input, with
+    negative roundoff eigenvalues clipped to zero.
+    """
+    vals, vecs = np.linalg.eigh(symmetrize(m))
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 def pseudo_inverse(m, tol: float | None = None) -> np.ndarray:

@@ -23,7 +23,7 @@ from .errors import DimensionMismatch, SingularKkt
 from .harness.config import MethodSpec, ScenarioConfig, method_spec
 from .harness.run import advance_method
 from .kalman import InnovationStats, Measurement, StateEstimate, SystemModel
-from .matops import CONDITION_LIMIT, as_matrix, as_vector, frozen_array
+from .matops import CONDITION_LIMIT, as_matrix, as_vector, frozen_array, psd_factor
 
 # Published seed list for the randomized suites: seeds 0 through 999.
 SEEDS: tuple[int, ...] = tuple(range(1000))
@@ -208,15 +208,10 @@ class CovarianceCheckReport:
         )
 
 
-def _psd_factor(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
 def _conditioned_noise_factor(q: np.ndarray, a: np.ndarray) -> np.ndarray:
     # covariance of w given A w = 0; the pinv tolerates a singular A Q A'
     reduced = q - q @ a.T @ np.linalg.pinv(a @ q @ a.T) @ (a @ q)
-    return _psd_factor(reduced)
+    return psd_factor(reduced)
 
 
 # Trials that ``empirical_covariance_check`` also runs through the per-step
@@ -354,7 +349,7 @@ def empirical_covariance_check(
     belief = config.initial_estimate
     if c is not None and c.constraint_dim > 0:
         belief = constrain_posterior(belief, c).estimate
-    x = belief.mean + rng.standard_normal((trials, n)) @ _psd_factor(belief.covariance).T
+    x = belief.mean + rng.standard_normal((trials, n)) @ psd_factor(belief.covariance).T
     z_all: list[np.ndarray] = []
     noise_factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in range(steps):
@@ -362,11 +357,11 @@ def empirical_covariance_check(
         key = id(model)
         if key not in noise_factors:
             q_factor = (
-                _psd_factor(model.process_noise)
+                psd_factor(model.process_noise)
                 if c is None
                 else _conditioned_noise_factor(model.process_noise, c.matrix)
             )
-            noise_factors[key] = (q_factor, _psd_factor(model.measurement_noise))
+            noise_factors[key] = (q_factor, psd_factor(model.measurement_noise))
         lq, lr = noise_factors[key]
         x = x @ model.transition.T + rng.standard_normal((trials, n)) @ lq.T
         m = model.measurement_dim

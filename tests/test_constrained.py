@@ -359,6 +359,34 @@ class TestStableCovarianceForms:
             assert np.abs(cov - one_sided).max() <= 1e-8 * np.abs(post.covariance).max()
 
 
+class TestSemidefiniteCovariance:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_constraining_a_constrained_posterior_again(self, seed):
+        # A hard-constrained covariance is rank n - q and has no Cholesky
+        # factor; a second, independent row must still be applied exactly.
+        pred, model, z, c = random_constrained_instance(seed)
+        est_u, _ = update_joseph(pred, z, model)
+        first = constrain_posterior(est_u, c).estimate
+        rng = np.random.default_rng((seed, 2))
+        row = rng.standard_normal(first.dim)
+        row -= c.matrix.T @ (c.matrix @ row)  # c has orthonormal rows
+        row /= np.linalg.norm(row)
+        extra = EqualityConstraint(row[None, :], [rng.standard_normal()])
+
+        p, a = first.covariance, extra.matrix
+        direct = np.linalg.solve(a @ p @ a.T, a @ p).T  # P A' (A P A')^-1
+        mean = first.mean - direct @ (a @ first.mean - extra.rhs)
+        cov = p - direct @ a @ p
+        second = constrain_posterior(first, extra)
+        assert rel(second.estimate.mean, mean) < 1e-9
+        # relative to P: with q + 1 = n the exact result is the zero matrix
+        scale = np.linalg.norm(p)
+        assert np.linalg.norm(second.estimate.covariance - cov) < 1e-9 * scale
+        assert second.constraint_residual < 1e-9 * (1.0 + abs(extra.rhs[0]))
+        gamma = gamma_projector(p, extra)
+        assert rel(gamma, np.eye(first.dim) - direct @ a) < 1e-9
+
+
 class TestLinearize:
     def test_circle_tangent(self):
         nc = NonlinearConstraint(
@@ -400,6 +428,14 @@ class TestLinearize:
         )
         with pytest.raises(RankDeficientJacobian):
             linearize(nc, [0.0, 0.0])
+        # more rows than states: the constructor's ValueError comes out typed
+        tall = NonlinearConstraint(
+            func=lambda x: np.array([x[0], x[1], x[0] + 2.0 * x[1]]),
+            jacobian=lambda x: np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 2.0]]),
+            rhs=[0.0, 0.0, 0.0],
+        )
+        with pytest.raises(RankDeficientJacobian):
+            linearize(tall, [1.0, -1.0])
 
 
 class TestSoftConstraint:
