@@ -172,11 +172,7 @@ class ProjectionSpec:
         w = as_matrix(self.weight, "weight")
         if w.shape[0] != w.shape[1]:
             raise ValueError(f"weight must be square, got shape {w.shape}")
-        scale = float(np.abs(w).max()) if w.size else 0.0
-        if w.size and float(np.abs(w - w.T).max()) > 1e-9 * max(1.0, scale):
-            raise ValueError("weight must be symmetric")
-        if w.size and float(np.linalg.eigvalsh(0.5 * (w + w.T))[0]) <= 0.0:
-            raise ValueError("weight must be positive definite")
+        matops.check_symmetric_psd(w, "weight", definite=True)
         object.__setattr__(self, "weight", frozen_array(w))
 
     @property
@@ -639,21 +635,21 @@ def soft_augmented_update(
         raise DimensionMismatch(
             f"constraint_noise must be {q}x{q}, got {noise.shape}"
         )
-    scale = float(np.abs(noise).max()) if noise.size else 0.0
-    if noise.size and float(np.abs(noise - noise.T).max()) > 1e-9 * max(1.0, scale):
-        raise ValueError("constraint_noise must be symmetric")
-    if noise.size and float(np.linalg.eigvalsh(symmetrize(noise))[0]) < -1e-12 * max(1.0, scale):
-        raise ValueError("constraint_noise must be positive semidefinite")
+    matops.check_symmetric_psd(noise, "constraint_noise")
+    kalman._check_update_dims(pred, z, model)
     stacked_obs = np.vstack([model.observation, c.matrix])
     stacked_noise = scipy.linalg.block_diag(model.measurement_noise, symmetrize(noise))
-    aug_model = SystemModel(
-        model.transition, model.process_noise, stacked_obs, stacked_noise
-    )
-    aug_z = Measurement(np.concatenate([z.value, c.rhs]), z.step)
+    stacked_z = np.concatenate([z.value, c.rhs])
     try:
-        est, _ = kalman.update_joseph(pred, aug_z, aug_model)
+        residual, _, gain = kalman._innovation(
+            pred.mean, pred.covariance, stacked_z, stacked_obs, stacked_noise
+        )
     except SingularInnovationCovariance as exc:
         raise SingularAugmentedInnovation(
             f"stacked residual covariance is singular: {exc}"
         ) from exc
-    return ConstrainedUpdateResult(est, SOFT_AUGMENTED, c.residual_norm(est.mean))
+    mean, cov = kalman._joseph_update(
+        pred.mean, pred.covariance, stacked_obs, stacked_noise, residual, gain
+    )
+    est = StateEstimate(mean, cov, pred.step)
+    return ConstrainedUpdateResult(est, SOFT_AUGMENTED, c.residual_norm(mean))

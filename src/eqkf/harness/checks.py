@@ -19,7 +19,7 @@ from .. import constrained, kalman, matops, oracle
 from ..constrained import EqualityConstraint, ProjectionSpec
 from ..kalman import Measurement, StateEstimate, SystemModel
 from ..matops import SaddlePointBlocks, min_eigenvalue
-from .config import MethodSpec, load_bundled_scenario
+from .config import METHODS, MethodSpec, load_bundled_scenario
 from .run import emit_report, run_scenario
 from .simulate import simulate_truth
 
@@ -595,7 +595,7 @@ def check_feedback_benefit() -> CheckResult:
         without_fb = run_scenario(replace(config, feedback=False), sim)
         for spec in config.methods:
             label = spec.label
-            if label == "unconstrained":
+            if not METHODS[spec.name].needs_constraint:
                 continue
             rms = {}
             for report, tag in ((with_fb, "on"), (without_fb, "off")):
@@ -628,8 +628,8 @@ def check_monte_carlo(
 
     Each run goes through :func:`eqkf.oracle.empirical_covariance_check`,
     which filters all trials at once through affine maps read off the
-    per-step update path and refilters the first 1000 trials through that
-    path as a cross-check (a mismatch raises ``ValueError``).  Both
+    per-step update path and advances the first 1000 trials through that
+    path alongside as a cross-check (a mismatch raises ``ValueError``).  Both
     bundled scenarios use a linear model and, where constrained, a linear
     constraint, as that oracle requires.
     """

@@ -32,10 +32,10 @@ index-selected) components; "product" constrains the product of two
 components.  Nonlinear families are relinearized about each step's
 predicted mean before the constrained update runs.
 
-A method entry is a tag string ("unconstrained", "augmented", "fusion",
-"projection", "projection_identity", "restricted_gain", "soft_augmented")
-or, for projection, an object {"method": "projection", "weight": W} where
-W is "posterior_inverse", "identity", or an explicit matrix.
+A method entry is a tag string, one of the keys of the method table
+:data:`METHODS` (which also gives each tag's update and equivalence
+group), or, for projection, an object {"method": "projection", "weight": W}
+where W is "posterior_inverse", "identity", or an explicit matrix.
 
 Malformed documents raise ``ParseError`` naming the field; well-formed
 documents violating a semantic invariant (dependent constraint rows, an
@@ -48,30 +48,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from .. import constrained, kalman
 from ..constrained import (
     POSTERIOR_INVERSE,
+    PROJECTION,
     EqualityConstraint,
     NonlinearConstraint,
+    ProjectionSpec,
     linearize,
 )
-from ..errors import ParseError, ValidationError
+from ..errors import DegenerateResidual, ParseError, ValidationError
 from ..kalman import StateEstimate, SystemModel
-from ..matops import frozen_array
+from ..matops import check_symmetric_psd, frozen_array
 
-METHOD_NAMES = (
-    "unconstrained",
-    "augmented",
-    "fusion",
-    "projection",
-    "restricted_gain",
-    "soft_augmented",
-)
-
-_CONSTRAINED_METHODS = frozenset(METHOD_NAMES[1:])
+IDENTITY = "identity"  # the projection weight choice naming the identity matrix
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ class MethodSpec:
         if self.name not in METHOD_NAMES:
             raise ValueError(f"unknown method '{self.name}'")
         if isinstance(self.weight, str):
-            if self.weight not in (POSTERIOR_INVERSE, "identity"):
+            if self.weight not in _PROJECTION_TAGS:
                 raise ValueError(f"unknown projection weight '{self.weight}'")
         else:
             object.__setattr__(self, "weight", frozen_array(self.weight))
@@ -93,40 +87,111 @@ class MethodSpec:
     @property
     def label(self) -> str:
         """Unique column label for reports."""
-        if self.name != "projection":
+        if self.name != PROJECTION:
             return self.name
         if isinstance(self.weight, str):
-            return "projection" if self.weight == POSTERIOR_INVERSE else "projection_identity"
+            return _PROJECTION_TAGS[self.weight]
         return "projection_custom"
 
     def to_document(self) -> Any:
-        if self.name != "projection":
+        if self.name != PROJECTION:
             return self.name
         if isinstance(self.weight, str):
-            return {"method": "projection", "weight": self.weight}
-        return {"method": "projection", "weight": self.weight.tolist()}
+            return {"method": PROJECTION, "weight": self.weight}
+        return {"method": PROJECTION, "weight": self.weight.tolist()}
+
+
+class Method(NamedTuple):
+    """A row of :data:`METHODS`.  ``update(pred, z, model, lin, spec, config)``,
+    with ``lin`` the constraint linearized about the predicted mean (or None
+    if not ``needs_constraint``), returns the estimate and the unconstrained
+    update if it computed it (else None).  Tags in one ``group`` have equal
+    means in exact arithmetic; the group names the projection weight."""
+
+    update: Callable[..., tuple[StateEstimate, StateEstimate | None]]
+    group: str | None = None
+    needs_constraint: bool = True
+
+
+def _unconstrained(pred, z, model, lin, spec, config):
+    est, _ = kalman.update_joseph(pred, z, model)
+    return est, est
+
+
+def _augmented(pred, z, model, lin, spec, config):
+    return constrained.augmented_update(pred, z, model, lin).estimate, None
+
+
+def _fusion(pred, z, model, lin, spec, config):
+    return constrained.fusion_constrained_update(pred, z, model, lin).estimate, None
+
+
+def _projection(pred, z, model, lin, spec, config):
+    unconstrained, _ = kalman.update_joseph(pred, z, model)
+    weight = spec.weight
+    if isinstance(weight, str) and weight != POSTERIOR_INVERSE:
+        weight = np.eye(pred.dim)
+    result = constrained.project(unconstrained, lin, ProjectionSpec(weight=weight))
+    return result.estimate, unconstrained
+
+
+def _restricted_gain(pred, z, model, lin, spec, config):
+    try:
+        _, result = constrained.restricted_gain_update(pred, z, model, lin)
+    except DegenerateResidual:
+        # A vanishing innovation cannot carry a gain correction; the
+        # identity-weight projection reaches the same corrected mean.
+        return _projection(pred, z, model, lin, MethodSpec(PROJECTION, IDENTITY), config)
+    return result.estimate, None
+
+
+def _soft_augmented(pred, z, model, lin, spec, config):
+    result = constrained.soft_augmented_update(pred, z, model, lin, config.soft_noise)
+    return result.estimate, None
+
+
+# Every method, keyed by its document tag, which is also its report label.
+# The order fixes the order of METHOD_NAMES and of the divergence pairs.
+METHODS = {
+    "unconstrained": Method(_unconstrained, needs_constraint=False),
+    "augmented": Method(_augmented, POSTERIOR_INVERSE),
+    "fusion": Method(_fusion, POSTERIOR_INVERSE),
+    "projection": Method(_projection, POSTERIOR_INVERSE),
+    "restricted_gain": Method(_restricted_gain, IDENTITY),
+    "projection_identity": Method(_projection, IDENTITY),
+    "soft_augmented": Method(_soft_augmented),
+}
+
+# The tag of the projection with each string weight; a projection tag other
+# than PROJECTION itself names a weight, not a MethodSpec name.
+_PROJECTION_TAGS = {
+    row.group: tag for tag, row in METHODS.items() if row.update is _projection
+}
+METHOD_NAMES = tuple(
+    tag for tag in METHODS if tag == PROJECTION or tag not in _PROJECTION_TAGS.values()
+)
 
 
 def method_spec(entry: Any) -> MethodSpec:
     """Build a MethodSpec from a document entry (tag string or object)."""
     if isinstance(entry, str):
-        if entry == "projection_identity":
-            return MethodSpec("projection", "identity")
-        if entry not in METHOD_NAMES:
+        row = METHODS.get(entry)
+        if row is None:
             raise ParseError(f"field 'methods': unknown method '{entry}'")
+        if row.update is _projection:
+            return MethodSpec(PROJECTION, row.group)
         return MethodSpec(entry)
     if isinstance(entry, dict):
-        name = entry.get("method")
-        if name != "projection":
+        if entry.get("method") != PROJECTION:
             raise ParseError(
                 "field 'methods': object entries are only supported for 'projection'"
             )
         weight = entry.get("weight", POSTERIOR_INVERSE)
         if isinstance(weight, str):
-            if weight not in (POSTERIOR_INVERSE, "identity"):
+            if weight not in _PROJECTION_TAGS:
                 raise ParseError(f"field 'methods': unknown projection weight '{weight}'")
-            return MethodSpec("projection", weight)
-        return MethodSpec("projection", _as_array_2d(weight, "methods.weight"))
+            return MethodSpec(PROJECTION, weight)
+        return MethodSpec(PROJECTION, _as_array_2d(weight, "methods.weight"))
     raise ParseError("field 'methods': entries must be strings or objects")
 
 
@@ -157,10 +222,13 @@ class ScenarioConfig:
     def state_dim(self) -> int:
         return self.initial_truth.size
 
-    def linear_constraint_at(self, x_ref) -> EqualityConstraint | None:
-        """The constraint in linear form, relinearized at ``x_ref`` if needed."""
+    def linear_constraint_at(self, x_ref) -> EqualityConstraint:
+        """The constraint in linear form, relinearized at ``x_ref`` if needed.
+
+        Raises ``ValidationError`` when the scenario has no constraint.
+        """
         if self.constraint is None:
-            return None
+            raise ValidationError("constraint: a constrained method needs one")
         if isinstance(self.constraint, EqualityConstraint):
             return self.constraint
         return linearize(self.constraint, x_ref)
@@ -429,7 +497,8 @@ def config_from_document(doc: Any) -> ScenarioConfig:
                 f"initial truth: constraint residual {residual:.3e} exceeds tolerance"
             )
 
-    methods_doc = doc.get("methods", ["unconstrained"])
+    default = [tag for tag, row in METHODS.items() if not row.needs_constraint]
+    methods_doc = doc.get("methods", default)
     if not isinstance(methods_doc, list) or not methods_doc:
         raise ParseError("field 'methods': expected a non-empty array")
     methods = tuple(method_spec(entry) for entry in methods_doc)
@@ -437,25 +506,31 @@ def config_from_document(doc: Any) -> ScenarioConfig:
     if len(set(labels)) != len(labels):
         raise ValidationError("methods: duplicate method labels")
     for spec in methods:
-        if spec.name in _CONSTRAINED_METHODS and constraint is None:
+        if METHODS[spec.name].needs_constraint and constraint is None:
             raise ValidationError(f"methods: '{spec.name}' requires a constraint")
-        if not isinstance(spec.weight, str) and spec.weight.shape != (n, n):
-            raise ValidationError(
-                f"methods: projection weight must be {n}x{n}"
-            )
+        if not isinstance(spec.weight, str):
+            if spec.weight.shape != (n, n):
+                raise ValidationError(f"methods: projection weight must be {n}x{n}")
+            try:
+                ProjectionSpec(weight=spec.weight)
+            except ValueError as exc:
+                raise ValidationError(f"methods: projection {exc}") from exc
 
     soft_noise_doc = doc.get("soft_noise")
     soft_noise = None
     if soft_noise_doc is not None:
         soft_noise = _as_array_2d(soft_noise_doc, "soft_noise")
-    if any(m.name == "soft_augmented" for m in methods):
+    soft = [spec.name for spec in methods if METHODS[spec.name].update is _soft_augmented]
+    if soft:
         if soft_noise is None:
-            raise ValidationError("methods: 'soft_augmented' requires soft_noise")
+            raise ValidationError(f"methods: '{soft[0]}' requires soft_noise")
         q = constraint.constraint_dim if constraint is not None else 0
         if soft_noise.shape != (q, q):
             raise ValidationError(f"soft_noise: expected a {q}x{q} matrix")
-        if float(np.linalg.eigvalsh(0.5 * (soft_noise + soft_noise.T))[0]) < -1e-12:
-            raise ValidationError("soft_noise: must be positive semidefinite")
+        try:
+            check_symmetric_psd(soft_noise, "soft_noise")
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
 
     return ScenarioConfig(
         name=name,

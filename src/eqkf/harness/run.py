@@ -17,29 +17,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .. import constrained, kalman
-from ..constrained import POSTERIOR_INVERSE, ProjectionSpec
-from ..errors import (
-    DegenerateResidual,
-    FilterError,
-    ScenarioStepError,
-    UnsupportedFormat,
-)
+from .. import kalman
+from ..errors import FilterError, ScenarioStepError, UnsupportedFormat
 from ..kalman import Measurement, StateEstimate, SystemModel
 from ..matops import min_eigenvalue
-from .config import MethodSpec, ScenarioConfig
+from .config import METHODS, MethodSpec, ScenarioConfig
 from .simulate import SimulationResult, simulate_truth
 
 # Identifier of the random generator algorithm used by the simulator,
 # recorded in structured reports for reproducibility.
 RNG_ALGORITHM = "numpy-default-rng(PCG64)"
-
-# Methods whose means coincide in exact arithmetic, used for the summary
-# divergence diagnostics.
-_EQUIVALENT_GROUPS = (
-    ("augmented", "fusion", "projection"),
-    ("restricted_gain", "projection_identity"),
-)
 
 
 @dataclass(frozen=True)
@@ -97,50 +84,14 @@ def advance_method(
     Nonlinear constraints are relinearized about the predicted mean.
     """
     pred = kalman.predict(state, model)
-    if spec.name == "unconstrained" or config.constraint is None:
-        est, _ = kalman.update_joseph(pred, z, model)
-        return est, est
-
-    lin = config.linear_constraint_at(pred.mean)
-    unconstrained: StateEstimate | None = None
-
-    if spec.name == "augmented":
-        result = constrained.augmented_update(pred, z, model, lin)
-    elif spec.name == "fusion":
-        result = constrained.fusion_constrained_update(pred, z, model, lin)
-    elif spec.name == "soft_augmented":
-        result = constrained.soft_augmented_update(
-            pred, z, model, lin, config.soft_noise
-        )
-    elif spec.name == "restricted_gain":
-        try:
-            _, result = constrained.restricted_gain_update(pred, z, model, lin)
-        except DegenerateResidual:
-            # A vanishing innovation cannot carry a gain correction; the
-            # identity-weight projection reaches the same corrected mean.
-            unconstrained, _ = kalman.update_joseph(pred, z, model)
-            result = constrained.project(
-                unconstrained, lin, ProjectionSpec(weight=np.eye(pred.dim))
-            )
-    elif spec.name == "projection":
-        unconstrained, _ = kalman.update_joseph(pred, z, model)
-        if isinstance(spec.weight, str):
-            weight = (
-                POSTERIOR_INVERSE
-                if spec.weight == POSTERIOR_INVERSE
-                else np.eye(pred.dim)
-            )
-        else:
-            weight = spec.weight
-        result = constrained.project(unconstrained, lin, ProjectionSpec(weight=weight))
-    else:  # pragma: no cover - method names are validated at load time
-        raise ValueError(f"unknown method '{spec.name}'")
-
+    method = METHODS[spec.name]
+    lin = config.linear_constraint_at(pred.mean) if method.needs_constraint else None
+    estimate, unconstrained = method.update(pred, z, model, lin, spec, config)
     if config.feedback:
-        return result.estimate, result.estimate
+        return estimate, estimate
     if unconstrained is None:
         unconstrained, _ = kalman.update_joseph(pred, z, model)
-    return result.estimate, unconstrained
+    return estimate, unconstrained
 
 
 def _relative_divergence(a: np.ndarray, b: np.ndarray) -> float:
@@ -202,14 +153,15 @@ def run_scenario(
     steps = max(config.steps, 1)
     rmse = {label: float(np.sqrt(sq_err[label] / steps)) for label in labels}
     divergence: dict[str, float] = {}
-    for group in _EQUIVALENT_GROUPS:
-        present = [label for label in group if label in means]
-        for i, first in enumerate(present):
-            for second in present[i + 1 :]:
-                worst = 0.0
-                for ma, mb in zip(means[first], means[second]):
-                    worst = max(worst, _relative_divergence(ma, mb))
-                divergence[f"{first}|{second}"] = worst
+    grouped = [tag for tag, row in METHODS.items() if row.group and tag in means]
+    for i, first in enumerate(grouped):
+        for second in grouped[i + 1 :]:
+            if METHODS[first].group != METHODS[second].group:
+                continue
+            worst = 0.0
+            for ma, mb in zip(means[first], means[second]):
+                worst = max(worst, _relative_divergence(ma, mb))
+            divergence[f"{first}|{second}"] = worst
     summary = RunSummary(rmse=rmse, max_constraint_residual=max_resid, divergence=divergence)
     return RunReport(config=config, records=tuple(records), summary=summary)
 

@@ -203,6 +203,22 @@ def predict(est: StateEstimate, model: SystemModel) -> StateEstimate:
     return StateEstimate(mean, cov, est.step + 1)
 
 
+def _innovation(mean, cov, z, h, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array kernel of :func:`innovate`: the residual, ``S`` and the gain."""
+    residual = z - h @ mean
+    s = symmetrize(h @ cov @ h.T + r)
+    gain = solve_spd(
+        s, (cov @ h.T).T, name="innovation covariance", error=SingularInnovationCovariance
+    ).T
+    return residual, s, gain
+
+
+def _joseph_update(mean, cov, h, r, residual, gain) -> tuple[np.ndarray, np.ndarray]:
+    """Array kernel of :func:`update_joseph`: the mean and Joseph covariance."""
+    i_kh = np.eye(mean.size) - gain @ h
+    return mean + gain @ residual, symmetrize(i_kh @ cov @ i_kh.T + gain @ r @ gain.T)
+
+
 def innovate(pred: StateEstimate, z: Measurement, model: SystemModel) -> InnovationStats:
     """Residual ``z - H x``, covariance ``H P H' + R``, gain ``P H' S^-1``.
 
@@ -211,14 +227,13 @@ def innovate(pred: StateEstimate, z: Measurement, model: SystemModel) -> Innovat
     positive definite.
     """
     _check_update_dims(pred, z, model)
-    h = model.observation
-    residual = z.value - h @ pred.mean
-    s = symmetrize(h @ pred.covariance @ h.T + model.measurement_noise)
-    ph_t = pred.covariance @ h.T
-    gain = solve_spd(
-        s, ph_t.T, name="innovation covariance", error=SingularInnovationCovariance
-    ).T
-    return InnovationStats(residual, s, gain)
+    residual, s, gain = _innovation(
+        pred.mean, pred.covariance, z.value, model.observation, model.measurement_noise
+    )
+    try:
+        return InnovationStats(residual, s, gain)
+    except ValueError as exc:
+        raise SingularInnovationCovariance(f"innovation covariance: {exc}") from exc
 
 
 def update_joseph(
@@ -230,11 +245,9 @@ def update_joseph(
     so constrained variants can reuse them without recomputation.
     """
     innov = innovate(pred, z, model)
-    mean = pred.mean + innov.gain @ innov.residual
-    i_kh = np.eye(pred.dim) - innov.gain @ model.observation
-    cov = symmetrize(
-        i_kh @ pred.covariance @ i_kh.T
-        + innov.gain @ model.measurement_noise @ innov.gain.T
+    mean, cov = _joseph_update(
+        pred.mean, pred.covariance, model.observation, model.measurement_noise,
+        innov.residual, innov.gain,
     )
     return StateEstimate(mean, cov, pred.step), innov
 

@@ -208,12 +208,6 @@ class CovarianceCheckReport:
         )
 
 
-def _conditioned_noise_factor(q: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # covariance of w given A w = 0; the pinv tolerates a singular A Q A'
-    reduced = q - q @ a.T @ np.linalg.pinv(a @ q @ a.T) @ (a @ q)
-    return psd_factor(reduced)
-
-
 # Trials that ``empirical_covariance_check`` also runs through the per-step
 # path, and the relative gap allowed between the two paths' means.
 CROSS_CHECK_TRIALS = 1000
@@ -252,49 +246,6 @@ def _affine_step(
     return reported0, next0, maps[:, 0], maps[:, 1]
 
 
-def _cross_check(
-    config: ScenarioConfig,
-    spec: MethodSpec,
-    z_all: list[np.ndarray],
-    batched: list[tuple[np.ndarray, np.ndarray]],
-) -> None:
-    """Refilter the leading trials through the per-step path.
-
-    ``batched`` holds, per step, the batched reported covariance and the
-    batched reported means of the trials to refilter.  Raises
-    ``ValueError`` naming the method if any per-step mean departs from its
-    batched counterpart by more than ``CROSS_CHECK_RTOL`` relative to the
-    largest per-step mean of that step, or if any per-step reported
-    covariance differs at all from the batched one.
-    """
-    trials = batched[0][1].shape[0]
-    reference = np.empty((len(batched), trials, config.state_dim))
-    for t in range(trials):
-        state = config.initial_estimate
-        for k, (cov, _) in enumerate(batched):
-            reported, state = advance_method(
-                state,
-                Measurement(z_all[k][t], step=k + 1),
-                config.model_at(k),
-                spec,
-                config,
-            )
-            if not np.array_equal(reported.covariance, cov):
-                raise ValueError(
-                    f"method '{spec.label}': per-step covariance at step {k + 1} of "
-                    f"trial {t} differs from the batched recursion"
-                )
-            reference[k, t] = reported.mean
-    for k, (_, means) in enumerate(batched):
-        gap = float(np.abs(means - reference[k]).max())
-        scale = float(np.abs(reference[k]).max())
-        if gap > CROSS_CHECK_RTOL * scale:
-            raise ValueError(
-                f"method '{spec.label}': batched means at step {k + 1} depart from "
-                f"the per-step path by {gap:.3e} (scale {scale:.3e})"
-            )
-
-
 def empirical_covariance_check(
     config: ScenarioConfig,
     method: str | MethodSpec,
@@ -317,10 +268,11 @@ def empirical_covariance_check(
     previous mean and the measurement.  Those maps are read off the
     regular per-step update path (:func:`advance_method` at the zero and
     unit inputs) and applied to all trials at once.  The assumption is
-    checked, not trusted: the first ``CROSS_CHECK_TRIALS`` trials are
-    also filtered through the per-step path, and a ``ValueError`` naming
-    the method is raised if any mean departs by more than
-    ``CROSS_CHECK_RTOL`` relative or any reported covariance differs.
+    checked, not trusted: in the same step loop the first
+    ``CROSS_CHECK_TRIALS`` trials also advance through the per-step path,
+    and a ``ValueError`` naming the method is raised at the first step
+    where one of their means departs from the batched mean by more than
+    ``CROSS_CHECK_RTOL`` relative or a reported covariance differs at all.
 
     Constrained scenarios must use a linear (``affine``) constraint and a
     transition that maps the constraint set to itself (the bundled
@@ -350,46 +302,56 @@ def empirical_covariance_check(
     if c is not None and c.constraint_dim > 0:
         belief = constrain_posterior(belief, c).estimate
     x = belief.mean + rng.standard_normal((trials, n)) @ psd_factor(belief.covariance).T
-    z_all: list[np.ndarray] = []
-    noise_factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    means = np.broadcast_to(config.initial_estimate.mean, (trials, n))
+    cov = config.initial_estimate.covariance
+    checked = min(trials, CROSS_CHECK_TRIALS)
+    states = [config.initial_estimate] * checked
+    per_step = np.empty((checked, n))
     for k in range(steps):
         model = config.model_at(k)
-        key = id(model)
-        if key not in noise_factors:
-            q_factor = (
-                psd_factor(model.process_noise)
-                if c is None
-                else _conditioned_noise_factor(model.process_noise, c.matrix)
-            )
-            noise_factors[key] = (q_factor, psd_factor(model.measurement_noise))
-        lq, lr = noise_factors[key]
+        q = model.process_noise
+        if c is not None:
+            # covariance of w given A w = 0; the pinv tolerates a singular A Q A'
+            a = c.matrix
+            q = q - q @ a.T @ np.linalg.pinv(a @ q @ a.T) @ (a @ q)
+        lq = psd_factor(q)
+        lr = psd_factor(model.measurement_noise)
         x = x @ model.transition.T + rng.standard_normal((trials, n)) @ lq.T
         m = model.measurement_dim
-        z_all.append(x @ model.observation.T + rng.standard_normal((trials, m)) @ lr.T)
-    if c is not None and c.constraint_dim > 0 and steps > 0:
+        z = x @ model.observation.T + rng.standard_normal((trials, m)) @ lr.T
+
+        reported0, next0, reported_map, next_map = _affine_step(cov, model, spec, config)
+        inputs = np.hstack([means, z, np.ones((trials, 1))])
+        reported = inputs @ reported_map
+        means = inputs @ next_map
+        cov = next0.covariance
+
+        for t in range(checked):
+            got, states[t] = advance_method(
+                states[t], Measurement(z[t], step=k + 1), model, spec, config
+            )
+            if not np.array_equal(got.covariance, reported0.covariance):
+                raise ValueError(
+                    f"method '{spec.label}': per-step covariance at step {k + 1} of "
+                    f"trial {t} differs from the batched recursion"
+                )
+            per_step[t] = got.mean
+        gap = float(np.abs(reported[:checked] - per_step).max())
+        scale = float(np.abs(per_step).max())
+        if gap > CROSS_CHECK_RTOL * scale:
+            raise ValueError(
+                f"method '{spec.label}': batched means at step {k + 1} depart from "
+                f"the per-step path by {gap:.3e} (scale {scale:.3e})"
+            )
+    if c is not None and c.constraint_dim > 0:
         drift = float(np.abs(x @ c.matrix.T - c.rhs).max())
         if drift > 1e-6 * (1.0 + float(np.linalg.norm(c.rhs))):
             raise ValueError(
                 "scenario transition does not preserve the constraint set"
             )
 
-    checked = min(trials, CROSS_CHECK_TRIALS)
-    means = np.broadcast_to(config.initial_estimate.mean, (trials, n))
-    cov = config.initial_estimate.covariance
-    batched: list[tuple[np.ndarray, np.ndarray]] = []
-    for k in range(steps):
-        reported0, next0, reported_map, next_map = _affine_step(
-            cov, config.model_at(k), spec, config
-        )
-        inputs = np.hstack([means, z_all[k], np.ones((trials, 1))])
-        reported = inputs @ reported_map
-        means = inputs @ next_map
-        cov = next0.covariance
-        batched.append((reported0.covariance, reported[:checked]))
-    _cross_check(config, spec, z_all, batched)
-
     errors = x - reported
-    p = np.asarray(batched[-1][0])
+    p = reported0.covariance
     sample = np.atleast_2d(np.cov(errors, rowvar=False))
     threshold = 1e-6 * abs(float(np.trace(p)))
     matched = np.abs(p) > threshold

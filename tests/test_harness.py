@@ -1,6 +1,7 @@
 """Scenario configs, truth simulation, method runs, report emission, and
 the command-line front end."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose
 from eqkf import predict, update_joseph
 from eqkf.errors import ParseError, ScenarioStepError, UnsupportedFormat, ValidationError
 from eqkf.harness import (
+    METHOD_NAMES,
     bundled_scenario_names,
     config_from_document,
     load_bundled_scenario,
@@ -20,6 +22,7 @@ from eqkf.harness import (
     run_scenario,
     simulate_truth,
 )
+from eqkf.harness.config import METHODS
 from eqkf.harness.run import RNG_ALGORITHM, advance_method, emit_report
 
 
@@ -131,6 +134,20 @@ class TestConfigParsing:
         doc["constraint"] = {"kind": "orbit", "rhs": [1.0]}
         with pytest.raises(ParseError, match="kind"):
             config_from_document(doc)
+
+    def test_method_table_tags_round_trip(self):
+        assert METHOD_NAMES == (
+            "unconstrained",
+            "augmented",
+            "fusion",
+            "projection",
+            "restricted_gain",
+            "soft_augmented",
+        )
+        for tag in METHODS:
+            spec = method_spec(tag)
+            assert spec.label == tag
+            assert method_spec(spec.to_document()).label == tag
 
     def test_projection_weight_entries(self):
         assert method_spec("projection").label == "projection"
@@ -251,6 +268,14 @@ class TestRunScenario:
         assert excinfo.value.step == 2
         assert excinfo.value.method == "augmented"
 
+    def test_constrained_method_without_a_constraint_fails_typed(self):
+        # the loader rejects this pairing; a config built by hand meets it at step 1
+        config = dataclasses.replace(load_bundled_scenario("cv_2d"),
+                                     methods=(method_spec("augmented"),))
+        with pytest.raises(ScenarioStepError, match="constraint") as excinfo:
+            run_scenario(config)
+        assert excinfo.value.step == 1
+
     def test_feedback_off_keeps_the_recursion_unconstrained(self):
         config = config_from_document(planar_constrained_doc(feedback=False))
         spec = next(m for m in config.methods if m.label == "projection")
@@ -355,14 +380,47 @@ class TestCli:
         assert proc.returncode == 2
         assert "invalid document at line" in proc.stderr
 
-    def test_validation_failure_exits_with_parse_code(self, tmp_path):
-        doc = minimal_doc()
-        doc["initial_estimate"]["covariance"] = [[0.0]]
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                minimal_doc(initial_estimate={"mean": [0.0], "covariance": [[0.0]]}),
+                "positive definite",
+            ),
+            (
+                planar_constrained_doc(
+                    methods=[{"method": "projection", "weight": [[1, 0], [0, -1]]}]
+                ),
+                "positive definite",
+            ),
+            (
+                planar_constrained_doc(
+                    methods=[{"method": "projection", "weight": [[1, 2], [0, 1]]}]
+                ),
+                "symmetric",
+            ),
+            (
+                planar_constrained_doc(
+                    constraint={
+                        "kind": "affine",
+                        "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                        "rhs": [0.5, -0.5],
+                    },
+                    methods=["soft_augmented"],
+                    soft_noise=[[1.0, 0.5], [0.0, 1.0]],
+                ),
+                "symmetric",
+            ),
+        ],
+        ids=["initial_covariance", "indefinite_weight", "asymmetric_weight",
+             "asymmetric_soft_noise"],
+    )
+    def test_validation_failure_exits_with_parse_code(self, tmp_path, doc, message):
         path = tmp_path / "invalid.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         proc = run_cli("run", str(path))
         assert proc.returncode == 2
-        assert "positive definite" in proc.stderr
+        assert message in proc.stderr
 
     def test_missing_file_exits_with_parse_code(self, tmp_path):
         proc = run_cli("run", str(tmp_path / "missing.json"))

@@ -111,12 +111,21 @@ class TestInnovate:
         assert_allclose(innov.residual_cov, [[2.0]])
         assert_allclose(innov.gain, [[0.5], [0.0]])
 
-    def test_degenerate_residual_covariance(self):
-        # observation row of zeros with zero noise leaves nothing to filter
-        pred = estimate([0.0, 0.0], np.eye(2))
-        model = SystemModel(np.eye(2), np.zeros((2, 2)), [[0.0, 0.0]], [[0.0]])
+    @pytest.mark.parametrize(
+        "cov, observation, noise",
+        [
+            # observation row of zeros with zero noise leaves nothing to filter
+            (np.eye(2), [[0.0, 0.0]], [[0.0]]),
+            # rank-one S whose Cholesky factorization succeeds through roundoff
+            (np.outer([0.7, 0.1], [0.7, 0.1]), np.eye(2), np.zeros((2, 2))),
+        ],
+        ids=["zero_observation", "roundoff_cholesky"],
+    )
+    def test_degenerate_residual_covariance(self, cov, observation, noise):
+        pred = estimate([0.0, 0.0], cov)
+        model = SystemModel(np.eye(2), np.zeros((2, 2)), observation, noise)
         with pytest.raises(SingularInnovationCovariance):
-            innovate(pred, Measurement([1.0], 1), model)
+            innovate(pred, Measurement(np.ones(len(observation)), 1), model)
 
 
 class TestUpdateJoseph:
