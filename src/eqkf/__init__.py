@@ -14,6 +14,7 @@ implementations the library is checked against.
 from . import errors, harness, matops, oracle
 from .constrained import (
     DEGENERATE_RESIDUAL_TOL,
+    IDENTITY,
     POSTERIOR_INVERSE,
     ConstrainedUpdateResult,
     EqualityConstraint,
@@ -47,6 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEGENERATE_RESIDUAL_TOL",
+    "IDENTITY",
     "POSTERIOR_INVERSE",
     "ConstrainedUpdateResult",
     "EqualityConstraint",

@@ -29,15 +29,12 @@ Every hard update except fusion (which keeps its own pseudo-inverted
 saddle solve) is a least-distance correction through the Gram matrix
 ``G = A W^-1 A'``, and all of them share one factorization of it,
 :func:`_gram_factorization`: a QR decomposition of ``(A L)'`` with
-``W^-1 = L L'``, guarded by ``matops.CONDITION_LIMIT``.  When the weight
-is a covariance, :func:`_covariance_gram` picks ``L``: its Cholesky factor,
-or, in the semidefinite fallback for a covariance that has none, the
-eigenvalue factor of :func:`matops.psd_factor`.
-
-Hard-constrained covariances are rank deficient (rank ``n - q``); they are
-maintained through the idempotent-projector congruence of
-:func:`joseph_constrained_cov`, which preserves symmetry and positive
-semidefiniteness over long runs.
+``W^-1 = L L'``, guarded by ``matops.CONDITION_LIMIT``, with ``L`` picked
+by :func:`_weight_factor`.  Each correction is the step of
+:func:`_project_along`, whose congruence ``(I - U A) P (I - U A)'`` keeps
+hard-constrained (rank ``n - q``) covariances symmetric positive
+semidefinite over long runs.  :func:`_result` raises
+``IndefiniteCovariance`` for a posterior the ``StateEstimate`` checks reject.
 """
 
 from __future__ import annotations
@@ -52,6 +49,7 @@ from . import kalman, matops
 from .errors import (
     DegenerateResidual,
     DimensionMismatch,
+    IndefiniteCovariance,
     RankDeficientJacobian,
     SingularAugmentedInnovation,
     SingularConstraintGram,
@@ -78,9 +76,10 @@ RESTRICTED_GAIN = "restricted_gain"
 FUSION = "fusion"
 SOFT_AUGMENTED = "soft_augmented"
 
-# Distinguished weight choice for ProjectionSpec: use the inverse of the
-# unconstrained posterior covariance (never formed explicitly).
+# Distinguished weight choices for ProjectionSpec: the inverse of the
+# unconstrained posterior covariance (never formed explicitly), and I.
 POSTERIOR_INVERSE = "posterior_inverse"
+IDENTITY = "identity"
 
 # Innovation quadratic forms at or below this are treated as degenerate.
 DEGENERATE_RESIDUAL_TOL = 1e-12
@@ -157,16 +156,16 @@ class NonlinearConstraint:
 class ProjectionSpec:
     """Options for :func:`project`.
 
-    ``weight`` is either the ``POSTERIOR_INVERSE`` marker (the default,
-    weighting distances by the inverse posterior covariance) or an explicit
-    symmetric positive definite n x n matrix.
+    ``weight`` is the ``POSTERIOR_INVERSE`` marker (the default, weighting
+    distances by the inverse posterior covariance), ``IDENTITY``, or an
+    explicit symmetric positive definite n x n matrix.
     """
 
     weight: np.ndarray | str = POSTERIOR_INVERSE
 
     def __post_init__(self):
         if isinstance(self.weight, str):
-            if self.weight != POSTERIOR_INVERSE:
+            if self.weight not in (POSTERIOR_INVERSE, IDENTITY):
                 raise ValueError(f"unknown weight choice '{self.weight}'")
             return
         w = as_matrix(self.weight, "weight")
@@ -174,10 +173,6 @@ class ProjectionSpec:
             raise ValueError(f"weight must be square, got shape {w.shape}")
         matops.check_symmetric_psd(w, "weight", definite=True)
         object.__setattr__(self, "weight", frozen_array(w))
-
-    @property
-    def uses_posterior_inverse(self) -> bool:
-        return isinstance(self.weight, str)
 
 
 @dataclass(frozen=True)
@@ -205,12 +200,13 @@ class RestrictedGainSolution:
 
 @dataclass(frozen=True)
 class ConstrainedUpdateResult:
-    """A constrained estimate, the method tag that produced it, and the
-    Euclidean norm of its constraint residual."""
+    """A constrained estimate, the method tag that produced it, the Euclidean
+    norm of its constraint residual, and the unconstrained update if computed."""
 
     estimate: StateEstimate
     method: str
     constraint_residual: float
+    unconstrained: StateEstimate | None = None
 
     def __post_init__(self):
         if not isinstance(self.estimate, StateEstimate):
@@ -223,6 +219,16 @@ def _check_state_dims(dim: int, c: EqualityConstraint) -> None:
         raise DimensionMismatch(
             f"constraint is over {c.state_dim} states but the estimate has {dim}"
         )
+
+
+def _result(method: str, c: EqualityConstraint, mean, cov, step: int, unconstrained=None):
+    """The result of a constrained update; a posterior whose covariance the
+    ``StateEstimate`` checks reject raises ``IndefiniteCovariance``."""
+    try:
+        est = StateEstimate(mean, cov, step)
+    except ValueError as exc:
+        raise IndefiniteCovariance(f"{method} posterior: {exc}") from exc
+    return ConstrainedUpdateResult(est, method, c.residual_norm(mean), unconstrained)
 
 
 def _gram_factorization(
@@ -249,45 +255,58 @@ def _gram_factorization(
     return l_factor @ z.T, r_inv @ r_inv.T
 
 
-def _covariance_gram(cov: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_gram_factorization` with the weight ``W^-1 = P``.
+def _weight_factor(weight: np.ndarray | str, cov: np.ndarray) -> np.ndarray:
+    """``L`` with ``W^-1 = L L'`` for a ``ProjectionSpec`` weight ``W`` of an
+    estimate with covariance ``P = cov``.
 
-    ``L`` is the Cholesky factor of ``P``.  A covariance that is only
-    positive semidefinite (a hard-constrained posterior is rank ``n - q``)
-    has none, and falls back to the eigenvalue factor of
+    ``POSTERIOR_INVERSE`` takes the Cholesky factor of ``P``.  A covariance
+    that is only positive semidefinite (a hard-constrained posterior is
+    rank ``n - q``) has none, and falls back to the eigenvalue factor of
     :func:`matops.psd_factor`; the Gram matrix is then regular only if no
     combination of the rows of ``A`` lies in the null space of ``P``.
     """
-    sym = symmetrize(cov)
-    try:
-        l_factor = np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        l_factor = matops.psd_factor(sym)
-    return _gram_factorization(l_factor, a)
+    n = cov.shape[0]
+    if isinstance(weight, str):
+        if weight == IDENTITY:
+            return np.eye(n)
+        sym = symmetrize(cov)
+        try:
+            return np.linalg.cholesky(sym)
+        except np.linalg.LinAlgError:
+            return matops.psd_factor(sym)
+    if weight.shape != (n, n):
+        raise DimensionMismatch(
+            f"weight shape {weight.shape} does not match state dimension {n}"
+        )
+    cond = np.linalg.cond(weight)
+    if not np.isfinite(cond) or cond > matops.CONDITION_LIMIT:
+        raise SingularWeight(
+            f"weight is numerically singular (condition estimate {cond:.3e})"
+        )
+    lw = matops.spd_cholesky(weight, name="weight", error=SingularWeight)
+    # W^-1 = L L' with L the inverse transpose of the Cholesky factor.
+    return scipy.linalg.solve_triangular(lw, np.eye(n), lower=True, check_finite=False).T
+
+
+def _project_along(ups, c: EqualityConstraint, mean, cov) -> tuple[np.ndarray, np.ndarray]:
+    """The projection step along the direction ``U``: the mean
+    ``mean - U (A mean - b)`` and the covariance ``(I - U A) P (I - U A)'``."""
+    pi = np.eye(cov.shape[0]) - ups @ c.matrix
+    return mean - ups @ (c.matrix @ mean - c.rhs), symmetrize(pi @ cov @ pi.T)
 
 
 def constrain_posterior(est: StateEstimate, c: EqualityConstraint) -> ConstrainedUpdateResult:
-    """Move a posterior estimate onto ``A x = b``, weighting by the inverse
-    posterior covariance.
+    """:func:`project` with the ``POSTERIOR_INVERSE`` weight, the
+    minimum-variance correction; ``A cov' = 0`` and ``cov' <= P``.
 
-    mean' = mean - P A' (A P A')^-1 (A mean - b)
-    cov'  = P - P A' (A P A')^-1 A P   (symmetrized)
+    mean' = mean - U (A mean - b),  U = P A' (A P A')^-1
+    cov'  = (I - U A) P (I - U A)'   (symmetrized)
 
-    This is the minimum-variance correction: among all feasible corrected
-    means it has the smallest error covariance.  The corrected covariance
-    satisfies ``A cov' = 0`` and is smaller than ``P`` in the positive
-    semidefinite order.
+    The congruence equals ``P - U A P`` in exact arithmetic, but unlike that
+    one-sided form it stays positive semidefinite when the correction
+    removes the dominant direction of an ill-conditioned ``P``.
     """
-    _check_state_dims(est.dim, c)
-    if c.constraint_dim == 0:
-        return ConstrainedUpdateResult(est, PROJECTION, 0.0)
-    a = c.matrix
-    ups, _ = _covariance_gram(est.covariance, a)
-    defect = a @ est.mean - c.rhs
-    mean = est.mean - ups @ defect
-    cov = symmetrize(est.covariance - ups @ (a @ est.covariance))
-    constrained = StateEstimate(mean, cov, est.step)
-    return ConstrainedUpdateResult(constrained, PROJECTION, c.residual_norm(mean))
+    return project(est, c)
 
 
 def block_s_inverse(
@@ -320,7 +339,7 @@ def block_s_inverse(
         )
     _check_state_dims(model.state_dim, c)
     p_post = symmetrize(p_pred - p_pred @ h.T @ innov.gain.T)
-    _, g_inv = _covariance_gram(p_post, a)
+    _, g_inv = _gram_factorization(_weight_factor(POSTERIOR_INVERSE, p_post), a)
     m = model.measurement_dim
     s_inv = solve_spd(
         innov.residual_cov,
@@ -357,7 +376,7 @@ def augmented_update(
     try:
         est_u, innov = kalman.update_joseph(pred, z, model)
         if c.constraint_dim == 0:
-            return ConstrainedUpdateResult(est_u, AUGMENTED, 0.0)
+            return ConstrainedUpdateResult(est_u, AUGMENTED, 0.0, est_u)
         blocks = block_s_inverse(pred.covariance, model, c, innov)
     except (SingularInnovationCovariance, SingularConstraintGram) as exc:
         raise SingularAugmentedInnovation(
@@ -373,8 +392,7 @@ def augmented_update(
     constraint_defect = c.rhs - a @ pred.mean
     mean = pred.mean + gain_meas @ innov.residual + gain_con @ constraint_defect
     cov = joseph_constrained_cov(est_u.covariance, c)
-    est = StateEstimate(mean, cov, pred.step)
-    return ConstrainedUpdateResult(est, AUGMENTED, c.residual_norm(mean))
+    return _result(AUGMENTED, c, mean, cov, pred.step, est_u)
 
 
 def project(
@@ -388,39 +406,15 @@ def project(
 
         mean' = mean - W^-1 A' (A W^-1 A')^-1 (A mean - b)
 
-    The covariance is carried through the correction as
-    ``(I - U A) P (I - U A)'`` with ``U`` the projector above, which keeps
-    it symmetric positive semidefinite for any weight.  With the
-    ``POSTERIOR_INVERSE`` weight the result equals
-    :func:`constrain_posterior` exactly (it is computed by the same code
-    path).
+    The covariance takes the congruence of :func:`_project_along`, which
+    keeps it symmetric positive semidefinite for any weight.
     """
     _check_state_dims(est.dim, c)
-    if spec.uses_posterior_inverse:
-        return constrain_posterior(est, c)
     if c.constraint_dim == 0:
         return ConstrainedUpdateResult(est, PROJECTION, 0.0)
-    w = spec.weight
-    if w.shape != (est.dim, est.dim):
-        raise DimensionMismatch(
-            f"weight shape {w.shape} does not match state dimension {est.dim}"
-        )
-    cond = np.linalg.cond(w)
-    if not np.isfinite(cond) or cond > matops.CONDITION_LIMIT:
-        raise SingularWeight(
-            f"weight is numerically singular (condition estimate {cond:.3e})"
-        )
-    lw = matops.spd_cholesky(w, name="weight", error=SingularWeight)
-    # W^-1 = L L' with L the inverse transpose of the Cholesky factor.
-    l_factor = scipy.linalg.solve_triangular(
-        lw, np.eye(est.dim), lower=True, check_finite=False
-    ).T
-    ups, _ = _gram_factorization(l_factor, c.matrix)
-    mean = est.mean - ups @ (c.matrix @ est.mean - c.rhs)
-    pi = np.eye(est.dim) - ups @ c.matrix
-    cov = symmetrize(pi @ est.covariance @ pi.T)
-    constrained = StateEstimate(mean, cov, est.step)
-    return ConstrainedUpdateResult(constrained, PROJECTION, c.residual_norm(mean))
+    ups, _ = _gram_factorization(_weight_factor(spec.weight, est.covariance), c.matrix)
+    mean, cov = _project_along(ups, c, est.mean, est.covariance)
+    return _result(PROJECTION, c, mean, cov, est.step)
 
 
 def solve_lagrange_system(
@@ -495,18 +489,17 @@ def restricted_gain_update(
         solution = RestrictedGainSolution(
             innov.gain, np.zeros(innov.gain.size), np.zeros(0)
         )
-        return solution, ConstrainedUpdateResult(est_u, RESTRICTED_GAIN, 0.0)
+        return solution, ConstrainedUpdateResult(est_u, RESTRICTED_GAIN, 0.0, est_u)
     defect = c.matrix @ est_u.mean - c.rhs
     correction, multipliers = solve_lagrange_system(innov, c, defect)
     n, m = innov.gain.shape
     gain = innov.gain + unvec(correction, n, m)
     mean = pred.mean + gain @ innov.residual
-    ups, _ = _gram_factorization(np.eye(n), c.matrix)
-    pi = np.eye(n) - ups @ c.matrix
-    cov = symmetrize(pi @ est_u.covariance @ pi.T)
-    est = StateEstimate(mean, cov, pred.step)
+    ups, _ = _gram_factorization(_weight_factor(IDENTITY, est_u.covariance), c.matrix)
+    # The projected mean equals the gain-corrected one, which is reported.
+    _, cov = _project_along(ups, c, est_u.mean, est_u.covariance)
     solution = RestrictedGainSolution(gain, correction, multipliers)
-    return solution, ConstrainedUpdateResult(est, RESTRICTED_GAIN, c.residual_norm(mean))
+    return solution, _result(RESTRICTED_GAIN, c, mean, cov, pred.step, est_u)
 
 
 def fusion_constrained_update(
@@ -549,8 +542,16 @@ def fusion_constrained_update(
     inv = matops.pseudo_inverse(saddle)
     mean = inv[k:, :k] @ stacked_z
     cov = symmetrize(-inv[k:, k:])
-    est = StateEstimate(mean, cov, pred.step)
-    return ConstrainedUpdateResult(est, FUSION, c.residual_norm(mean))
+    return _result(FUSION, c, mean, cov, pred.step)
+
+
+def _posterior_direction(post_cov, c: EqualityConstraint) -> tuple[np.ndarray, np.ndarray]:
+    """``P = post_cov`` as a square array, and its direction ``P A' (A P A')^-1``."""
+    p = as_matrix(post_cov, "posterior covariance")
+    if p.shape[0] != p.shape[1]:
+        raise DimensionMismatch(f"posterior covariance must be square, got {p.shape}")
+    _check_state_dims(p.shape[0], c)
+    return p, _gram_factorization(_weight_factor(POSTERIOR_INVERSE, p), c.matrix)[0]
 
 
 def gamma_projector(post_cov, c: EqualityConstraint) -> np.ndarray:
@@ -561,13 +562,7 @@ def gamma_projector(post_cov, c: EqualityConstraint) -> np.ndarray:
     multiplying the posterior covariance by it yields a matrix ``X`` with
     ``A X = 0``.
     """
-    p = as_matrix(post_cov, "posterior covariance")
-    if p.shape[0] != p.shape[1]:
-        raise DimensionMismatch(f"posterior covariance must be square, got {p.shape}")
-    _check_state_dims(p.shape[0], c)
-    if c.constraint_dim == 0:
-        return np.eye(p.shape[0])
-    ups, _ = _covariance_gram(p, c.matrix)
+    p, ups = _posterior_direction(post_cov, c)
     return np.eye(p.shape[0]) - ups @ c.matrix
 
 
@@ -579,9 +574,9 @@ def joseph_constrained_cov(post_cov, c: EqualityConstraint) -> np.ndarray:
     positive semidefinite by construction, which makes it the stable
     choice inside long recursions.
     """
-    p = as_matrix(post_cov, "posterior covariance")
-    g = gamma_projector(p, c)
-    return symmetrize(g @ p @ g.T)
+    p, ups = _posterior_direction(post_cov, c)
+    # Only the covariance of the step is wanted; any mean will do.
+    return _project_along(ups, c, np.zeros(p.shape[0]), p)[1]
 
 
 def linearize(nc: NonlinearConstraint, x_ref) -> EqualityConstraint:
@@ -651,5 +646,4 @@ def soft_augmented_update(
     mean, cov = kalman._joseph_update(
         pred.mean, pred.covariance, stacked_obs, stacked_noise, residual, gain
     )
-    est = StateEstimate(mean, cov, pred.step)
-    return ConstrainedUpdateResult(est, SOFT_AUGMENTED, c.residual_norm(mean))
+    return _result(SOFT_AUGMENTED, c, mean, cov, pred.step)

@@ -44,6 +44,10 @@ class SingularWeight(FilterError):
     """A projection weight matrix is not usable (not positive definite)."""
 
 
+class IndefiniteCovariance(FilterError):
+    """An updated covariance failed its symmetric positive semidefinite check."""
+
+
 class SingularKkt(FilterError):
     """An assembled KKT system is numerically singular."""
 

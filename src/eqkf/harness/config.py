@@ -35,7 +35,8 @@ predicted mean before the constrained update runs.
 A method entry is a tag string, one of the keys of the method table
 :data:`METHODS` (which also gives each tag's update and equivalence
 group), or, for projection, an object {"method": "projection", "weight": W}
-where W is "posterior_inverse", "identity", or an explicit matrix.
+where W is a ``ProjectionSpec`` weight: "posterior_inverse" or "identity"
+(the ``POSTERIOR_INVERSE`` and ``IDENTITY`` markers), or an explicit matrix.
 
 Malformed documents raise ``ParseError`` naming the field; well-formed
 documents violating a semantic invariant (dependent constraint rows, an
@@ -54,6 +55,7 @@ import numpy as np
 
 from .. import constrained, kalman
 from ..constrained import (
+    IDENTITY,
     POSTERIOR_INVERSE,
     PROJECTION,
     EqualityConstraint,
@@ -64,8 +66,6 @@ from ..constrained import (
 from ..errors import DegenerateResidual, ParseError, ValidationError
 from ..kalman import StateEstimate, SystemModel
 from ..matops import check_symmetric_psd, frozen_array
-
-IDENTITY = "identity"  # the projection weight choice naming the identity matrix
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,8 @@ def _unconstrained(pred, z, model, lin, spec, config):
 
 
 def _augmented(pred, z, model, lin, spec, config):
-    return constrained.augmented_update(pred, z, model, lin).estimate, None
+    result = constrained.augmented_update(pred, z, model, lin)
+    return result.estimate, result.unconstrained
 
 
 def _fusion(pred, z, model, lin, spec, config):
@@ -128,10 +129,7 @@ def _fusion(pred, z, model, lin, spec, config):
 
 def _projection(pred, z, model, lin, spec, config):
     unconstrained, _ = kalman.update_joseph(pred, z, model)
-    weight = spec.weight
-    if isinstance(weight, str) and weight != POSTERIOR_INVERSE:
-        weight = np.eye(pred.dim)
-    result = constrained.project(unconstrained, lin, ProjectionSpec(weight=weight))
+    result = constrained.project(unconstrained, lin, ProjectionSpec(weight=spec.weight))
     return result.estimate, unconstrained
 
 
@@ -142,7 +140,7 @@ def _restricted_gain(pred, z, model, lin, spec, config):
         # A vanishing innovation cannot carry a gain correction; the
         # identity-weight projection reaches the same corrected mean.
         return _projection(pred, z, model, lin, MethodSpec(PROJECTION, IDENTITY), config)
-    return result.estimate, None
+    return result.estimate, result.unconstrained
 
 
 def _soft_augmented(pred, z, model, lin, spec, config):

@@ -267,17 +267,14 @@ def update_fusion(pred: StateEstimate, z: Measurement, model: SystemModel) -> St
     stacked_obs = np.vstack([np.eye(n), model.observation])
     stacked_noise = scipy.linalg.block_diag(pred.covariance, model.measurement_noise)
     stacked_z = np.concatenate([pred.mean, z.value])
-    weighted_obs = solve_spd(
-        stacked_noise, stacked_obs, name="stacked noise covariance", error=SingularCovariance
+    # One factorization of each matrix, both right-hand sides in one solve.
+    weighted = solve_spd(
+        stacked_noise, np.column_stack([stacked_obs, stacked_z]),
+        name="stacked noise covariance", error=SingularCovariance,
     )
-    weighted_z = solve_spd(
-        stacked_noise, stacked_z, name="stacked noise covariance", error=SingularCovariance
+    normal = symmetrize(stacked_obs.T @ weighted[:, :n])
+    solved = solve_spd(
+        normal, np.column_stack([stacked_obs.T @ weighted[:, n], np.eye(n)]),
+        name="fusion normal matrix", error=SingularCovariance,
     )
-    normal = symmetrize(stacked_obs.T @ weighted_obs)
-    mean = solve_spd(
-        normal, stacked_obs.T @ weighted_z, name="fusion normal matrix", error=SingularCovariance
-    )
-    cov = symmetrize(
-        solve_spd(normal, np.eye(n), name="fusion normal matrix", error=SingularCovariance)
-    )
-    return StateEstimate(mean, cov, pred.step)
+    return StateEstimate(solved[:, 0], symmetrize(solved[:, 1:]), pred.step)

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eqkf import (
+    IDENTITY,
     EqualityConstraint,
     Measurement,
     NonlinearConstraint,
@@ -29,6 +30,7 @@ from eqkf import (
 from eqkf.errors import (
     DegenerateResidual,
     DimensionMismatch,
+    FilterError,
     RankDeficientJacobian,
     SingularWeight,
 )
@@ -84,6 +86,25 @@ class TestConstrainPosterior:
         est = estimate([1.0, 2.0], np.diag([2.0, 1.0]))
         result = constrain_posterior(est, line_constraint(b=2.0))
         assert result.constraint_residual <= 1e-9 * 3.0
+
+    def test_constraint_removing_the_dominant_direction(self):
+        # Eigenvalues 0.035 and 3.1e11, and the correction removes the
+        # dominant direction: the one-sided form P - U A P loses positive
+        # semidefiniteness to roundoff here, the congruence does not.
+        est = estimate(
+            [0.843536486587014, 1.6841726590437673],
+            [[89183922141.33092, 140154622575.37872],
+             [140154622575.37872, 220256272180.18976]],
+        )
+        c = EqualityConstraint(
+            [[-0.9938529270808698, 0.11070844291555888]], [0.42929041521867034]
+        )
+        result = constrain_posterior(est, c)
+        assert c.residual_norm(result.estimate.mean) <= 1e-9
+        p, a = est.covariance, c.matrix
+        dense = p - p @ a.T @ np.linalg.solve(a @ p @ a.T, a @ p)
+        gap = np.linalg.norm(result.estimate.covariance - dense)
+        assert gap <= 1e-9 * np.linalg.norm(p)
 
 
 class TestAugmentedUpdate:
@@ -161,10 +182,18 @@ class TestBlockSInverse:
         assert rel(blocks.assemble() @ stacked, np.eye(m)) < 1e-9
 
 
+# The identity weight, as an explicit matrix and as the marker.
+IDENTITY_WEIGHTS = pytest.mark.parametrize(
+    "identity_weight", [np.eye, lambda n: IDENTITY], ids=["matrix", "marker"]
+)
+
+
 class TestProject:
-    def test_euclidean_projection_by_symmetry(self):
+    @IDENTITY_WEIGHTS
+    def test_euclidean_projection_by_symmetry(self, identity_weight):
         est = estimate([1.0, 1.0], np.eye(2))
-        result = project(est, line_constraint(b=1.0), ProjectionSpec(weight=np.eye(2)))
+        spec = ProjectionSpec(weight=identity_weight(2))
+        result = project(est, line_constraint(b=1.0), spec)
         assert_allclose(result.estimate.mean, [0.5, 0.5])
 
     def test_posterior_inverse_weight_equals_direct_constraining(self):
@@ -247,11 +276,13 @@ class TestRestrictedGain:
         with pytest.raises(DegenerateResidual):
             restricted_gain_update(pred, Measurement([0.0], 1), model, c)
 
-    def test_equals_identity_weight_projection(self):
+    @IDENTITY_WEIGHTS
+    def test_equals_identity_weight_projection(self, identity_weight):
         for seed in range(30):
             pred, model, z, c = random_constrained_instance(seed)
             post, _ = update_joseph(pred, z, model)
-            projected = project(post, c, ProjectionSpec(weight=np.eye(post.dim)))
+            spec = ProjectionSpec(weight=identity_weight(post.dim))
+            projected = project(post, c, spec)
             _, result = restricted_gain_update(pred, z, model, c)
             scale = 1.0 + np.linalg.norm(projected.estimate.mean)
             gap = np.linalg.norm(result.estimate.mean - projected.estimate.mean)
@@ -543,3 +574,48 @@ def test_posterior_from_prior_minus_gain_term():
         short_form = p - p @ model.observation.T @ innov.gain.T
         post, _ = update_joseph(pred, z, model)
         assert rel(0.5 * (short_form + short_form.T), post.covariance) < 1e-9
+
+
+def test_updates_return_the_unconstrained_update_they_computed():
+    for seed in range(10):
+        pred, model, z, c = random_constrained_instance(seed)
+        post, _ = update_joseph(pred, z, model)
+        for result in (augmented_update(pred, z, model, c),
+                       restricted_gain_update(pred, z, model, c)[1]):
+            assert np.array_equal(result.unconstrained.mean, post.mean)
+            assert np.array_equal(result.unconstrained.covariance, post.covariance)
+
+
+def _scaled_instance(seed):
+    """A random instance whose prediction covariance is rescaled to s D P D,
+    with s in 10^{-8, -6, 6, 8} and D a diagonal spanning 10^-4 to 10^4."""
+    rng = np.random.default_rng((seed, 42))
+    pred, model, z, c = random_constrained_instance(seed % 1000)
+    s = 10.0 ** rng.choice([-8, -6, 6, 8])
+    d = np.diag(10.0 ** rng.uniform(-4, 4, pred.dim))
+    cov = s * d @ pred.covariance @ d
+    return estimate(pred.mean, 0.5 * (cov + cov.T), pred.step), model, z, c
+
+
+HARD_METHODS = {
+    "augmented": augmented_update,
+    "fusion": fusion_constrained_update,
+    "projection": lambda pred, z, model, c: project(update_joseph(pred, z, model)[0], c),
+    "projection_identity": lambda pred, z, model, c: project(
+        update_joseph(pred, z, model)[0], c, ProjectionSpec(weight=IDENTITY)
+    ),
+    "restricted_gain": lambda pred, z, model, c: restricted_gain_update(pred, z, model, c)[1],
+}
+
+
+@pytest.mark.parametrize("method", sorted(HARD_METHODS))
+@pytest.mark.parametrize("seed", [389, 1782])
+def test_ill_scaled_update_returns_or_raises_a_filter_error(seed, method):
+    # Seed 389 drives the augmented and projection posteriors indefinite by
+    # roundoff, seed 1782 the fusion one.
+    pred, model, z, c = _scaled_instance(seed)
+    try:
+        result = HARD_METHODS[method](pred, z, model, c)
+    except FilterError:
+        return
+    assert np.isfinite(result.estimate.covariance).all()

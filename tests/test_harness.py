@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eqkf import predict, update_joseph
+from eqkf import kalman, predict, update_joseph
 from eqkf.errors import ParseError, ScenarioStepError, UnsupportedFormat, ValidationError
 from eqkf.harness import (
     METHOD_NAMES,
@@ -291,6 +291,28 @@ class TestRunScenario:
         assert np.array_equal(next_state.covariance, plain.covariance)
         assert abs(reported.mean.sum()) <= 1e-9
         assert abs(plain.mean.sum()) > 1e-6
+
+    @pytest.mark.parametrize("label", ["augmented", "restricted_gain"])
+    def test_feedback_off_reuses_the_update_the_method_computed(self, label, monkeypatch):
+        doc = planar_constrained_doc(feedback=False, methods=[label])
+        config = config_from_document(doc)
+        sim = simulate_truth(config)
+        model = config.model_at(0)
+        pred = predict(config.initial_estimate, model)
+        plain, _ = update_joseph(pred, sim.measurements[0], model)
+        calls = []
+
+        def counting_update_joseph(*args):
+            calls.append(args)
+            return update_joseph(*args)
+
+        monkeypatch.setattr(kalman, "update_joseph", counting_update_joseph)
+        _, next_state = advance_method(
+            config.initial_estimate, sim.measurements[0], model, config.methods[0], config
+        )
+        assert len(calls) == 1
+        assert np.array_equal(next_state.mean, plain.mean)
+        assert np.array_equal(next_state.covariance, plain.covariance)
 
     def test_feedback_mode_changes_reports_but_not_truth(self):
         base = planar_constrained_doc(steps=8)

@@ -16,7 +16,8 @@ from eqkf import (
     update_joseph,
 )
 from eqkf.errors import DimensionMismatch, SingularInnovationCovariance
-from eqkf.matops import min_eigenvalue
+from eqkf import kalman
+from eqkf.matops import min_eigenvalue, solve_spd
 from eqkf.oracle import random_kalman_instance
 
 from helpers import estimate, rel
@@ -186,6 +187,19 @@ class TestUpdateFusion:
                             np.zeros((0, 2)), np.zeros((0, 0)))
         with pytest.raises(DimensionMismatch):
             update_fusion(pred, Measurement(np.zeros(0), 1), model)
+
+    def test_factors_each_matrix_once(self, monkeypatch):
+        # one solve for the stacked noise, one for the normal matrix
+        factored = []
+
+        def counting_solve_spd(m, rhs, **kwargs):
+            factored.append(kwargs["name"])
+            return solve_spd(m, rhs, **kwargs)
+
+        monkeypatch.setattr(kalman, "solve_spd", counting_solve_spd)
+        pred, model, z = random_kalman_instance(0)
+        update_fusion(pred, z, model)
+        assert factored == ["stacked noise covariance", "fusion normal matrix"]
 
 
 def test_posterior_never_exceeds_prior():
