@@ -33,13 +33,19 @@ saddle solve) is a least-distance correction through the Gram matrix
 by :func:`_weight_factor`.  Each correction is the step of
 :func:`_project_along`, whose congruence ``(I - U A) P (I - U A)'`` keeps
 hard-constrained (rank ``n - q``) covariances symmetric positive
-semidefinite over long runs.  :func:`_result` raises
-``IndefiniteCovariance`` for a posterior the ``StateEstimate`` checks reject.
+semidefinite over long runs.  A posterior the ``StateEstimate`` checks
+reject raises ``IndefiniteCovariance`` (:func:`_estimate`, and
+:func:`_check_posterior` for a covariance shared by a stack of means).
+
+Each update's arithmetic is a private kernel on plain arrays, which the
+public function calls after checking its inputs.  A kernel takes one mean
+``(n,)`` or a stack ``(T, n)`` of means sharing one covariance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,7 +69,6 @@ from .matops import (
     as_matrix,
     as_vector,
     frozen_array,
-    kron,
     solve_spd,
     symmetrize,
     unvec,
@@ -123,6 +128,12 @@ class EqualityConstraint:
         if self.constraint_dim == 0:
             return 0.0
         return float(np.linalg.norm(self.matrix @ as_vector(x, "x") - self.rhs))
+
+    @cached_property
+    def _euclidean_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """The identity weight's ``(U, (A A')^-1)``, factored once per constraint."""
+        factors = _gram_factorization(np.eye(self.state_dim), self.matrix)
+        return frozen_array(factors[0]), frozen_array(factors[1])
 
 
 @dataclass(frozen=True)
@@ -221,13 +232,27 @@ def _check_state_dims(dim: int, c: EqualityConstraint) -> None:
         )
 
 
-def _result(method: str, c: EqualityConstraint, mean, cov, step: int, unconstrained=None):
-    """The result of a constrained update; a posterior whose covariance the
-    ``StateEstimate`` checks reject raises ``IndefiniteCovariance``."""
+def _check_posterior(cov, label: str) -> None:
+    """Raise ``IndefiniteCovariance`` unless ``cov`` passes the ``StateEstimate``
+    checks; for a covariance shared by a stack of means."""
     try:
-        est = StateEstimate(mean, cov, step)
+        kalman._check_covariance(as_matrix(cov, "covariance"), "covariance")
     except ValueError as exc:
-        raise IndefiniteCovariance(f"{method} posterior: {exc}") from exc
+        raise IndefiniteCovariance(f"{label} posterior: {exc}") from exc
+
+
+def _estimate(mean, cov, step: int, label: str) -> StateEstimate:
+    """A posterior ``StateEstimate``; a covariance its checks reject raises
+    ``IndefiniteCovariance``."""
+    try:
+        return StateEstimate(mean, cov, step)
+    except ValueError as exc:
+        raise IndefiniteCovariance(f"{label} posterior: {exc}") from exc
+
+
+def _result(method: str, c: EqualityConstraint, mean, cov, step: int, unconstrained=None):
+    """The result of a constrained update, its estimate built by :func:`_estimate`."""
+    est = _estimate(mean, cov, step, method)
     return ConstrainedUpdateResult(est, method, c.residual_norm(mean), unconstrained)
 
 
@@ -256,8 +281,8 @@ def _gram_factorization(
 
 
 def _weight_factor(weight: np.ndarray | str, cov: np.ndarray) -> np.ndarray:
-    """``L`` with ``W^-1 = L L'`` for a ``ProjectionSpec`` weight ``W`` of an
-    estimate with covariance ``P = cov``.
+    """``L`` with ``W^-1 = L L'`` for a ``ProjectionSpec`` weight ``W`` other
+    than ``IDENTITY`` of an estimate with covariance ``P = cov``.
 
     ``POSTERIOR_INVERSE`` takes the Cholesky factor of ``P``.  A covariance
     that is only positive semidefinite (a hard-constrained posterior is
@@ -267,8 +292,6 @@ def _weight_factor(weight: np.ndarray | str, cov: np.ndarray) -> np.ndarray:
     """
     n = cov.shape[0]
     if isinstance(weight, str):
-        if weight == IDENTITY:
-            return np.eye(n)
         sym = symmetrize(cov)
         try:
             return np.linalg.cholesky(sym)
@@ -288,11 +311,17 @@ def _weight_factor(weight: np.ndarray | str, cov: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(lw, np.eye(n), lower=True, check_finite=False).T
 
 
+def _congruence(ups, a, cov) -> np.ndarray:
+    """The covariance ``(I - U A) P (I - U A)'`` of a projection along ``U``."""
+    pi = np.eye(cov.shape[0]) - ups @ a
+    return symmetrize(pi @ cov @ pi.T)
+
+
 def _project_along(ups, c: EqualityConstraint, mean, cov) -> tuple[np.ndarray, np.ndarray]:
     """The projection step along the direction ``U``: the mean
-    ``mean - U (A mean - b)`` and the covariance ``(I - U A) P (I - U A)'``."""
-    pi = np.eye(cov.shape[0]) - ups @ c.matrix
-    return mean - ups @ (c.matrix @ mean - c.rhs), symmetrize(pi @ cov @ pi.T)
+    ``mean - U (A mean - b)`` of each row and the covariance
+    ``(I - U A) P (I - U A)'``."""
+    return mean - (mean @ c.matrix.T - c.rhs) @ ups.T, _congruence(ups, c.matrix, cov)
 
 
 def constrain_posterior(est: StateEstimate, c: EqualityConstraint) -> ConstrainedUpdateResult:
@@ -307,6 +336,17 @@ def constrain_posterior(est: StateEstimate, c: EqualityConstraint) -> Constraine
     removes the dominant direction of an ill-conditioned ``P``.
     """
     return project(est, c)
+
+
+def _s_inverse_blocks(s, gain, a, g_inv) -> tuple[np.ndarray, ...]:
+    """The blocks of :func:`block_s_inverse` from ``S``, ``K``, ``A`` and ``G^-1``."""
+    s_inv = solve_spd(
+        s, np.eye(s.shape[0]), name="innovation covariance",
+        error=SingularInnovationCovariance,
+    )
+    ak = a @ gain
+    akt_ginv = ak.T @ g_inv
+    return symmetrize(s_inv + akt_ginv @ ak), -akt_ginv, -g_inv @ ak, g_inv
 
 
 def block_s_inverse(
@@ -331,30 +371,43 @@ def block_s_inverse(
     ``P_post = P - P H' K'``.  Only a q x q matrix is ever inverted.
     """
     p_pred = as_matrix(pred_cov, "prediction covariance")
-    h = model.observation
-    a = c.matrix
     if p_pred.shape != (model.state_dim, model.state_dim):
         raise DimensionMismatch(
             f"prediction covariance shape {p_pred.shape} does not match the model"
         )
     _check_state_dims(model.state_dim, c)
-    p_post = symmetrize(p_pred - p_pred @ h.T @ innov.gain.T)
-    _, g_inv = _gram_factorization(_weight_factor(POSTERIOR_INVERSE, p_post), a)
-    m = model.measurement_dim
-    s_inv = solve_spd(
-        innov.residual_cov,
-        np.eye(m),
-        name="innovation covariance",
-        error=SingularInnovationCovariance,
-    )
-    ak = a @ innov.gain
-    akt_ginv = ak.T @ g_inv
-    return SaddleInverseBlocks(
-        upper_left=symmetrize(s_inv + akt_ginv @ ak),
-        upper_right=-akt_ginv,
-        lower_left=-g_inv @ ak,
-        lower_right=g_inv,
-    )
+    p_post = symmetrize(p_pred - p_pred @ model.observation.T @ innov.gain.T)
+    _, g_inv = _gram_factorization(_weight_factor(POSTERIOR_INVERSE, p_post), c.matrix)
+    blocks = _s_inverse_blocks(innov.residual_cov, innov.gain, c.matrix, g_inv)
+    return SaddleInverseBlocks(*blocks)
+
+
+def _augmented(mean, cov, z, model: SystemModel, c: EqualityConstraint):
+    """Array kernel of :func:`augmented_update`: the constrained and the
+    unconstrained ``(mean, cov)``.  One factorization of ``A P_post A'``, with
+    ``P_post`` the Joseph posterior, serves the blocks and the covariance."""
+    h, r, a = model.observation, model.measurement_noise, c.matrix
+    try:
+        residual, s, gain = kalman._innovation(mean, cov, z, h, r)
+        unconstrained = kalman._joseph_update(mean, cov, h, r, residual, gain)
+        if c.constraint_dim == 0:
+            return unconstrained, unconstrained
+        ups, g_inv = _gram_factorization(
+            _weight_factor(POSTERIOR_INVERSE, unconstrained[1]), a
+        )
+        blocks = _s_inverse_blocks(s, gain, a, g_inv)
+    except (SingularInnovationCovariance, SingularConstraintGram) as exc:
+        raise SingularAugmentedInnovation(
+            f"stacked residual covariance is singular: {exc}"
+        ) from exc
+    ph = cov @ h.T
+    pa = cov @ a.T
+    upper_left, upper_right, lower_left, lower_right = blocks
+    gain_meas = ph @ upper_left + pa @ lower_left
+    gain_con = ph @ upper_right + pa @ lower_right
+    constraint_defect = c.rhs - mean @ a.T
+    mean = mean + residual @ gain_meas.T + constraint_defect @ gain_con.T
+    return (mean, _congruence(ups, a, unconstrained[1])), unconstrained
 
 
 def augmented_update(
@@ -367,32 +420,24 @@ def augmented_update(
 
     Runs a gain update on the stacked observation ``[H; A]`` with noise
     ``blkdiag(R, 0)``; the stacked residual covariance is inverted through
-    :func:`block_s_inverse` rather than densely.  Equals
+    the blocks of :func:`block_s_inverse` rather than densely.  Equals
     :func:`constrain_posterior` applied after :func:`update_joseph`.
     Raises ``SingularAugmentedInnovation`` when the stacked residual
     covariance is singular (either factor of its block reduction fails).
     """
     _check_state_dims(pred.dim, c)
-    try:
-        est_u, innov = kalman.update_joseph(pred, z, model)
-        if c.constraint_dim == 0:
-            return ConstrainedUpdateResult(est_u, AUGMENTED, 0.0, est_u)
-        blocks = block_s_inverse(pred.covariance, model, c, innov)
-    except (SingularInnovationCovariance, SingularConstraintGram) as exc:
-        raise SingularAugmentedInnovation(
-            f"stacked residual covariance is singular: {exc}"
-        ) from exc
-    h = model.observation
-    a = c.matrix
-    p_pred = pred.covariance
-    ph = p_pred @ h.T
-    pa = p_pred @ a.T
-    gain_meas = ph @ blocks.upper_left + pa @ blocks.lower_left
-    gain_con = ph @ blocks.upper_right + pa @ blocks.lower_right
-    constraint_defect = c.rhs - a @ pred.mean
-    mean = pred.mean + gain_meas @ innov.residual + gain_con @ constraint_defect
-    cov = joseph_constrained_cov(est_u.covariance, c)
+    kalman._check_update_dims(pred, z, model)
+    (mean, cov), unconstrained = _augmented(pred.mean, pred.covariance, z.value, model, c)
+    est_u = StateEstimate(*unconstrained, pred.step)
     return _result(AUGMENTED, c, mean, cov, pred.step, est_u)
+
+
+def _project(mean, cov, c: EqualityConstraint, weight) -> tuple[np.ndarray, np.ndarray]:
+    """Array kernel of :func:`project` with the ``ProjectionSpec`` weight ``weight``."""
+    if isinstance(weight, str) and weight == IDENTITY:
+        return _project_along(c._euclidean_gram[0], c, mean, cov)
+    ups, _ = _gram_factorization(_weight_factor(weight, cov), c.matrix)
+    return _project_along(ups, c, mean, cov)
 
 
 def project(
@@ -412,9 +457,28 @@ def project(
     _check_state_dims(est.dim, c)
     if c.constraint_dim == 0:
         return ConstrainedUpdateResult(est, PROJECTION, 0.0)
-    ups, _ = _gram_factorization(_weight_factor(spec.weight, est.covariance), c.matrix)
-    mean, cov = _project_along(ups, c, est.mean, est.covariance)
+    mean, cov = _project(est.mean, est.covariance, c, spec.weight)
     return _result(PROJECTION, c, mean, cov, est.step)
+
+
+def _innovation_weight(s, residual) -> tuple[np.ndarray, np.ndarray]:
+    """``S^-1 v`` and the quadratic form ``v' S^-1 v`` of each innovation row ``v``."""
+    s_inv_nu = solve_spd(
+        s, residual.T, name="innovation covariance", error=SingularInnovationCovariance
+    ).T
+    return s_inv_nu, np.sum(residual * s_inv_nu, axis=-1)
+
+
+def _gain_correction(c: EqualityConstraint, target, s_inv_nu, quad):
+    """The ``(correction, multipliers)`` of :func:`solve_lagrange_system` for
+    ``target = b - A x_post`` and one innovation's ``S^-1 v`` and ``v' S^-1 v``."""
+    if quad <= DEGENERATE_RESIDUAL_TOL:
+        raise DegenerateResidual(
+            f"innovation quadratic form {quad:.3e} is below tolerance"
+        )
+    ups, gram_inv = c._euclidean_gram
+    correction = np.outer(ups @ target, s_inv_nu / quad).reshape(-1, order="F")
+    return correction, -2.0 * (gram_inv @ target) / quad
 
 
 def solve_lagrange_system(
@@ -430,14 +494,16 @@ def solve_lagrange_system(
     corrected mean feasible while perturbing the optimal gain least, and
     ``multipliers`` are the Lagrange multipliers of the feasibility rows:
 
-        correction  = (S^-1 v (v' S^-1 v)^-1) kron (A' (A A')^-1) (b - A x_post)
-        multipliers = -2 ((v' S^-1 v)^-1 kron (A A')^-1) (b - A x_post)
+        correction  = vec(A' (A A')^-1 (b - A x_post) (S^-1 v / v' S^-1 v)')
+        multipliers = -2 (A A')^-1 (b - A x_post) / v' S^-1 v
 
-    with ``v`` the innovation; ``A A'`` is factored by the same guarded QR
-    as every other constraint Gram matrix.  Raises ``DegenerateResidual``
-    when the quadratic form ``v' S^-1 v`` is below tolerance (the
-    optimality system is then singular); callers should fall back to the
-    identity-weight projection, which yields the same corrected mean.
+    with ``v`` the innovation (:func:`eqkf.oracle.dense_lagrange_solve`
+    solves the Kronecker form densely); ``A A'`` is factored by the same
+    guarded QR as every other constraint Gram matrix.  Raises
+    ``DegenerateResidual`` when the quadratic form ``v' S^-1 v`` is below
+    tolerance (the optimality system is then singular); callers should
+    fall back to the identity-weight projection, which yields the same
+    corrected mean.
     """
     if c.constraint_dim == 0:
         return np.zeros(innov.gain.size), np.zeros(0)
@@ -447,24 +513,34 @@ def solve_lagrange_system(
             f"posterior_residual length {residual.size} does not match "
             f"{c.constraint_dim} constraint rows"
         )
-    nu = innov.residual
-    s_inv_nu = solve_spd(
-        innov.residual_cov, nu, name="innovation covariance",
-        error=SingularInnovationCovariance,
+    weight = _innovation_weight(innov.residual_cov, innov.residual)
+    return _gain_correction(c, -residual, *weight)
+
+
+def _restricted_gain(mean, cov, z, model: SystemModel, c: EqualityConstraint):
+    """Array kernel of :func:`restricted_gain_update`: the constrained and
+    the unconstrained ``(mean, cov)``, then the unconstrained gain ``K`` with
+    each row's ``S^-1 v`` and ``v' S^-1 v`` (None with q = 0).  Each row's
+    innovation ``v`` gets the gain ``K + U d w'`` of
+    :func:`solve_lagrange_system` as ``K v + U d (w' v)``; a row with a
+    degenerate ``v' S^-1 v`` takes the identity-weight projection, which has
+    the same mean."""
+    h, r = model.observation, model.measurement_noise
+    residual, s, gain = kalman._innovation(mean, cov, z, h, r)
+    unconstrained = kalman._joseph_update(mean, cov, h, r, residual, gain)
+    if c.constraint_dim == 0:
+        return (unconstrained, unconstrained), (gain, None, None)
+    ups, _ = c._euclidean_gram
+    projected, cov = _project_along(ups, c, *unconstrained)
+    s_inv_nu, quad = _innovation_weight(s, residual)
+    degenerate = quad <= DEGENERATE_RESIDUAL_TOL
+    w = s_inv_nu / np.where(degenerate, 1.0, quad)[..., None]
+    defect = c.rhs - unconstrained[0] @ c.matrix.T
+    corrected = (
+        mean + residual @ gain.T + np.sum(w * residual, axis=-1)[..., None] * (defect @ ups.T)
     )
-    quad = float(nu @ s_inv_nu)
-    if quad <= DEGENERATE_RESIDUAL_TOL:
-        raise DegenerateResidual(
-            f"innovation quadratic form {quad:.3e} is below tolerance"
-        )
-    a = c.matrix
-    _, gram_inv = _gram_factorization(np.eye(c.state_dim), a)
-    target = -residual  # b - A x_post
-    left = (s_inv_nu / quad).reshape(-1, 1)
-    right = a.T @ gram_inv
-    correction = kron(left, right) @ target
-    multipliers = -2.0 * (kron(np.array([[1.0 / quad]]), gram_inv) @ target)
-    return correction, multipliers
+    mean = np.where(degenerate[..., None], projected, corrected)
+    return ((mean, cov), unconstrained), (gain, s_inv_nu, quad)
 
 
 def restricted_gain_update(
@@ -476,7 +552,7 @@ def restricted_gain_update(
     """Update with the gain re-optimized under the feasibility condition.
 
     The returned gain is the unconstrained gain plus the unstacked
-    correction from :func:`solve_lagrange_system`; applying it to the
+    correction of :func:`solve_lagrange_system`; applying it to the
     innovation lands the mean exactly on ``A x = b``.  The corrected mean
     equals the identity-weight projection of the unconstrained posterior,
     and the covariance is carried accordingly.  Raises
@@ -484,22 +560,42 @@ def restricted_gain_update(
     gain correction.
     """
     _check_state_dims(pred.dim, c)
-    est_u, innov = kalman.update_joseph(pred, z, model)
+    kalman._check_update_dims(pred, z, model)
+    ((mean, cov), unconstrained), (gain, s_inv_nu, quad) = _restricted_gain(
+        pred.mean, pred.covariance, z.value, model, c
+    )
+    est_u = StateEstimate(*unconstrained, pred.step)
     if c.constraint_dim == 0:
-        solution = RestrictedGainSolution(
-            innov.gain, np.zeros(innov.gain.size), np.zeros(0)
-        )
+        solution = RestrictedGainSolution(gain, np.zeros(gain.size), np.zeros(0))
         return solution, ConstrainedUpdateResult(est_u, RESTRICTED_GAIN, 0.0, est_u)
-    defect = c.matrix @ est_u.mean - c.rhs
-    correction, multipliers = solve_lagrange_system(innov, c, defect)
-    n, m = innov.gain.shape
-    gain = innov.gain + unvec(correction, n, m)
-    mean = pred.mean + gain @ innov.residual
-    ups, _ = _gram_factorization(_weight_factor(IDENTITY, est_u.covariance), c.matrix)
-    # The projected mean equals the gain-corrected one, which is reported.
-    _, cov = _project_along(ups, c, est_u.mean, est_u.covariance)
-    solution = RestrictedGainSolution(gain, correction, multipliers)
+    target = c.rhs - c.matrix @ unconstrained[0]
+    correction, multipliers = _gain_correction(c, target, s_inv_nu, quad)
+    n, m = gain.shape
+    solution = RestrictedGainSolution(gain + unvec(correction, n, m), correction, multipliers)
     return solution, _result(RESTRICTED_GAIN, c, mean, cov, pred.step, est_u)
+
+
+def _fusion(mean, cov, z, model: SystemModel, c: EqualityConstraint):
+    """Array kernel of :func:`fusion_constrained_update`."""
+    for mat, label in (
+        (cov, "prediction covariance"),
+        (model.measurement_noise, "measurement noise"),
+    ):
+        cond = np.linalg.cond(mat)
+        if not np.isfinite(cond) or cond > matops.CONDITION_LIMIT:
+            raise SingularCovariance(
+                f"{label} is numerically singular (condition estimate {cond:.3e})"
+            )
+    n = cov.shape[0]
+    q = c.constraint_dim
+    rhs = np.broadcast_to(c.rhs, (*mean.shape[:-1], q))
+    stacked_z = np.concatenate([mean, z, rhs], axis=-1)
+    stacked_obs = np.vstack([np.eye(n), model.observation, c.matrix])
+    noise = scipy.linalg.block_diag(cov, model.measurement_noise, np.zeros((q, q)))
+    k = n + model.measurement_dim + q
+    saddle = np.block([[noise, stacked_obs], [stacked_obs.T, np.zeros((n, n))]])
+    inv = matops.pseudo_inverse(saddle)
+    return stacked_z @ inv[k:, :k].T, symmetrize(-inv[k:, k:])
 
 
 def fusion_constrained_update(
@@ -520,28 +616,7 @@ def fusion_constrained_update(
     """
     kalman._check_update_dims(pred, z, model)
     _check_state_dims(pred.dim, c)
-    for mat, label in (
-        (pred.covariance, "prediction covariance"),
-        (model.measurement_noise, "measurement noise"),
-    ):
-        cond = np.linalg.cond(mat)
-        if not np.isfinite(cond) or cond > matops.CONDITION_LIMIT:
-            raise SingularCovariance(
-                f"{label} is numerically singular (condition estimate {cond:.3e})"
-            )
-    n = pred.dim
-    m = model.measurement_dim
-    q = c.constraint_dim
-    stacked_z = np.concatenate([pred.mean, z.value, c.rhs])
-    stacked_obs = np.vstack([np.eye(n), model.observation, c.matrix])
-    noise = scipy.linalg.block_diag(
-        pred.covariance, model.measurement_noise, np.zeros((q, q))
-    )
-    k = n + m + q
-    saddle = np.block([[noise, stacked_obs], [stacked_obs.T, np.zeros((n, n))]])
-    inv = matops.pseudo_inverse(saddle)
-    mean = inv[k:, :k] @ stacked_z
-    cov = symmetrize(-inv[k:, k:])
+    mean, cov = _fusion(pred.mean, pred.covariance, z.value, model, c)
     return _result(FUSION, c, mean, cov, pred.step)
 
 
@@ -575,8 +650,7 @@ def joseph_constrained_cov(post_cov, c: EqualityConstraint) -> np.ndarray:
     choice inside long recursions.
     """
     p, ups = _posterior_direction(post_cov, c)
-    # Only the covariance of the step is wanted; any mean will do.
-    return _project_along(ups, c, np.zeros(p.shape[0]), p)[1]
+    return _congruence(ups, c.matrix, p)
 
 
 def linearize(nc: NonlinearConstraint, x_ref) -> EqualityConstraint:
@@ -607,6 +681,23 @@ def linearize(nc: NonlinearConstraint, x_ref) -> EqualityConstraint:
         ) from exc
 
 
+def _soft_augmented(mean, cov, z, model: SystemModel, c: EqualityConstraint, noise):
+    """Array kernel of :func:`soft_augmented_update`."""
+    stacked_obs = np.vstack([model.observation, c.matrix])
+    stacked_noise = scipy.linalg.block_diag(model.measurement_noise, symmetrize(noise))
+    rhs = np.broadcast_to(c.rhs, (*mean.shape[:-1], c.constraint_dim))
+    stacked_z = np.concatenate([z, rhs], axis=-1)
+    try:
+        residual, _, gain = kalman._innovation(
+            mean, cov, stacked_z, stacked_obs, stacked_noise
+        )
+    except SingularInnovationCovariance as exc:
+        raise SingularAugmentedInnovation(
+            f"stacked residual covariance is singular: {exc}"
+        ) from exc
+    return kalman._joseph_update(mean, cov, stacked_obs, stacked_noise, residual, gain)
+
+
 def soft_augmented_update(
     pred: StateEstimate,
     z: Measurement,
@@ -632,18 +723,5 @@ def soft_augmented_update(
         )
     matops.check_symmetric_psd(noise, "constraint_noise")
     kalman._check_update_dims(pred, z, model)
-    stacked_obs = np.vstack([model.observation, c.matrix])
-    stacked_noise = scipy.linalg.block_diag(model.measurement_noise, symmetrize(noise))
-    stacked_z = np.concatenate([z.value, c.rhs])
-    try:
-        residual, _, gain = kalman._innovation(
-            pred.mean, pred.covariance, stacked_z, stacked_obs, stacked_noise
-        )
-    except SingularInnovationCovariance as exc:
-        raise SingularAugmentedInnovation(
-            f"stacked residual covariance is singular: {exc}"
-        ) from exc
-    mean, cov = kalman._joseph_update(
-        pred.mean, pred.covariance, stacked_obs, stacked_noise, residual, gain
-    )
+    mean, cov = _soft_augmented(pred.mean, pred.covariance, z.value, model, c, noise)
     return _result(SOFT_AUGMENTED, c, mean, cov, pred.step)

@@ -627,11 +627,9 @@ def check_monte_carlo(
     times the unconstrained filter's.
 
     Each run goes through :func:`eqkf.oracle.empirical_covariance_check`,
-    which filters all trials at once through affine maps read off the
-    per-step update path and advances the first 1000 trials through that
-    path alongside as a cross-check (a mismatch raises ``ValueError``).  Both
-    bundled scenarios use a linear model and, where constrained, a linear
-    constraint, as that oracle requires.
+    which filters all trials at once through the array step of scenario
+    runs.  Both bundled scenarios use a linear model and, where
+    constrained, a linear constraint, as that oracle requires.
     """
     started = time.perf_counter()
     scalar = oracle.empirical_covariance_check(

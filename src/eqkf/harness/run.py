@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .. import kalman
+from .. import constrained, kalman
 from ..errors import FilterError, ScenarioStepError, UnsupportedFormat
 from ..kalman import Measurement, StateEstimate, SystemModel
 from ..matops import min_eigenvalue
@@ -68,6 +68,23 @@ class RunReport:
     summary: RunSummary
 
 
+def _step(mean, cov, z, model: SystemModel, spec: MethodSpec, config: ScenarioConfig):
+    """:func:`advance_method` on arrays: ``mean`` ``(n,)`` or ``(T, n)`` with
+    one shared ``cov``, and ``z`` ``(m,)`` or ``(T, m)``.  Returns the reported
+    and the continuing ``(mean, cov)``, one pair with ``feedback`` on; the
+    caller checks the covariances.  A stack needs a linear constraint."""
+    mean, cov = kalman._predict(mean, cov, model)
+    method = METHODS[spec.name]
+    lin = config.linear_constraint_at(mean) if method.needs_constraint else None
+    reported, unconstrained = method.update(mean, cov, z, model, lin, spec, config)
+    if config.feedback:
+        return reported, reported
+    if unconstrained is None:
+        plain = METHODS["unconstrained"]
+        unconstrained, _ = plain.update(mean, cov, z, model, lin, spec, config)
+    return reported, unconstrained
+
+
 def advance_method(
     state: StateEstimate,
     z: Measurement,
@@ -83,15 +100,12 @@ def advance_method(
     which case the recursion continues from the unconstrained update.
     Nonlinear constraints are relinearized about the predicted mean.
     """
-    pred = kalman.predict(state, model)
-    method = METHODS[spec.name]
-    lin = config.linear_constraint_at(pred.mean) if method.needs_constraint else None
-    estimate, unconstrained = method.update(pred, z, model, lin, spec, config)
-    if config.feedback:
+    kalman._check_update_dims(state, z, model)
+    reported, following = _step(state.mean, state.covariance, z.value, model, spec, config)
+    estimate = constrained._estimate(*reported, state.step + 1, spec.label)
+    if following is reported:
         return estimate, estimate
-    if unconstrained is None:
-        unconstrained, _ = kalman.update_joseph(pred, z, model)
-    return estimate, unconstrained
+    return estimate, constrained._estimate(*following, state.step + 1, "unconstrained")
 
 
 def _relative_divergence(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,7 +10,8 @@ provided:
   prediction on top of the measurement as one observation of the state.
 
 Covariances are symmetrized after every step so long runs cannot drift
-into asymmetry.
+into asymmetry.  The public functions check their inputs and call private
+kernels on arrays, which also take a ``(T, n)`` stack of means in rows.
 """
 
 from __future__ import annotations
@@ -191,21 +192,24 @@ def _check_update_dims(pred: StateEstimate, z: Measurement, model: SystemModel) 
         )
 
 
+def _predict(mean, cov, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
+    """Array kernel of :func:`predict`."""
+    f = model.transition
+    return mean @ f.T, symmetrize(f @ cov @ f.T + model.process_noise)
+
+
 def predict(est: StateEstimate, model: SystemModel) -> StateEstimate:
     """Propagate one step: mean ``F x``, covariance ``F P F' + Q`` (symmetrized)."""
     if model.state_dim != est.dim:
         raise DimensionMismatch(
             f"model state dimension {model.state_dim} does not match estimate {est.dim}"
         )
-    f = model.transition
-    mean = f @ est.mean
-    cov = symmetrize(f @ est.covariance @ f.T + model.process_noise)
-    return StateEstimate(mean, cov, est.step + 1)
+    return StateEstimate(*_predict(est.mean, est.covariance, model), est.step + 1)
 
 
 def _innovation(mean, cov, z, h, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Array kernel of :func:`innovate`: the residual, ``S`` and the gain."""
-    residual = z - h @ mean
+    residual = z - mean @ h.T
     s = symmetrize(h @ cov @ h.T + r)
     gain = solve_spd(
         s, (cov @ h.T).T, name="innovation covariance", error=SingularInnovationCovariance
@@ -215,8 +219,8 @@ def _innovation(mean, cov, z, h, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _joseph_update(mean, cov, h, r, residual, gain) -> tuple[np.ndarray, np.ndarray]:
     """Array kernel of :func:`update_joseph`: the mean and Joseph covariance."""
-    i_kh = np.eye(mean.size) - gain @ h
-    return mean + gain @ residual, symmetrize(i_kh @ cov @ i_kh.T + gain @ r @ gain.T)
+    i_kh = np.eye(cov.shape[0]) - gain @ h
+    return mean + residual @ gain.T, symmetrize(i_kh @ cov @ i_kh.T + gain @ r @ gain.T)
 
 
 def innovate(pred: StateEstimate, z: Measurement, model: SystemModel) -> InnovationStats:

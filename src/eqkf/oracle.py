@@ -4,7 +4,8 @@ The closed-form constrained updates in :mod:`eqkf.constrained` are
 verified against brute-force counterparts here: the projection against a
 dense KKT solve, the gain correction against a dense solve of the full
 stacked optimality system, and reported covariances against Monte-Carlo
-sample covariances.  Everything in this module uses only generic dense
+sample covariances of trials filtered through the same array step as
+scenario runs.  Everything in this module uses only generic dense
 solves so that agreement with the closed forms is meaningful evidence.
 
 ``SEEDS`` is the fixed seed list used by the randomized test suites; the
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrained import EqualityConstraint, constrain_posterior
+from .constrained import EqualityConstraint, _check_posterior, constrain_posterior
 from .errors import DimensionMismatch, SingularKkt
 from .harness.config import MethodSpec, ScenarioConfig, method_spec
-from .harness.run import advance_method
+from .harness.run import _step
 from .kalman import InnovationStats, Measurement, StateEstimate, SystemModel
 from .matops import CONDITION_LIMIT, as_matrix, as_vector, frozen_array, psd_factor
 
@@ -208,44 +209,6 @@ class CovarianceCheckReport:
         )
 
 
-# Trials that ``empirical_covariance_check`` also runs through the per-step
-# path, and the relative gap allowed between the two paths' means.
-CROSS_CHECK_TRIALS = 1000
-CROSS_CHECK_RTOL = 1e-10
-
-
-def _affine_step(
-    cov: np.ndarray,
-    model: SystemModel,
-    spec: MethodSpec,
-    config: ScenarioConfig,
-) -> tuple[StateEstimate, StateEstimate, np.ndarray, np.ndarray]:
-    """Read one filter step off the per-step path as two affine maps.
-
-    With a linear model and a linear constraint the covariance and gain
-    sequence does not depend on the data, so both the reported mean and
-    the mean the recursion continues from are affine in the stacked row
-    ``[mean, z]``.  ``advance_method`` is called from a state with
-    covariance ``cov`` at the zero input and at each unit input; the
-    zero-input estimates are returned (their covariances are the step's
-    covariances) together with the reported and continuing maps, each a
-    ``(n + m + 1, n)`` matrix whose last row is the offset.
-    """
-    n = cov.shape[0]
-    width = n + model.measurement_dim
-    probes = np.vstack([np.zeros(width), np.eye(width)])
-    outputs = [
-        advance_method(
-            StateEstimate(probe[:n], cov), Measurement(probe[n:]), model, spec, config
-        )
-        for probe in probes
-    ]
-    means = np.array([[reported.mean, following.mean] for reported, following in outputs])
-    maps = np.concatenate([means[1:] - means[0], means[:1]])
-    reported0, next0 = outputs[0]
-    return reported0, next0, maps[:, 0], maps[:, 1]
-
-
 def empirical_covariance_check(
     config: ScenarioConfig,
     method: str | MethodSpec,
@@ -262,17 +225,11 @@ def empirical_covariance_check(
     covariance of the final-step errors is then compared against the
     covariance the filter reports.
 
-    The trials are not filtered one by one.  For a linear model and a
-    linear constraint the covariance and gain sequence is the same in
-    every trial, so each step of ``method`` is an affine map of the
-    previous mean and the measurement.  Those maps are read off the
-    regular per-step update path (:func:`advance_method` at the zero and
-    unit inputs) and applied to all trials at once.  The assumption is
-    checked, not trusted: in the same step loop the first
-    ``CROSS_CHECK_TRIALS`` trials also advance through the per-step path,
-    and a ``ValueError`` naming the method is raised at the first step
-    where one of their means departs from the batched mean by more than
-    ``CROSS_CHECK_RTOL`` relative or a reported covariance differs at all.
+    All trials are filtered at once, as a ``(trials, n)`` stack of means
+    through the array step that :func:`eqkf.harness.run.advance_method`
+    wraps, one call per time step.  That is exact, not an approximation:
+    with a linear model and a linear constraint no method's covariance or
+    gain reads the mean, so one covariance serves every trial.
 
     Constrained scenarios must use a linear (``affine``) constraint and a
     transition that maps the constraint set to itself (the bundled
@@ -290,7 +247,8 @@ def empirical_covariance_check(
     ):
         raise ValueError(
             "nonlinear constraints are not supported: the world cannot be "
-            "conditioned on them and the filter is not affine in the data"
+            "conditioned on them and relinearizing about each trial's mean "
+            "gives every trial its own covariance"
         )
     spec = method if isinstance(method, MethodSpec) else method_spec(method)
     n = config.state_dim
@@ -304,9 +262,6 @@ def empirical_covariance_check(
     x = belief.mean + rng.standard_normal((trials, n)) @ psd_factor(belief.covariance).T
     means = np.broadcast_to(config.initial_estimate.mean, (trials, n))
     cov = config.initial_estimate.covariance
-    checked = min(trials, CROSS_CHECK_TRIALS)
-    states = [config.initial_estimate] * checked
-    per_step = np.empty((checked, n))
     for k in range(steps):
         model = config.model_at(k)
         q = model.process_noise
@@ -319,30 +274,10 @@ def empirical_covariance_check(
         x = x @ model.transition.T + rng.standard_normal((trials, n)) @ lq.T
         m = model.measurement_dim
         z = x @ model.observation.T + rng.standard_normal((trials, m)) @ lr.T
-
-        reported0, next0, reported_map, next_map = _affine_step(cov, model, spec, config)
-        inputs = np.hstack([means, z, np.ones((trials, 1))])
-        reported = inputs @ reported_map
-        means = inputs @ next_map
-        cov = next0.covariance
-
-        for t in range(checked):
-            got, states[t] = advance_method(
-                states[t], Measurement(z[t], step=k + 1), model, spec, config
-            )
-            if not np.array_equal(got.covariance, reported0.covariance):
-                raise ValueError(
-                    f"method '{spec.label}': per-step covariance at step {k + 1} of "
-                    f"trial {t} differs from the batched recursion"
-                )
-            per_step[t] = got.mean
-        gap = float(np.abs(reported[:checked] - per_step).max())
-        scale = float(np.abs(per_step).max())
-        if gap > CROSS_CHECK_RTOL * scale:
-            raise ValueError(
-                f"method '{spec.label}': batched means at step {k + 1} depart from "
-                f"the per-step path by {gap:.3e} (scale {scale:.3e})"
-            )
+        (reported, p), (means, cov) = _step(means, cov, z, model, spec, config)
+        _check_posterior(p, spec.label)
+        if cov is not p:
+            _check_posterior(cov, "unconstrained")
     if c is not None and c.constraint_dim > 0:
         drift = float(np.abs(x @ c.matrix.T - c.rhs).max())
         if drift > 1e-6 * (1.0 + float(np.linalg.norm(c.rhs))):
@@ -351,7 +286,6 @@ def empirical_covariance_check(
             )
 
     errors = x - reported
-    p = reported0.covariance
     sample = np.atleast_2d(np.cov(errors, rowvar=False))
     threshold = 1e-6 * abs(float(np.trace(p)))
     matched = np.abs(p) > threshold

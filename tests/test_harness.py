@@ -292,7 +292,7 @@ class TestRunScenario:
         assert abs(reported.mean.sum()) <= 1e-9
         assert abs(plain.mean.sum()) > 1e-6
 
-    @pytest.mark.parametrize("label", ["augmented", "restricted_gain"])
+    @pytest.mark.parametrize("label", ["augmented", "projection", "restricted_gain"])
     def test_feedback_off_reuses_the_update_the_method_computed(self, label, monkeypatch):
         doc = planar_constrained_doc(feedback=False, methods=[label])
         config = config_from_document(doc)
@@ -301,12 +301,14 @@ class TestRunScenario:
         pred = predict(config.initial_estimate, model)
         plain, _ = update_joseph(pred, sim.measurements[0], model)
         calls = []
+        joseph = kalman._joseph_update
 
-        def counting_update_joseph(*args):
+        def counting_joseph(*args):
             calls.append(args)
-            return update_joseph(*args)
+            return joseph(*args)
 
-        monkeypatch.setattr(kalman, "update_joseph", counting_update_joseph)
+        # no second Joseph update for the continuing state
+        monkeypatch.setattr(kalman, "_joseph_update", counting_joseph)
         _, next_state = advance_method(
             config.initial_estimate, sim.measurements[0], model, config.methods[0], config
         )

@@ -1,5 +1,6 @@
 """Reference implementations: dense KKT/Lagrange solves, the random
-instance generators, and the Monte-Carlo covariance check."""
+instance generators, the Monte-Carlo covariance check, and the array step
+it shares with scenario runs."""
 
 import dataclasses
 
@@ -8,16 +9,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eqkf import (
+    IDENTITY,
     EqualityConstraint,
+    Measurement,
     ProjectionSpec,
     StateEstimate,
     innovate,
+    predict,
     project,
+    restricted_gain_update,
     update_joseph,
 )
-from eqkf import oracle
-from eqkf.errors import SingularKkt
-from eqkf.harness import config_from_document, load_bundled_scenario
+from eqkf import constrained
+from eqkf.errors import DegenerateResidual, IndefiniteCovariance, SingularKkt
+from eqkf.harness import config_from_document, load_bundled_scenario, run
+from eqkf.harness.run import advance_method
 from eqkf.matops import kron, unvec, vec
 from eqkf.oracle import (
     SEEDS,
@@ -235,39 +241,100 @@ class TestEmpiricalCovarianceCheck:
             empirical_covariance_check(load_bundled_scenario("circle"), "projection",
                                        trials=1000)
 
-    # Three steps exercise both the reported and the continuing map and
-    # their composition; all fifty steps of line_2d would make the
-    # per-step cross-check of 1000 trials take minutes over 14 runs.
     @pytest.mark.parametrize("feedback", [True, False])
     @pytest.mark.parametrize("method", load_bundled_scenario("line_2d").methods,
                              ids=lambda spec: spec.label)
     def test_batched_trials_match_the_per_step_path(self, method, feedback):
-        config = dataclasses.replace(load_bundled_scenario("line_2d"),
-                                     steps=3, feedback=feedback)
-        # the internal cross-check raises if the affine maps are wrong
+        config = dataclasses.replace(load_bundled_scenario("line_2d"), feedback=feedback)
         report = empirical_covariance_check(config, method, trials=1000, seed=3)
         assert report.trials == 1000
+        # no covariance reads the data, so one per-step run reports the same one
+        state = config.initial_estimate
+        for k in range(config.steps):
+            model = config.model_at(k)
+            reported, state = advance_method(
+                state, Measurement(np.ones(model.measurement_dim), step=k + 1),
+                model, method, config,
+            )
+        assert np.array_equal(report.reported_covariance, reported.covariance)
 
-    def test_cross_check_catches_a_non_affine_mean(self, monkeypatch):
-        per_step = oracle.advance_method
+    @pytest.mark.parametrize("scenario, method", [("mc_line_2d", "projection"),
+                                                  ("line_2d", "restricted_gain")])
+    def test_same_seed_gives_identical_reports(self, scenario, method):
+        config = load_bundled_scenario(scenario)
+        first, second = (empirical_covariance_check(config, method, trials=2000, seed=9)
+                         for _ in range(2))
+        for field in dataclasses.fields(first):
+            a, b = getattr(first, field.name), getattr(second, field.name)
+            assert np.array_equal(a, b), field.name
 
-        def bent(state, z, model, spec, config):
-            reported, following = per_step(state, z, model, spec, config)
-            mean = reported.mean + 1e-3 * reported.mean**2
-            return StateEstimate(mean, reported.covariance, reported.step), following
 
-        monkeypatch.setattr(oracle, "advance_method", bent)
-        with pytest.raises(ValueError, match="'unconstrained'.*means"):
-            empirical_covariance_check(_scalar_config(), "unconstrained", trials=1000)
+class TestArrayStep:
+    """``run._step`` on a ``(T, n)`` stack of means against ``advance_method``
+    once per mean."""
 
-    def test_cross_check_catches_a_data_dependent_covariance(self, monkeypatch):
-        per_step = oracle.advance_method
+    @pytest.mark.parametrize("feedback", [True, False])
+    @pytest.mark.parametrize("method", load_bundled_scenario("line_2d").methods,
+                             ids=lambda spec: spec.label)
+    def test_stacked_means_match_separate_runs(self, method, feedback):
+        config = dataclasses.replace(load_bundled_scenario("line_2d"), feedback=feedback)
+        rng = np.random.default_rng(29)
+        start = config.initial_estimate
+        means = start.mean + 0.3 * rng.standard_normal((50, start.dim))
+        states = [StateEstimate(mean, start.covariance) for mean in means]
+        cov = start.covariance
+        for k in range(config.steps):
+            model = config.model_at(k)
+            z = 0.5 * rng.standard_normal((len(states), model.measurement_dim))
+            (reported, reported_cov), (means, cov) = run._step(
+                means, cov, z, model, method, config
+            )
+            got = []
+            for t, state in enumerate(states):
+                estimate, states[t] = advance_method(
+                    state, Measurement(z[t], step=k + 1), model, method, config
+                )
+                got.append(estimate.mean)
+                assert np.array_equal(reported_cov, estimate.covariance)
+                assert np.array_equal(cov, states[t].covariance)
+            # relative to the largest mean of the step, as report columns are
+            for stacked, single in ((reported, np.array(got)),
+                                    (means, np.array([s.mean for s in states]))):
+                assert np.abs(stacked - single).max() <= 1e-12 * np.abs(single).max()
 
-        def inflated(state, z, model, spec, config):
-            reported, following = per_step(state, z, model, spec, config)
-            cov = reported.covariance * (1.0 + 1e-6 * float(np.abs(z.value).sum()))
-            return StateEstimate(reported.mean, cov, reported.step), following
+    @pytest.mark.parametrize("feedback", [True, False])
+    def test_an_indefinite_posterior_raises_the_typed_error(self, feedback, monkeypatch):
+        config = dataclasses.replace(load_bundled_scenario("line_2d"), feedback=feedback)
+        spec = next(s for s in config.methods if s.name == "fusion")
+        monkeypatch.setattr(constrained, "_fusion", lambda mean, cov, *_: (mean, -cov))
+        z = Measurement(np.ones(2), step=1)
+        with pytest.raises(IndefiniteCovariance, match="fusion posterior"):
+            advance_method(config.initial_estimate, z, config.model_at(0), spec, config)
+        with pytest.raises(IndefiniteCovariance, match="fusion posterior"):
+            empirical_covariance_check(config, spec, trials=1000)
 
-        monkeypatch.setattr(oracle, "advance_method", inflated)
-        with pytest.raises(ValueError, match="'unconstrained'.*covariance"):
-            empirical_covariance_check(_scalar_config(), "unconstrained", trials=1000)
+    def test_zero_innovation_row_takes_the_identity_projection(self):
+        config = load_bundled_scenario("line_2d")
+        spec = next(s for s in config.methods if s.name == "restricted_gain")
+        model, c = config.model_at(0), config.constraint
+        start = config.initial_estimate
+        rng = np.random.default_rng(31)
+        means = start.mean + 0.3 * rng.standard_normal((4, start.dim))
+        predicted = means @ model.transition.T
+        z = predicted @ model.observation.T + 0.2 * rng.standard_normal((4, 2))
+        z[1] = predicted[1] @ model.observation.T  # a zero innovation
+        (reported, cov), _ = run._step(means, start.covariance, z, model, spec, config)
+        assert np.isfinite(reported).all()
+        for t in range(4):
+            pred = predict(StateEstimate(means[t], start.covariance), model)
+            measurement = Measurement(z[t], step=1)
+            post, _ = update_joseph(pred, measurement, model)
+            projected = project(post, c, ProjectionSpec(weight=IDENTITY)).estimate
+            assert np.array_equal(cov, projected.covariance)
+            if t == 1:
+                with pytest.raises(DegenerateResidual):
+                    restricted_gain_update(pred, measurement, model, c)
+                assert rel(reported[t], projected.mean) < 1e-12
+            else:
+                _, result = restricted_gain_update(pred, measurement, model, c)
+                assert rel(reported[t], result.estimate.mean) < 1e-12
