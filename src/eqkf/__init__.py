@@ -3,12 +3,12 @@
 A linear Kalman filter (Joseph-form and fusion updates) together with
 four interchangeable ways of imposing linear equality constraints on the
 state estimate: measurement augmentation, weighted least-distance
-projection, a constrained-optimal gain, and a pseudo-inverse fusion
-solve.  Nonlinear constraints are handled by relinearization, soft
-constraints by giving the constraint rows a noise budget.  The
-:mod:`eqkf.harness` subpackage adds scenario simulation, a CLI, and a
-verification battery; :mod:`eqkf.oracle` holds the dense reference
-implementations the library is checked against.
+projection, a constrained-optimal gain, and a factored solve of the
+stacked fusion saddle system.  Nonlinear constraints are handled by
+relinearization, soft constraints by giving the constraint rows a noise
+budget.  The :mod:`eqkf.harness` subpackage adds scenario simulation, a
+CLI, and a verification battery; :mod:`eqkf.oracle` holds the dense
+reference implementations the library is checked against.
 """
 
 from . import errors, harness, matops, oracle

@@ -15,8 +15,8 @@ mean exactly on the constraint set:
   subject to the corrected mean being feasible; the optimality system is
   solved in closed form by :func:`solve_lagrange_system`.
 * :func:`fusion_constrained_update` fuses prediction, measurement, and
-  constraint in a single stacked least-squares solve through a
-  pseudo-inverted saddle matrix.
+  constraint in a single stacked least-squares solve: one Bunch-Kaufman
+  factorization of the equilibrated saddle matrix (:func:`_saddle_solver`).
 
 The first, second (with the posterior-inverse weight), and fourth agree in
 exact arithmetic; the third coincides with the identity-weight projection.
@@ -25,8 +25,8 @@ pseudo-measurement a nonzero noise covariance, and :func:`linearize`
 reduces a differentiable nonlinear constraint to the linear form accepted
 everywhere else.
 
-Every hard update except fusion (which keeps its own pseudo-inverted
-saddle solve) is a least-distance correction through the Gram matrix
+Every hard update except fusion (which factors its own saddle matrix)
+is a least-distance correction through the Gram matrix
 ``G = A W^-1 A'``, and all of them share one factorization of it,
 :func:`_gram_factorization`: a QR decomposition of ``(A L)'`` with
 ``W^-1 = L L'``, guarded by ``matops.CONDITION_LIMIT``, with ``L`` picked
@@ -292,7 +292,7 @@ def _weight_factor(weight: np.ndarray | str, cov: np.ndarray) -> np.ndarray:
     """
     n = cov.shape[0]
     if isinstance(weight, str):
-        sym = symmetrize(cov)
+        sym = 0.5 * (cov + cov.T)
         try:
             return np.linalg.cholesky(sym)
         except np.linalg.LinAlgError:
@@ -314,7 +314,8 @@ def _weight_factor(weight: np.ndarray | str, cov: np.ndarray) -> np.ndarray:
 def _congruence(ups, a, cov) -> np.ndarray:
     """The covariance ``(I - U A) P (I - U A)'`` of a projection along ``U``."""
     pi = np.eye(cov.shape[0]) - ups @ a
-    return symmetrize(pi @ cov @ pi.T)
+    p = pi @ cov @ pi.T
+    return 0.5 * (p + p.T)
 
 
 def _project_along(ups, c: EqualityConstraint, mean, cov) -> tuple[np.ndarray, np.ndarray]:
@@ -346,7 +347,8 @@ def _s_inverse_blocks(s, gain, a, g_inv) -> tuple[np.ndarray, ...]:
     )
     ak = a @ gain
     akt_ginv = ak.T @ g_inv
-    return symmetrize(s_inv + akt_ginv @ ak), -akt_ginv, -g_inv @ ak, g_inv
+    upper_left = s_inv + akt_ginv @ ak
+    return 0.5 * (upper_left + upper_left.T), -akt_ginv, -g_inv @ ak, g_inv
 
 
 def block_s_inverse(
@@ -575,8 +577,34 @@ def restricted_gain_update(
     return solution, _result(RESTRICTED_GAIN, c, mean, cov, pred.step, est_u)
 
 
+def _saddle_solver(saddle) -> Callable[[np.ndarray], np.ndarray]:
+    """A solver for ``saddle @ x = rhs`` from one Bunch-Kaufman factorization
+    (LAPACK ``?sytrf``) of ``D saddle D``, ``D`` the diagonal with entries
+    ``1 / sqrt(max |row|)``.  Raises ``SingularCovariance`` when a pivot
+    block is exactly singular or the ``?sycon`` reciprocal condition estimate
+    of the equilibrated matrix is below ``1 / CONDITION_LIMIT``."""
+    d = 1.0 / np.sqrt(np.abs(saddle).max(axis=1))
+    scaled = d[:, None] * saddle * d
+    sytrf, sytrf_lwork, sycon, sytrs = scipy.linalg.get_lapack_funcs(
+        ("sytrf", "sytrf_lwork", "sycon", "sytrs"), (scaled,)
+    )
+    work, _ = sytrf_lwork(scaled.shape[0])
+    factor, ipiv, info = sytrf(scaled, lwork=max(int(work), 1))
+    rcond = 0.0 if info > 0 else sycon(factor, ipiv, np.abs(scaled).sum(axis=0).max())[0]
+    if rcond < 1.0 / matops.CONDITION_LIMIT:
+        raise SingularCovariance(
+            f"fusion saddle matrix is numerically singular "
+            f"(reciprocal condition estimate {rcond:.3e})"
+        )
+    return lambda rhs: d[:, None] * sytrs(factor, ipiv, d[:, None] * rhs)[0]
+
+
 def _fusion(mean, cov, z, model: SystemModel, c: EqualityConstraint):
-    """Array kernel of :func:`fusion_constrained_update`."""
+    """Array kernel of :func:`fusion_constrained_update`.  The saddle matrix is
+    solved for its last ``n`` unit columns, whose lower block is the negated
+    posterior covariance, and for each stacked observation ``[mean, z, b; 0]``,
+    whose lower block is the fused mean after one step of iterative
+    refinement against the saddle matrix itself."""
     for mat, label in (
         (cov, "prediction covariance"),
         (model.measurement_noise, "measurement noise"),
@@ -588,14 +616,21 @@ def _fusion(mean, cov, z, model: SystemModel, c: EqualityConstraint):
             )
     n = cov.shape[0]
     q = c.constraint_dim
+    k = n + model.measurement_dim + q
     rhs = np.broadcast_to(c.rhs, (*mean.shape[:-1], q))
-    stacked_z = np.concatenate([mean, z, rhs], axis=-1)
+    stacked_z = np.concatenate([mean, z, rhs], axis=-1).reshape(-1, k)
     stacked_obs = np.vstack([np.eye(n), model.observation, c.matrix])
     noise = scipy.linalg.block_diag(cov, model.measurement_noise, np.zeros((q, q)))
-    k = n + model.measurement_dim + q
     saddle = np.block([[noise, stacked_obs], [stacked_obs.T, np.zeros((n, n))]])
-    inv = matops.pseudo_inverse(saddle)
-    return stacked_z @ inv[k:, :k].T, symmetrize(-inv[k:, k:])
+    columns = np.zeros((k + n, n + stacked_z.shape[0]))
+    columns[k:, :n] = np.eye(n)
+    columns[:k, n:] = stacked_z.T
+    solve = _saddle_solver(saddle)
+    solved = solve(columns)
+    fused = solved[:, n:]
+    fused += solve(columns[:, n:] - saddle @ fused)
+    post = solved[k:, :n]
+    return fused[k:].T.reshape(mean.shape), -0.5 * (post + post.T)
 
 
 def fusion_constrained_update(
@@ -607,12 +642,17 @@ def fusion_constrained_update(
     """Hard-constrained update as one stacked least-squares solve.
 
     Stacks the prediction, the measurement, and the constraint rows as
-    observations with noise ``blkdiag(P, R, 0)`` and reads the solution
-    off the pseudo-inverse of the saddle matrix
-    ``[[noise, obs], [obs', 0]]``; the negated lower-right block of that
-    pseudo-inverse is the posterior covariance.  Requires ``P`` and ``R``
-    invertible (``SingularCovariance`` otherwise).  With q = 0 this
-    reduces to :func:`update_fusion`.
+    observations with noise ``blkdiag(P, R, 0)`` and solves the saddle
+    system ``[[noise, obs], [obs', 0]]`` through one Bunch-Kaufman
+    factorization of its diagonally equilibrated form: for the stacked
+    observation, whose lower block is the fused mean (after one step of
+    iterative refinement), and for its last ``n`` unit columns, whose
+    negated lower block is the posterior covariance.  Requires ``P`` and
+    ``R`` invertible, and raises ``SingularCovariance`` when either fails
+    its condition-estimate test, a pivot of the factorization is exactly
+    singular, or the factorization's reciprocal condition estimate is below
+    ``1 / CONDITION_LIMIT``.  With q = 0 this reduces to
+    :func:`update_fusion`.
     """
     kalman._check_update_dims(pred, z, model)
     _check_state_dims(pred.dim, c)
@@ -684,7 +724,7 @@ def linearize(nc: NonlinearConstraint, x_ref) -> EqualityConstraint:
 def _soft_augmented(mean, cov, z, model: SystemModel, c: EqualityConstraint, noise):
     """Array kernel of :func:`soft_augmented_update`."""
     stacked_obs = np.vstack([model.observation, c.matrix])
-    stacked_noise = scipy.linalg.block_diag(model.measurement_noise, symmetrize(noise))
+    stacked_noise = scipy.linalg.block_diag(model.measurement_noise, 0.5 * (noise + noise.T))
     rhs = np.broadcast_to(c.rhs, (*mean.shape[:-1], c.constraint_dim))
     stacked_z = np.concatenate([z, rhs], axis=-1)
     try:

@@ -195,7 +195,8 @@ def _check_update_dims(pred: StateEstimate, z: Measurement, model: SystemModel) 
 def _predict(mean, cov, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     """Array kernel of :func:`predict`."""
     f = model.transition
-    return mean @ f.T, symmetrize(f @ cov @ f.T + model.process_noise)
+    p = f @ cov @ f.T + model.process_noise
+    return mean @ f.T, 0.5 * (p + p.T)
 
 
 def predict(est: StateEstimate, model: SystemModel) -> StateEstimate:
@@ -210,7 +211,8 @@ def predict(est: StateEstimate, model: SystemModel) -> StateEstimate:
 def _innovation(mean, cov, z, h, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Array kernel of :func:`innovate`: the residual, ``S`` and the gain."""
     residual = z - mean @ h.T
-    s = symmetrize(h @ cov @ h.T + r)
+    s = h @ cov @ h.T + r
+    s = 0.5 * (s + s.T)
     gain = solve_spd(
         s, (cov @ h.T).T, name="innovation covariance", error=SingularInnovationCovariance
     ).T
@@ -220,7 +222,8 @@ def _innovation(mean, cov, z, h, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _joseph_update(mean, cov, h, r, residual, gain) -> tuple[np.ndarray, np.ndarray]:
     """Array kernel of :func:`update_joseph`: the mean and Joseph covariance."""
     i_kh = np.eye(cov.shape[0]) - gain @ h
-    return mean + residual @ gain.T, symmetrize(i_kh @ cov @ i_kh.T + gain @ r @ gain.T)
+    p = i_kh @ cov @ i_kh.T + gain @ r @ gain.T
+    return mean + residual @ gain.T, 0.5 * (p + p.T)
 
 
 def innovate(pred: StateEstimate, z: Measurement, model: SystemModel) -> InnovationStats:

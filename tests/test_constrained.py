@@ -3,6 +3,9 @@ fusion, the stable covariance forms, linearization, and soft constraints."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from eqkf import (
@@ -27,14 +30,16 @@ from eqkf import (
     solve_lagrange_system,
     update_joseph,
 )
+from eqkf import constrained
 from eqkf.errors import (
     DegenerateResidual,
     DimensionMismatch,
     FilterError,
     RankDeficientJacobian,
+    SingularCovariance,
     SingularWeight,
 )
-from eqkf.matops import min_eigenvalue, unvec
+from eqkf.matops import min_eigenvalue, pseudo_inverse, unvec
 from eqkf.oracle import dense_lagrange_solve, random_constrained_instance
 
 from helpers import estimate, line_constraint, rel, worked_planar_instance
@@ -349,6 +354,47 @@ class TestFusionConstrained:
         assert_allclose(result.estimate.mean, [0.7, -0.2], atol=1e-8)
         assert np.abs(result.estimate.covariance).max() < 1e-8
 
+    def test_matches_the_pseudo_inverse_saddle_formula(self):
+        for seed in range(200):
+            pred, model, z, c = random_constrained_instance(seed)
+            rng = np.random.default_rng(seed)
+            means = pred.mean + rng.standard_normal((4, pred.dim))
+            zs = z.value + rng.standard_normal((4, z.dim))
+            cov = pred.covariance
+            single = constrained._fusion(pred.mean, cov, z.value, model, c)
+            stacked = constrained._fusion(means, cov, zs, model, c)
+            for (mean, post), (ref_mean, ref_post) in (
+                (single, _pseudo_inverse_fusion(pred.mean, cov, z.value, model, c)),
+                (stacked, _pseudo_inverse_fusion(means, cov, zs, model, c)),
+            ):
+                assert rel(mean, ref_mean) <= 1e-10
+                assert rel(post, ref_post) <= 1e-10
+            for row, mean, zv in zip(stacked[0], means, zs):
+                assert rel(row, constrained._fusion(mean, cov, zv, model, c)[0]) <= 1e-12
+
+    def test_nearly_dependent_constraint_rows_raise_singular_covariance(self):
+        pred, z, model, _ = worked_planar_instance()
+        c = EqualityConstraint([[1.0, 0.0], [1.0, 1e-9]], [0.7, 0.7])
+        with pytest.raises(SingularCovariance, match="saddle"):
+            fusion_constrained_update(pred, z, model, c)
+
+    def test_exactly_singular_pivot_raises_singular_covariance(self):
+        with pytest.raises(SingularCovariance, match="saddle"):
+            constrained._saddle_solver(np.ones((2, 2)))
+
+
+def _pseudo_inverse_fusion(mean, cov, z, model, c):
+    """Constrained fusion read off the pseudo-inverse of the whole saddle
+    matrix: the reference the factored solve is checked against."""
+    n, q = cov.shape[0], c.constraint_dim
+    k = n + model.measurement_dim + q
+    rhs = np.broadcast_to(c.rhs, (*mean.shape[:-1], q))
+    stacked_z = np.concatenate([mean, z, rhs], axis=-1)
+    stacked_obs = np.vstack([np.eye(n), model.observation, c.matrix])
+    noise = scipy.linalg.block_diag(cov, model.measurement_noise, np.zeros((q, q)))
+    inv = pseudo_inverse(np.block([[noise, stacked_obs], [stacked_obs.T, np.zeros((n, n))]]))
+    return stacked_z @ inv[k:, :k].T, -0.5 * (inv[k:, k:] + inv[k:, k:].T)
+
 
 class TestStableCovarianceForms:
     def test_axis_aligned_projector(self):
@@ -612,10 +658,53 @@ HARD_METHODS = {
 @pytest.mark.parametrize("seed", [389, 1782])
 def test_ill_scaled_update_returns_or_raises_a_filter_error(seed, method):
     # Seed 389 drives the augmented and projection posteriors indefinite by
-    # roundoff, seed 1782 the fusion one.
+    # roundoff, seed 1782 the fusion posterior read off the saddle pseudo-inverse.
     pred, model, z, c = _scaled_instance(seed)
     try:
         result = HARD_METHODS[method](pred, z, model, c)
     except FilterError:
         return
     assert np.isfinite(result.estimate.covariance).all()
+
+
+@settings(max_examples=500)
+# Probe seeds the factored solve leaves off the constraint without its
+# refinement step (10, 295, 530), and the indefinite pseudo-inverse case (1782).
+@example(seed=10, dropped=0, noise_exponent=0.0, row_exponents=[0.0] * 3)
+@example(seed=295, dropped=0, noise_exponent=0.0, row_exponents=[0.0] * 3)
+@example(seed=530, dropped=0, noise_exponent=0.0, row_exponents=[0.0] * 3)
+@example(seed=1782, dropped=0, noise_exponent=0.0, row_exponents=[0.0] * 3)
+@given(
+    seed=st.integers(0, 2999),
+    dropped=st.integers(0, 7),
+    noise_exponent=st.floats(-6.0, 6.0),
+    row_exponents=st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3),
+)
+def test_fusion_returns_a_feasible_psd_estimate_or_raises_a_filter_error(
+    seed, dropped, noise_exponent, row_exponents
+):
+    # Scaled-probe inputs, with the smallest `dropped` eigenvalues of P zeroed
+    # (rank-deficient P), R scaled by 10^noise_exponent and each constraint
+    # row (with its right-hand side) by 10^row_exponent.
+    pred, model, z, c = _scaled_instance(seed)
+    if dropped:
+        vals, vecs = np.linalg.eigh(pred.covariance)
+        vals[: min(dropped, pred.dim - 1)] = 0.0
+        cov = (vecs * vals) @ vecs.T
+        pred = estimate(pred.mean, 0.5 * (cov + cov.T), pred.step)
+    model = SystemModel(
+        model.transition, model.process_noise, model.observation,
+        10.0**noise_exponent * model.measurement_noise,
+    )
+    rows = 10.0 ** np.array(row_exponents[: c.constraint_dim])
+    c = EqualityConstraint(rows[:, None] * c.matrix, rows * c.rhs)
+    try:
+        result = fusion_constrained_update(pred, z, model, c)
+    except FilterError:
+        return
+    mean, post = result.estimate.mean, result.estimate.covariance
+    assert np.isfinite(mean).all() and np.isfinite(post).all()
+    scale = np.abs(post).max()
+    assert min_eigenvalue(post) >= -1e-9 * np.trace(post) - 1e-12 * max(1.0, scale)
+    feasible = 1e-8 * (np.linalg.norm(c.matrix, 2) * np.linalg.norm(mean) + np.linalg.norm(c.rhs))
+    assert np.linalg.norm(c.matrix @ mean - c.rhs) <= feasible
