@@ -69,7 +69,6 @@ from .matops import (
     as_matrix,
     as_vector,
     frozen_array,
-    solve_spd,
     symmetrize,
     unvec,
 )
@@ -273,10 +272,8 @@ def _gram_factorization(
         diag.min() <= 0.0 or (diag.max() / diag.min()) ** 2 > matops.CONDITION_LIMIT
     ):
         raise SingularConstraintGram("constraint Gram matrix is numerically singular")
-    z = scipy.linalg.solve_triangular(r, q_mat.T, lower=False, check_finite=False)
-    r_inv = scipy.linalg.solve_triangular(
-        r, np.eye(a.shape[0]), lower=False, check_finite=False
-    )
+    z = matops._upper_triangular_solve(r, q_mat.T)
+    r_inv = matops._upper_triangular_solve(r, np.eye(a.shape[0]))
     return l_factor @ z.T, r_inv @ r_inv.T
 
 
@@ -341,9 +338,8 @@ def constrain_posterior(est: StateEstimate, c: EqualityConstraint) -> Constraine
 
 def _s_inverse_blocks(s, gain, a, g_inv) -> tuple[np.ndarray, ...]:
     """The blocks of :func:`block_s_inverse` from ``S``, ``K``, ``A`` and ``G^-1``."""
-    s_inv = solve_spd(
-        s, np.eye(s.shape[0]), name="innovation covariance",
-        error=SingularInnovationCovariance,
+    s_inv = matops._cholesky_solve(
+        s, np.eye(s.shape[0]), "innovation covariance", SingularInnovationCovariance
     )
     ak = a @ gain
     akt_ginv = ak.T @ g_inv
@@ -430,7 +426,7 @@ def augmented_update(
     _check_state_dims(pred.dim, c)
     kalman._check_update_dims(pred, z, model)
     (mean, cov), unconstrained = _augmented(pred.mean, pred.covariance, z.value, model, c)
-    est_u = StateEstimate(*unconstrained, pred.step)
+    est_u = _estimate(*unconstrained, pred.step, "unconstrained")
     return _result(AUGMENTED, c, mean, cov, pred.step, est_u)
 
 
@@ -465,8 +461,8 @@ def project(
 
 def _innovation_weight(s, residual) -> tuple[np.ndarray, np.ndarray]:
     """``S^-1 v`` and the quadratic form ``v' S^-1 v`` of each innovation row ``v``."""
-    s_inv_nu = solve_spd(
-        s, residual.T, name="innovation covariance", error=SingularInnovationCovariance
+    s_inv_nu = matops._cholesky_solve(
+        s, residual.T, "innovation covariance", SingularInnovationCovariance
     ).T
     return s_inv_nu, np.sum(residual * s_inv_nu, axis=-1)
 
@@ -566,7 +562,7 @@ def restricted_gain_update(
     ((mean, cov), unconstrained), (gain, s_inv_nu, quad) = _restricted_gain(
         pred.mean, pred.covariance, z.value, model, c
     )
-    est_u = StateEstimate(*unconstrained, pred.step)
+    est_u = _estimate(*unconstrained, pred.step, "unconstrained")
     if c.constraint_dim == 0:
         solution = RestrictedGainSolution(gain, np.zeros(gain.size), np.zeros(0))
         return solution, ConstrainedUpdateResult(est_u, RESTRICTED_GAIN, 0.0, est_u)
@@ -604,16 +600,9 @@ def _fusion(mean, cov, z, model: SystemModel, c: EqualityConstraint):
     solved for its last ``n`` unit columns, whose lower block is the negated
     posterior covariance, and for each stacked observation ``[mean, z, b; 0]``,
     whose lower block is the fused mean after one step of iterative
-    refinement against the saddle matrix itself."""
-    for mat, label in (
-        (cov, "prediction covariance"),
-        (model.measurement_noise, "measurement noise"),
-    ):
-        cond = np.linalg.cond(mat)
-        if not np.isfinite(cond) or cond > matops.CONDITION_LIMIT:
-            raise SingularCovariance(
-                f"{label} is numerically singular (condition estimate {cond:.3e})"
-            )
+    refinement against the saddle matrix itself.  ``P`` and ``R`` need not be
+    invertible: the factorization's own test in :func:`_saddle_solver` is
+    the one check that the saddle matrix is regular."""
     n = cov.shape[0]
     q = c.constraint_dim
     k = n + model.measurement_dim + q
@@ -647,12 +636,11 @@ def fusion_constrained_update(
     factorization of its diagonally equilibrated form: for the stacked
     observation, whose lower block is the fused mean (after one step of
     iterative refinement), and for its last ``n`` unit columns, whose
-    negated lower block is the posterior covariance.  Requires ``P`` and
-    ``R`` invertible, and raises ``SingularCovariance`` when either fails
-    its condition-estimate test, a pivot of the factorization is exactly
-    singular, or the factorization's reciprocal condition estimate is below
-    ``1 / CONDITION_LIMIT``.  With q = 0 this reduces to
-    :func:`update_fusion`.
+    negated lower block is the posterior covariance.  ``P`` and ``R`` need
+    not be invertible, only the saddle matrix regular: ``SingularCovariance``
+    is raised when a pivot of the factorization is exactly singular or its
+    reciprocal condition estimate is below ``1 / CONDITION_LIMIT``.  With
+    q = 0 and ``P``, ``R`` invertible this reduces to :func:`update_fusion`.
     """
     kalman._check_update_dims(pred, z, model)
     _check_state_dims(pred.dim, c)

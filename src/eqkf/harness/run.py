@@ -20,7 +20,6 @@ import numpy as np
 from .. import constrained, kalman
 from ..errors import FilterError, ScenarioStepError, UnsupportedFormat
 from ..kalman import Measurement, StateEstimate, SystemModel
-from ..matops import min_eigenvalue
 from .config import METHODS, MethodSpec, ScenarioConfig
 from .simulate import SimulationResult, simulate_truth
 
@@ -147,7 +146,6 @@ def run_scenario(
             states[label] = next_state
             err = float(np.linalg.norm(x_true - reported.mean))
             residual = config.true_residual(reported.mean)
-            cov = reported.covariance
             records.append(
                 StepRecord(
                     step=k,
@@ -156,8 +154,8 @@ def run_scenario(
                     mean=reported.mean,
                     err_norm=err,
                     constraint_residual=residual,
-                    cov_min_eig=min_eigenvalue(cov),
-                    cov_asym=float(np.abs(cov - cov.T).max()) if cov.size else 0.0,
+                    cov_min_eig=reported.cov_min_eig,
+                    cov_asym=reported.cov_asym,
                 )
             )
             means[label].append(reported.mean)

@@ -23,6 +23,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, SingularCovariance, SingularInnovationCovariance
 from .matops import (
+    _cholesky_solve,
     as_matrix,
     as_vector,
     frozen_array,
@@ -40,24 +41,31 @@ _EIG_RTOL = 1e-9
 _ABS_FLOOR = 1e-12
 
 
-def _check_covariance(c: np.ndarray, name: str, require_pd: bool = False) -> None:
+def _check_covariance(
+    c: np.ndarray, name: str, require_pd: bool = False
+) -> tuple[float, float]:
+    """Raise ``ValueError`` unless ``c`` is a symmetric positive semidefinite
+    (definite if ``require_pd``) covariance; return the smallest eigenvalue
+    and the largest asymmetry ``|c - c'|`` it measured (nan and 0 if empty)."""
     if c.shape[0] != c.shape[1]:
         raise ValueError(f"{name} must be square, got shape {c.shape}")
     if c.size == 0:
-        return
+        return float("nan"), 0.0
     scale = float(np.abs(c).max())
-    if float(np.abs(c - c.T).max()) > _SYM_RTOL * scale + _ABS_FLOOR * max(1.0, scale):
+    asym = float(np.abs(c - c.T).max())
+    if asym > _SYM_RTOL * scale + _ABS_FLOOR * max(1.0, scale):
         raise ValueError(f"{name} is not symmetric")
     low = min_eigenvalue(c)
     if require_pd:
         if low <= 0.0:
             raise ValueError(f"{name} is not positive definite")
-        return
+        return low, asym
     floor = _EIG_RTOL * abs(float(np.trace(c))) + _ABS_FLOOR * max(1.0, scale)
     if low < -floor:
         raise ValueError(
             f"{name} is not positive semidefinite (min eigenvalue {low:.3e})"
         )
+    return low, asym
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,9 @@ class StateEstimate:
     The covariance must be symmetric and positive semidefinite up to a
     small roundoff allowance; hard-constrained posteriors are rank
     deficient by design, so positive definiteness is not required.
+    ``cov_min_eig`` and ``cov_asym`` are the smallest eigenvalue and the
+    largest asymmetry that this check computed; they are not fields, so
+    equality and ``repr`` see only the mean, covariance and step.
     """
 
     mean: np.ndarray
@@ -80,14 +91,25 @@ class StateEstimate:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match state dimension {mean.size}"
             )
-        _check_covariance(cov, "covariance")
+        health = _check_covariance(cov, "covariance")
         object.__setattr__(self, "mean", frozen_array(mean))
         object.__setattr__(self, "covariance", frozen_array(cov))
         object.__setattr__(self, "step", int(self.step))
+        object.__setattr__(self, "_health", health)
 
     @property
     def dim(self) -> int:
         return self.mean.size
+
+    @property
+    def cov_min_eig(self) -> float:
+        """Smallest eigenvalue of the covariance (``matops.min_eigenvalue``)."""
+        return self._health[0]
+
+    @property
+    def cov_asym(self) -> float:
+        """Largest entry of ``|covariance - covariance'|``."""
+        return self._health[1]
 
 
 @dataclass(frozen=True)
@@ -213,8 +235,8 @@ def _innovation(mean, cov, z, h, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     residual = z - mean @ h.T
     s = h @ cov @ h.T + r
     s = 0.5 * (s + s.T)
-    gain = solve_spd(
-        s, (cov @ h.T).T, name="innovation covariance", error=SingularInnovationCovariance
+    gain = _cholesky_solve(
+        s, (cov @ h.T).T, "innovation covariance", SingularInnovationCovariance
     ).T
     return residual, s, gain
 

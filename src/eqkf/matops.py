@@ -183,11 +183,33 @@ def solve_spd(m, rhs, name: str = "matrix", error=SingularBlock) -> np.ndarray:
     b = np.asarray(rhs, dtype=float)
     if sym.size == 0:
         return np.zeros_like(b)
-    try:
-        c, low = scipy.linalg.cho_factor(sym, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise error(f"{name} is not positive definite") from None
-    return scipy.linalg.cho_solve((c, low), b, check_finite=False)
+    return _cholesky_solve(sym, b, name, error)
+
+
+# The LAPACK routines behind scipy's cho_factor, cho_solve and
+# solve_triangular, called directly by the per-step kernels.
+_POTRF, _POTRS, _TRTRS = scipy.linalg.get_lapack_funcs(
+    ("potrf", "potrs", "trtrs"), dtype=np.float64
+)
+
+
+def _cholesky_solve(m, rhs, name: str, error) -> np.ndarray:
+    """``m^-1 rhs`` for a non-empty float array ``m`` whose lower triangle is
+    that of a symmetric positive definite matrix: ``?potrf`` and ``?potrs``
+    as ``cho_factor``/``cho_solve`` call them, without their checks.  A
+    failed factorization raises ``error``."""
+    factor, info = _POTRF(m, lower=1, clean=0)
+    if info > 0:
+        raise error(f"{name} is not positive definite")
+    return _POTRS(factor, rhs, lower=1)[0]
+
+
+def _upper_triangular_solve(r, rhs) -> np.ndarray:
+    """``r^-1 rhs`` for a nonsingular upper triangular float array ``r``:
+    ``?trtrs`` as ``solve_triangular`` calls it, without its checks."""
+    if r.flags.f_contiguous:
+        return _TRTRS(r, rhs, lower=0)[0]
+    return _TRTRS(r.T, rhs, lower=1, trans=1)[0]
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from eqkf.errors import (
     DegenerateResidual,
     DimensionMismatch,
     FilterError,
+    IndefiniteCovariance,
     RankDeficientJacobian,
     SingularCovariance,
     SingularWeight,
@@ -632,15 +633,22 @@ def test_updates_return_the_unconstrained_update_they_computed():
             assert np.array_equal(result.unconstrained.covariance, post.covariance)
 
 
-def _scaled_instance(seed):
+def _scaled_instance(seed, dropped=0):
     """A random instance whose prediction covariance is rescaled to s D P D,
-    with s in 10^{-8, -6, 6, 8} and D a diagonal spanning 10^-4 to 10^4."""
+    with s in 10^{-8, -6, 6, 8} and D a diagonal spanning 10^-4 to 10^4, and
+    then has its smallest ``dropped`` eigenvalues zeroed (at most n - 1)."""
     rng = np.random.default_rng((seed, 42))
     pred, model, z, c = random_constrained_instance(seed % 1000)
     s = 10.0 ** rng.choice([-8, -6, 6, 8])
     d = np.diag(10.0 ** rng.uniform(-4, 4, pred.dim))
     cov = s * d @ pred.covariance @ d
-    return estimate(pred.mean, 0.5 * (cov + cov.T), pred.step), model, z, c
+    cov = 0.5 * (cov + cov.T)
+    if dropped:
+        vals, vecs = np.linalg.eigh(cov)
+        vals[: min(dropped, pred.dim - 1)] = 0.0
+        cov = (vecs * vals) @ vecs.T
+        cov = 0.5 * (cov + cov.T)
+    return estimate(pred.mean, cov, pred.step), model, z, c
 
 
 HARD_METHODS = {
@@ -686,12 +694,7 @@ def test_fusion_returns_a_feasible_psd_estimate_or_raises_a_filter_error(
     # Scaled-probe inputs, with the smallest `dropped` eigenvalues of P zeroed
     # (rank-deficient P), R scaled by 10^noise_exponent and each constraint
     # row (with its right-hand side) by 10^row_exponent.
-    pred, model, z, c = _scaled_instance(seed)
-    if dropped:
-        vals, vecs = np.linalg.eigh(pred.covariance)
-        vals[: min(dropped, pred.dim - 1)] = 0.0
-        cov = (vecs * vals) @ vecs.T
-        pred = estimate(pred.mean, 0.5 * (cov + cov.T), pred.step)
+    pred, model, z, c = _scaled_instance(seed, dropped)
     model = SystemModel(
         model.transition, model.process_noise, model.observation,
         10.0**noise_exponent * model.measurement_noise,
@@ -708,3 +711,29 @@ def test_fusion_returns_a_feasible_psd_estimate_or_raises_a_filter_error(
     assert min_eigenvalue(post) >= -1e-9 * np.trace(post) - 1e-12 * max(1.0, scale)
     feasible = 1e-8 * (np.linalg.norm(c.matrix, 2) * np.linalg.norm(mean) + np.linalg.norm(c.rhs))
     assert np.linalg.norm(c.matrix @ mean - c.rhs) <= feasible
+
+
+@pytest.mark.parametrize("update", [
+    augmented_update, lambda pred, z, model, c: restricted_gain_update(pred, z, model, c)[1],
+], ids=["augmented", "restricted_gain"])
+def test_indefinite_unconstrained_posterior_raises_indefinite_covariance(update):
+    # With P's smallest eigenvalue zeroed, seed 14's Joseph posterior has min
+    # eigenvalue -2.0e-7, beyond the StateEstimate allowance.
+    pred, model, z, c = _scaled_instance(14, dropped=1)
+    with pytest.raises(IndefiniteCovariance, match="unconstrained posterior"):
+        update(pred, z, model, c)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_fusion_with_a_singular_prediction_covariance_matches_augmented(seed):
+    # P need not be invertible, only the saddle matrix regular.
+    pred, model, z, c = _scaled_instance(seed, dropped=1)
+    assert np.linalg.matrix_rank(pred.covariance) < pred.dim
+    fused = fusion_constrained_update(pred, z, model, c).estimate
+    reference = augmented_update(pred, z, model, c).estimate
+    mean, post = fused.mean, fused.covariance
+    assert min_eigenvalue(post) >= -1e-9 * np.trace(post) - 1e-12 * max(1.0, np.abs(post).max())
+    feasible = 1e-8 * (np.linalg.norm(c.matrix, 2) * np.linalg.norm(mean) + np.linalg.norm(c.rhs))
+    assert np.linalg.norm(c.matrix @ mean - c.rhs) <= feasible
+    assert rel(mean, reference.mean) <= 1e-10
+    assert rel(post, reference.covariance) <= 1e-10

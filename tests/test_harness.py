@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eqkf import kalman, predict, update_joseph
+from eqkf import kalman, predict, restricted_gain_update, update_joseph
 from eqkf.errors import ParseError, ScenarioStepError, UnsupportedFormat, ValidationError
 from eqkf.harness import (
     METHOD_NAMES,
@@ -24,6 +24,7 @@ from eqkf.harness import (
 )
 from eqkf.harness.config import METHODS
 from eqkf.harness.run import RNG_ALGORITHM, advance_method, emit_report
+from eqkf.oracle import random_constrained_instance
 
 
 def minimal_doc(**overrides):
@@ -315,6 +316,63 @@ class TestRunScenario:
         assert len(calls) == 1
         assert np.array_equal(next_state.mean, plain.mean)
         assert np.array_equal(next_state.covariance, plain.covariance)
+
+    def test_each_reported_covariance_is_decomposed_once(self, monkeypatch):
+        # n = 3, so each min eigenvalue is one eigvalsh call; the record reuses
+        # the one its StateEstimate check made
+        doc = {
+            "steps": 4,
+            "seed": 5,
+            "model": {
+                "transition": np.eye(3).tolist(),
+                "process_noise": (0.02 * np.eye(3)).tolist(),
+                "observation": [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+                "measurement_noise": (0.04 * np.eye(2)).tolist(),
+            },
+            "constraint": {"kind": "affine", "matrix": [[1.0, 1.0, 1.0]], "rhs": [1.0]},
+            "initial_truth": [0.5, 0.25, 0.25],
+            "initial_estimate": {"mean": [0.4, 0.3, 0.2], "covariance": np.eye(3).tolist()},
+            "methods": list(METHODS),
+            "soft_noise": [[0.01]],
+        }
+        config = config_from_document(doc)
+        sim = simulate_truth(config)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        report = run_scenario(config, sim)
+        assert len(report.records) == 4 * len(METHODS)
+        assert calls == [(3, 3)] * len(report.records)
+
+    def test_restricted_gain_row_equals_the_public_update_bit_for_bit(self):
+        row = METHODS["restricted_gain"].update
+        config = load_bundled_scenario("line_2d")
+        sim = simulate_truth(config)
+        instances = []
+        state = config.initial_estimate
+        for k, z in enumerate(sim.measurements):
+            model = config.model_at(k)
+            pred = predict(state, model)
+            c = config.linear_constraint_at(pred.mean)
+            instances.append((pred, model, z, c))
+            state = restricted_gain_update(pred, z, model, c)[1].estimate
+        for seed in range(50):
+            pred, model, z, c = random_constrained_instance(seed)
+            instances.append((pred, model, z, c))
+        for pred, model, z, c in instances:
+            (mean, cov), (plain_mean, plain_cov) = row(
+                pred.mean, pred.covariance, z.value, model, c, None, None
+            )
+            result = restricted_gain_update(pred, z, model, c)[1]
+            assert np.array_equal(mean, result.estimate.mean)
+            assert np.array_equal(cov, result.estimate.covariance)
+            assert np.array_equal(plain_mean, result.unconstrained.mean)
+            assert np.array_equal(plain_cov, result.unconstrained.covariance)
 
     def test_feedback_mode_changes_reports_but_not_truth(self):
         base = planar_constrained_doc(steps=8)

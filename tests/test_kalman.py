@@ -1,6 +1,8 @@
 """Unconstrained filter: prediction, innovation, and the two equivalent
 update forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -57,6 +59,19 @@ class TestConstruction:
     def test_measurement_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Measurement([np.inf], step=1)
+
+    def test_state_estimate_keeps_the_figures_its_check_computed(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3, 6):
+            g = rng.standard_normal((n, n))
+            cov = g @ g.T
+            cov[0, -1] += 1e-13  # asymmetry within the check's allowance
+            est = StateEstimate(np.zeros(n), cov)
+            assert est.cov_min_eig == min_eigenvalue(est.covariance)
+            assert est.cov_asym == float(np.abs(cov - cov.T).max())
+            # the figures are not fields: equality and repr are unchanged
+            assert [f.name for f in dataclasses.fields(est)] == ["mean", "covariance", "step"]
+            assert "cov_" not in repr(est)
 
     def test_innovation_stats_require_positive_definite_covariance(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,14 @@ matrix helpers."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from eqkf.errors import NotSquare, SingularBlock
 from eqkf.matops import (
     SaddlePointBlocks,
+    _cholesky_solve,
+    _upper_triangular_solve,
     as_matrix,
     as_vector,
     kron,
@@ -301,3 +304,28 @@ def test_matrix_construction_rejects_non_finite():
 def test_vector_construction_rejects_matrices():
     with pytest.raises(ValueError):
         as_vector([[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 24, 48, 96])
+def test_kernel_solves_equal_the_scipy_wrappers_bit_for_bit(n):
+    # the kernels call ?potrf/?potrs/?trtrs directly, as cho_factor,
+    # cho_solve and solve_triangular do
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n))
+    spd = symmetrize(g @ g.T + n * np.eye(n))
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3)), np.eye(n)):
+        ref = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(spd, lower=True, check_finite=False), rhs,
+            check_finite=False,
+        )
+        assert np.array_equal(_cholesky_solve(spd, rhs, "m", SingularBlock), ref)
+    _, r = np.linalg.qr(g)
+    rhs = rng.standard_normal((n, 4))
+    for tri in (r, np.asfortranarray(r)):
+        ref = scipy.linalg.solve_triangular(tri, rhs, lower=False, check_finite=False)
+        assert np.array_equal(_upper_triangular_solve(tri, rhs), ref)
+
+
+def test_kernel_cholesky_solve_raises_the_given_error():
+    with pytest.raises(SingularBlock, match="S is not positive definite"):
+        _cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2), "S", SingularBlock)
