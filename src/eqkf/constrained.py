@@ -34,7 +34,7 @@ by :func:`_weight_factor`.  Each correction is the step of
 :func:`_project_along`, whose congruence ``(I - U A) P (I - U A)'`` keeps
 hard-constrained (rank ``n - q``) covariances symmetric positive
 semidefinite over long runs.  A posterior the ``StateEstimate`` checks
-reject raises ``IndefiniteCovariance`` (:func:`_estimate`, and
+reject raises ``IndefiniteCovariance`` (``kalman._estimate``, and
 :func:`_check_posterior` for a covariance shared by a stack of means).
 
 Each update's arithmetic is a private kernel on plain arrays, which the
@@ -44,12 +44,12 @@ public function calls after checking its inputs.  A kernel takes one mean
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import kalman, matops
 from .errors import (
@@ -126,7 +126,8 @@ class EqualityConstraint:
         """Euclidean norm of ``matrix @ x - rhs``."""
         if self.constraint_dim == 0:
             return 0.0
-        return float(np.linalg.norm(self.matrix @ as_vector(x, "x") - self.rhs))
+        e = self.matrix @ as_vector(x, "x") - self.rhs
+        return math.sqrt(e @ e)
 
     @cached_property
     def _euclidean_gram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +160,8 @@ class NonlinearConstraint:
     def residual_norm(self, x) -> float:
         """Euclidean norm of ``func(x) - rhs``."""
         value = as_vector(self.func(np.asarray(x, dtype=float)), "constraint value")
-        return float(np.linalg.norm(value - self.rhs))
+        e = value - self.rhs
+        return math.sqrt(e @ e)
 
 
 @dataclass(frozen=True)
@@ -240,18 +242,9 @@ def _check_posterior(cov, label: str) -> None:
         raise IndefiniteCovariance(f"{label} posterior: {exc}") from exc
 
 
-def _estimate(mean, cov, step: int, label: str) -> StateEstimate:
-    """A posterior ``StateEstimate``; a covariance its checks reject raises
-    ``IndefiniteCovariance``."""
-    try:
-        return StateEstimate(mean, cov, step)
-    except ValueError as exc:
-        raise IndefiniteCovariance(f"{label} posterior: {exc}") from exc
-
-
 def _result(method: str, c: EqualityConstraint, mean, cov, step: int, unconstrained=None):
-    """The result of a constrained update, its estimate built by :func:`_estimate`."""
-    est = _estimate(mean, cov, step, method)
+    """The result of a constrained update, its estimate built by ``kalman._estimate``."""
+    est = kalman._estimate(mean, cov, step, f"{method} posterior")
     return ConstrainedUpdateResult(est, method, c.residual_norm(mean), unconstrained)
 
 
@@ -261,19 +254,19 @@ def _gram_factorization(
     """Return ``(U, G^-1)`` for the Gram matrix ``G = A W^-1 A'``, given
     ``L`` with ``W^-1 = L L'``, where ``U = W^-1 A' G^-1``.
 
-    ``G = R' R`` is factored through one QR decomposition of ``(A L)'`` so
-    its condition number is never squared; ``SingularConstraintGram`` is
-    raised when the diagonal of ``R`` puts that condition number above
-    ``CONDITION_LIMIT``.
+    ``G = R' R`` is factored through one QR decomposition of ``(A L)'``
+    (``?geqrf`` and ``?orgqr``, :func:`matops._qr`) so its condition number
+    is never squared; ``SingularConstraintGram`` is raised when the diagonal
+    of ``R`` puts that condition number above ``CONDITION_LIMIT``.
     """
-    q_mat, r = np.linalg.qr((a @ l_factor).T)
-    diag = np.abs(np.diag(r))
-    if diag.size and (
-        diag.min() <= 0.0 or (diag.max() / diag.min()) ** 2 > matops.CONDITION_LIMIT
+    q_mat, r = matops._qr((a @ l_factor).T)
+    diag = np.abs(r.diagonal()).tolist()
+    if diag and (
+        min(diag) <= 0.0 or (max(diag) / min(diag)) ** 2 > matops.CONDITION_LIMIT
     ):
         raise SingularConstraintGram("constraint Gram matrix is numerically singular")
-    z = matops._upper_triangular_solve(r, q_mat.T)
-    r_inv = matops._upper_triangular_solve(r, np.eye(a.shape[0]))
+    z = matops._triangular_solve(r, q_mat.T)
+    r_inv = matops._triangular_solve(r, matops._identity(a.shape[0]))
     return l_factor @ z.T, r_inv @ r_inv.T
 
 
@@ -305,12 +298,12 @@ def _weight_factor(weight: np.ndarray | str, cov: np.ndarray) -> np.ndarray:
         )
     lw = matops.spd_cholesky(weight, name="weight", error=SingularWeight)
     # W^-1 = L L' with L the inverse transpose of the Cholesky factor.
-    return scipy.linalg.solve_triangular(lw, np.eye(n), lower=True, check_finite=False).T
+    return matops._triangular_solve(lw, matops._identity(n), lower=True).T
 
 
 def _congruence(ups, a, cov) -> np.ndarray:
     """The covariance ``(I - U A) P (I - U A)'`` of a projection along ``U``."""
-    pi = np.eye(cov.shape[0]) - ups @ a
+    pi = matops._identity(cov.shape[0]) - ups @ a
     p = pi @ cov @ pi.T
     return 0.5 * (p + p.T)
 
@@ -339,7 +332,7 @@ def constrain_posterior(est: StateEstimate, c: EqualityConstraint) -> Constraine
 def _s_inverse_blocks(s, gain, a, g_inv) -> tuple[np.ndarray, ...]:
     """The blocks of :func:`block_s_inverse` from ``S``, ``K``, ``A`` and ``G^-1``."""
     s_inv = matops._cholesky_solve(
-        s, np.eye(s.shape[0]), "innovation covariance", SingularInnovationCovariance
+        s, matops._identity(s.shape[0]), "innovation covariance", SingularInnovationCovariance
     )
     ak = a @ gain
     akt_ginv = ak.T @ g_inv
@@ -426,7 +419,7 @@ def augmented_update(
     _check_state_dims(pred.dim, c)
     kalman._check_update_dims(pred, z, model)
     (mean, cov), unconstrained = _augmented(pred.mean, pred.covariance, z.value, model, c)
-    est_u = _estimate(*unconstrained, pred.step, "unconstrained")
+    est_u = kalman._estimate(*unconstrained, pred.step, "unconstrained posterior")
     return _result(AUGMENTED, c, mean, cov, pred.step, est_u)
 
 
@@ -562,7 +555,7 @@ def restricted_gain_update(
     ((mean, cov), unconstrained), (gain, s_inv_nu, quad) = _restricted_gain(
         pred.mean, pred.covariance, z.value, model, c
     )
-    est_u = _estimate(*unconstrained, pred.step, "unconstrained")
+    est_u = kalman._estimate(*unconstrained, pred.step, "unconstrained posterior")
     if c.constraint_dim == 0:
         solution = RestrictedGainSolution(gain, np.zeros(gain.size), np.zeros(0))
         return solution, ConstrainedUpdateResult(est_u, RESTRICTED_GAIN, 0.0, est_u)
@@ -576,23 +569,42 @@ def restricted_gain_update(
 def _saddle_solver(saddle) -> Callable[[np.ndarray], np.ndarray]:
     """A solver for ``saddle @ x = rhs`` from one Bunch-Kaufman factorization
     (LAPACK ``?sytrf``) of ``D saddle D``, ``D`` the diagonal with entries
-    ``1 / sqrt(max |row|)``.  Raises ``SingularCovariance`` when a pivot
+    ``1 / sqrt(max |row|)``, solved by ``?sytrs``; the handles are the ones
+    ``matops`` binds at import.  Raises ``SingularCovariance`` when a pivot
     block is exactly singular or the ``?sycon`` reciprocal condition estimate
     of the equilibrated matrix is below ``1 / CONDITION_LIMIT``."""
     d = 1.0 / np.sqrt(np.abs(saddle).max(axis=1))
     scaled = d[:, None] * saddle * d
-    sytrf, sytrf_lwork, sycon, sytrs = scipy.linalg.get_lapack_funcs(
-        ("sytrf", "sytrf_lwork", "sycon", "sytrs"), (scaled,)
+    work, _ = matops._SYTRF_LWORK(scaled.shape[0])
+    factor, ipiv, info = matops._SYTRF(scaled, lwork=max(int(work), 1))
+    rcond = (
+        0.0 if info > 0
+        else matops._SYCON(factor, ipiv, np.abs(scaled).sum(axis=0).max())[0]
     )
-    work, _ = sytrf_lwork(scaled.shape[0])
-    factor, ipiv, info = sytrf(scaled, lwork=max(int(work), 1))
-    rcond = 0.0 if info > 0 else sycon(factor, ipiv, np.abs(scaled).sum(axis=0).max())[0]
     if rcond < 1.0 / matops.CONDITION_LIMIT:
         raise SingularCovariance(
             f"fusion saddle matrix is numerically singular "
             f"(reciprocal condition estimate {rcond:.3e})"
         )
-    return lambda rhs: d[:, None] * sytrs(factor, ipiv, d[:, None] * rhs)[0]
+    return lambda rhs: d[:, None] * matops._SYTRS(factor, ipiv, d[:, None] * rhs)[0]
+
+
+def _fusion_saddle(cov, model: SystemModel, c: EqualityConstraint) -> np.ndarray:
+    """The fusion saddle matrix ``[[blkdiag(P, R, 0), obs], [obs', 0]]`` with
+    ``obs = [I; H; A]``, written into one zero array block by block."""
+    n = cov.shape[0]
+    nm = n + model.measurement_dim
+    k = nm + c.constraint_dim
+    saddle = np.zeros((k + n, k + n))
+    saddle[:n, :n] = cov
+    saddle[n:nm, n:nm] = model.measurement_noise
+    np.fill_diagonal(saddle[:n, k:], 1.0)
+    np.fill_diagonal(saddle[k:, :n], 1.0)
+    saddle[n:nm, k:] = model.observation
+    saddle[nm:k, k:] = c.matrix
+    saddle[k:, n:nm] = model.observation.T
+    saddle[k:, nm:k] = c.matrix.T
+    return saddle
 
 
 def _fusion(mean, cov, z, model: SystemModel, c: EqualityConstraint):
@@ -604,15 +616,16 @@ def _fusion(mean, cov, z, model: SystemModel, c: EqualityConstraint):
     invertible: the factorization's own test in :func:`_saddle_solver` is
     the one check that the saddle matrix is regular."""
     n = cov.shape[0]
-    q = c.constraint_dim
-    k = n + model.measurement_dim + q
-    rhs = np.broadcast_to(c.rhs, (*mean.shape[:-1], q))
-    stacked_z = np.concatenate([mean, z, rhs], axis=-1).reshape(-1, k)
-    stacked_obs = np.vstack([np.eye(n), model.observation, c.matrix])
-    noise = scipy.linalg.block_diag(cov, model.measurement_noise, np.zeros((q, q)))
-    saddle = np.block([[noise, stacked_obs], [stacked_obs.T, np.zeros((n, n))]])
+    nm = n + model.measurement_dim
+    k = nm + c.constraint_dim
+    saddle = _fusion_saddle(cov, model, c)
+    stacked_z = np.empty((*mean.shape[:-1], k))
+    stacked_z[..., :n] = mean
+    stacked_z[..., n:nm] = z
+    stacked_z[..., nm:] = c.rhs
+    stacked_z = stacked_z.reshape(-1, k)
     columns = np.zeros((k + n, n + stacked_z.shape[0]))
-    columns[k:, :n] = np.eye(n)
+    np.fill_diagonal(columns[k:], 1.0)
     columns[:k, n:] = stacked_z.T
     solve = _saddle_solver(saddle)
     solved = solve(columns)
@@ -709,12 +722,26 @@ def linearize(nc: NonlinearConstraint, x_ref) -> EqualityConstraint:
         ) from exc
 
 
+def _soft_stack(z, model: SystemModel, c: EqualityConstraint, noise):
+    """The stacked observation ``[H; A]``, noise ``blkdiag(R, sym(noise))`` and
+    measurement ``[z, b]`` of the soft update, each written into one array."""
+    m = model.measurement_dim
+    k = m + c.constraint_dim
+    stacked_obs = np.empty((k, model.state_dim))
+    stacked_obs[:m] = model.observation
+    stacked_obs[m:] = c.matrix
+    stacked_noise = np.zeros((k, k))
+    stacked_noise[:m, :m] = model.measurement_noise
+    stacked_noise[m:, m:] = 0.5 * (noise + noise.T)
+    stacked_z = np.empty((*z.shape[:-1], k))
+    stacked_z[..., :m] = z
+    stacked_z[..., m:] = c.rhs
+    return stacked_obs, stacked_noise, stacked_z
+
+
 def _soft_augmented(mean, cov, z, model: SystemModel, c: EqualityConstraint, noise):
     """Array kernel of :func:`soft_augmented_update`."""
-    stacked_obs = np.vstack([model.observation, c.matrix])
-    stacked_noise = scipy.linalg.block_diag(model.measurement_noise, 0.5 * (noise + noise.T))
-    rhs = np.broadcast_to(c.rhs, (*mean.shape[:-1], c.constraint_dim))
-    stacked_z = np.concatenate([z, rhs], axis=-1)
+    stacked_obs, stacked_noise, stacked_z = _soft_stack(z, model, c, noise)
     try:
         residual, _, gain = kalman._innovation(
             mean, cov, stacked_z, stacked_obs, stacked_noise

@@ -12,12 +12,13 @@ structured JSON document whose config section round-trips through
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .. import constrained, kalman
+from .. import kalman
 from ..errors import FilterError, ScenarioStepError, UnsupportedFormat
 from ..kalman import Measurement, StateEstimate, SystemModel
 from .config import METHODS, MethodSpec, ScenarioConfig
@@ -101,10 +102,12 @@ def advance_method(
     """
     kalman._check_update_dims(state, z, model)
     reported, following = _step(state.mean, state.covariance, z.value, model, spec, config)
-    estimate = constrained._estimate(*reported, state.step + 1, spec.label)
+    estimate = kalman._estimate(*reported, state.step + 1, f"{spec.label} posterior")
     if following is reported:
         return estimate, estimate
-    return estimate, constrained._estimate(*following, state.step + 1, "unconstrained")
+    return estimate, kalman._estimate(
+        *following, state.step + 1, "unconstrained posterior"
+    )
 
 
 def _relative_divergence(a: np.ndarray, b: np.ndarray) -> float:
@@ -144,7 +147,8 @@ def run_scenario(
             except FilterError as exc:
                 raise ScenarioStepError(k, label, exc) from exc
             states[label] = next_state
-            err = float(np.linalg.norm(x_true - reported.mean))
+            e = x_true - reported.mean
+            err = math.sqrt(e @ e)
             residual = config.true_residual(reported.mean)
             records.append(
                 StepRecord(

@@ -11,7 +11,9 @@ provided:
 
 Covariances are symmetrized after every step so long runs cannot drift
 into asymmetry.  The public functions check their inputs and call private
-kernels on arrays, which also take a ``(T, n)`` stack of means in rows.
+kernels on arrays, which also take a ``(T, n)`` stack of means in rows;
+a result that fails the ``StateEstimate`` checks raises
+``IndefiniteCovariance`` (:func:`_estimate`).
 """
 
 from __future__ import annotations
@@ -19,15 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionMismatch, SingularCovariance, SingularInnovationCovariance
+from .errors import (
+    DimensionMismatch,
+    IndefiniteCovariance,
+    SingularCovariance,
+    SingularInnovationCovariance,
+)
 from .matops import (
     _cholesky_solve,
+    _identity,
+    _min_eig,
     as_matrix,
     as_vector,
     frozen_array,
-    min_eigenvalue,
     solve_spd,
     symmetrize,
 )
@@ -51,20 +58,24 @@ def _check_covariance(
         raise ValueError(f"{name} must be square, got shape {c.shape}")
     if c.size == 0:
         return float("nan"), 0.0
-    scale = float(np.abs(c).max())
+    # Each tolerance is never negative, so it is computed only for a nonzero
+    # asymmetry or a negative eigenvalue, the figures it may have to excuse.
     asym = float(np.abs(c - c.T).max())
-    if asym > _SYM_RTOL * scale + _ABS_FLOOR * max(1.0, scale):
-        raise ValueError(f"{name} is not symmetric")
-    low = min_eigenvalue(c)
+    if asym > 0.0:
+        scale = float(np.abs(c).max())
+        if asym > _SYM_RTOL * scale + _ABS_FLOOR * max(1.0, scale):
+            raise ValueError(f"{name} is not symmetric")
+    low = _min_eig(0.5 * (c + c.T))
     if require_pd:
         if low <= 0.0:
             raise ValueError(f"{name} is not positive definite")
         return low, asym
-    floor = _EIG_RTOL * abs(float(np.trace(c))) + _ABS_FLOOR * max(1.0, scale)
-    if low < -floor:
-        raise ValueError(
-            f"{name} is not positive semidefinite (min eigenvalue {low:.3e})"
-        )
+    if low < 0.0:
+        scale = float(np.abs(c).max())
+        if low < -(_EIG_RTOL * abs(float(c.trace())) + _ABS_FLOOR * max(1.0, scale)):
+            raise ValueError(
+                f"{name} is not positive semidefinite (min eigenvalue {low:.3e})"
+            )
     return low, asym
 
 
@@ -103,13 +114,23 @@ class StateEstimate:
 
     @property
     def cov_min_eig(self) -> float:
-        """Smallest eigenvalue of the covariance (``matops.min_eigenvalue``)."""
+        """Smallest eigenvalue of the symmetrized covariance, as
+        ``matops.min_eigenvalue`` computes it."""
         return self._health[0]
 
     @property
     def cov_asym(self) -> float:
         """Largest entry of ``|covariance - covariance'|``."""
         return self._health[1]
+
+
+def _estimate(mean, cov, step: int, what: str) -> StateEstimate:
+    """A ``StateEstimate`` from a kernel's arrays; a covariance its checks
+    reject raises ``IndefiniteCovariance`` naming ``what``."""
+    try:
+        return StateEstimate(mean, cov, step)
+    except ValueError as exc:
+        raise IndefiniteCovariance(f"{what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -222,12 +243,16 @@ def _predict(mean, cov, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def predict(est: StateEstimate, model: SystemModel) -> StateEstimate:
-    """Propagate one step: mean ``F x``, covariance ``F P F' + Q`` (symmetrized)."""
+    """Propagate one step: mean ``F x``, covariance ``F P F' + Q`` (symmetrized).
+
+    Raises ``IndefiniteCovariance`` when the result fails the
+    ``StateEstimate`` checks.
+    """
     if model.state_dim != est.dim:
         raise DimensionMismatch(
             f"model state dimension {model.state_dim} does not match estimate {est.dim}"
         )
-    return StateEstimate(*_predict(est.mean, est.covariance, model), est.step + 1)
+    return _estimate(*_predict(est.mean, est.covariance, model), est.step + 1, "prediction")
 
 
 def _innovation(mean, cov, z, h, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,7 +268,7 @@ def _innovation(mean, cov, z, h, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _joseph_update(mean, cov, h, r, residual, gain) -> tuple[np.ndarray, np.ndarray]:
     """Array kernel of :func:`update_joseph`: the mean and Joseph covariance."""
-    i_kh = np.eye(cov.shape[0]) - gain @ h
+    i_kh = _identity(cov.shape[0]) - gain @ h
     p = i_kh @ cov @ i_kh.T + gain @ r @ gain.T
     return mean + residual @ gain.T, 0.5 * (p + p.T)
 
@@ -271,14 +296,16 @@ def update_joseph(
     """Gain update with the Joseph covariance form.
 
     Returns the updated estimate together with the innovation quantities
-    so constrained variants can reuse them without recomputation.
+    so constrained variants can reuse them without recomputation.  Raises
+    ``IndefiniteCovariance`` when the Joseph covariance fails the
+    ``StateEstimate`` checks.
     """
     innov = innovate(pred, z, model)
     mean, cov = _joseph_update(
         pred.mean, pred.covariance, model.observation, model.measurement_noise,
         innov.residual, innov.gain,
     )
-    return StateEstimate(mean, cov, pred.step), innov
+    return _estimate(mean, cov, pred.step, "unconstrained posterior"), innov
 
 
 def update_fusion(pred: StateEstimate, z: Measurement, model: SystemModel) -> StateEstimate:
@@ -289,12 +316,15 @@ def update_fusion(pred: StateEstimate, z: Measurement, model: SystemModel) -> St
     covariance and measurement noise, and solves the normal equations.
     Equals :func:`update_joseph` in exact arithmetic.  Raises
     ``SingularCovariance`` when the prediction covariance or the
-    measurement noise is not invertible.
+    measurement noise is not invertible, and ``IndefiniteCovariance`` when
+    the result fails the ``StateEstimate`` checks.
     """
     _check_update_dims(pred, z, model)
     n = pred.dim
     stacked_obs = np.vstack([np.eye(n), model.observation])
-    stacked_noise = scipy.linalg.block_diag(pred.covariance, model.measurement_noise)
+    stacked_noise = np.zeros((n + z.dim, n + z.dim))
+    stacked_noise[:n, :n] = pred.covariance
+    stacked_noise[n:, n:] = model.measurement_noise
     stacked_z = np.concatenate([pred.mean, z.value])
     # One factorization of each matrix, both right-hand sides in one solve.
     weighted = solve_spd(
@@ -306,4 +336,6 @@ def update_fusion(pred: StateEstimate, z: Measurement, model: SystemModel) -> St
         normal, np.column_stack([stacked_obs.T @ weighted[:, n], np.eye(n)]),
         name="fusion normal matrix", error=SingularCovariance,
     )
-    return StateEstimate(solved[:, 0], symmetrize(solved[:, 1:]), pred.step)
+    return _estimate(
+        solved[:, 0], symmetrize(solved[:, 1:]), pred.step, "unconstrained fusion posterior"
+    )

@@ -15,6 +15,7 @@ never mutates its inputs.  Three groups of helpers live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +30,9 @@ _EPS = np.finfo(float).eps
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-D float array, rejecting non-finite entries."""
-    m = np.atleast_2d(np.asarray(a, dtype=float))
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2:
+        m = np.atleast_2d(m)
     if m.ndim != 2:
         raise ValueError(f"{name} must be at most 2-D, got {m.ndim} dimensions")
     if m.size and not np.isfinite(m).all():
@@ -39,7 +42,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def as_vector(a, name: str = "vector") -> np.ndarray:
     """Coerce ``a`` to a 1-D float array, rejecting non-finite entries."""
-    v = np.atleast_1d(np.asarray(a, dtype=float))
+    v = np.asarray(a, dtype=float)
+    if v.ndim < 1:
+        v = np.atleast_1d(v)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
     if v.size and not np.isfinite(v).all():
@@ -95,14 +100,18 @@ def min_eigenvalue(p) -> float:
     s = symmetrize(p)
     if s.size == 0:
         raise ValueError("min_eigenvalue of an empty matrix is undefined")
+    return _min_eig(s)
+
+
+def _min_eig(s: np.ndarray) -> float:
+    """Smallest eigenvalue of a non-empty symmetric float array ``s``."""
     n = s.shape[0]
     if n == 1:
         return float(s[0, 0])
     if n == 2:
         # closed form keeps per-step covariance telemetry cheap
-        half = 0.5 * (s[0, 0] + s[1, 1])
-        radius = float(np.hypot(0.5 * (s[0, 0] - s[1, 1]), s[1, 0]))
-        return float(half - radius)
+        s00, s10, s11 = float(s[0, 0]), float(s[1, 0]), float(s[1, 1])
+        return 0.5 * (s00 + s11) - float(np.hypot(0.5 * (s00 - s11), s10))
     return float(np.linalg.eigvalsh(s)[0])
 
 
@@ -186,10 +195,16 @@ def solve_spd(m, rhs, name: str = "matrix", error=SingularBlock) -> np.ndarray:
     return _cholesky_solve(sym, b, name, error)
 
 
-# The LAPACK routines behind scipy's cho_factor, cho_solve and
-# solve_triangular, called directly by the per-step kernels.
-_POTRF, _POTRS, _TRTRS = scipy.linalg.get_lapack_funcs(
-    ("potrf", "potrs", "trtrs"), dtype=np.float64
+# The LAPACK routines the per-step kernels call directly, bound once here:
+# ?potrf, ?potrs and ?trtrs behind scipy's cho_factor, cho_solve and
+# solve_triangular; ?geqrf and ?orgqr behind np.linalg.qr (:func:`_qr`);
+# and ?sytrf, ?sytrf_lwork, ?sycon and ?sytrs, the Bunch-Kaufman
+# factorization, condition estimate and solve of constrained fusion.
+(
+    _POTRF, _POTRS, _TRTRS, _GEQRF, _ORGQR, _SYTRF, _SYTRF_LWORK, _SYCON, _SYTRS
+) = scipy.linalg.get_lapack_funcs(
+    ("potrf", "potrs", "trtrs", "geqrf", "orgqr", "sytrf", "sytrf_lwork", "sycon", "sytrs"),
+    dtype=np.float64,
 )
 
 
@@ -204,12 +219,33 @@ def _cholesky_solve(m, rhs, name: str, error) -> np.ndarray:
     return _POTRS(factor, rhs, lower=1)[0]
 
 
-def _upper_triangular_solve(r, rhs) -> np.ndarray:
-    """``r^-1 rhs`` for a nonsingular upper triangular float array ``r``:
-    ``?trtrs`` as ``solve_triangular`` calls it, without its checks."""
-    if r.flags.f_contiguous:
-        return _TRTRS(r, rhs, lower=0)[0]
-    return _TRTRS(r.T, rhs, lower=1, trans=1)[0]
+def _qr(m) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR factors ``(Q, R)`` of a float array ``m`` with at least as
+    many rows as columns: ``?geqrf`` and ``?orgqr`` as ``np.linalg.qr`` calls
+    them, without its checks.  ``Q`` and the upper triangle of ``R`` equal
+    ``np.linalg.qr(m)`` bit for bit; the strict lower triangle of ``R`` holds
+    the Householder vectors, which :func:`_triangular_solve` never reads."""
+    factor, tau, _, _ = _GEQRF(m)
+    q_mat, _, _ = _ORGQR(factor, tau)
+    return q_mat, factor[: m.shape[1]]
+
+
+@cache
+def _identity(n: int) -> np.ndarray:
+    """A read-only ``n x n`` identity shared by the per-step kernels."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _triangular_solve(t, rhs, lower: bool = False) -> np.ndarray:
+    """``t^-1 rhs`` for a float array ``t`` whose upper (or, if ``lower``,
+    lower) triangle is that of a nonsingular triangular matrix: ``?trtrs``
+    as ``solve_triangular`` calls it, without its checks.  The other
+    triangle is never read."""
+    if t.flags.f_contiguous:
+        return _TRTRS(t, rhs, lower=int(lower))[0]
+    return _TRTRS(t.T, rhs, lower=int(not lower), trans=1)[0]
 
 
 @dataclass(frozen=True)

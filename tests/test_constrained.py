@@ -384,6 +384,15 @@ class TestFusionConstrained:
             constrained._saddle_solver(np.ones((2, 2)))
 
 
+def _block_saddle(cov, model, c):
+    """The fusion saddle matrix assembled from its blocks by ``block_diag``
+    and ``np.block``: the reference for the in-place assembly."""
+    n, q = cov.shape[0], c.constraint_dim
+    stacked_obs = np.vstack([np.eye(n), model.observation, c.matrix])
+    noise = scipy.linalg.block_diag(cov, model.measurement_noise, np.zeros((q, q)))
+    return np.block([[noise, stacked_obs], [stacked_obs.T, np.zeros((n, n))]])
+
+
 def _pseudo_inverse_fusion(mean, cov, z, model, c):
     """Constrained fusion read off the pseudo-inverse of the whole saddle
     matrix: the reference the factored solve is checked against."""
@@ -391,10 +400,52 @@ def _pseudo_inverse_fusion(mean, cov, z, model, c):
     k = n + model.measurement_dim + q
     rhs = np.broadcast_to(c.rhs, (*mean.shape[:-1], q))
     stacked_z = np.concatenate([mean, z, rhs], axis=-1)
-    stacked_obs = np.vstack([np.eye(n), model.observation, c.matrix])
-    noise = scipy.linalg.block_diag(cov, model.measurement_noise, np.zeros((q, q)))
-    inv = pseudo_inverse(np.block([[noise, stacked_obs], [stacked_obs.T, np.zeros((n, n))]]))
+    inv = pseudo_inverse(_block_saddle(cov, model, c))
     return stacked_z @ inv[k:, :k].T, -0.5 * (inv[k:, k:] + inv[k:, k:].T)
+
+
+class TestInPlaceAssembly:
+    """The kernels write their block matrices into one array; the result must
+    equal the ``block_diag``/``np.block`` assembly exactly."""
+
+    SEEDS = range(40)
+
+    def test_fusion_saddle_equals_the_block_assembly(self):
+        for seed in self.SEEDS:
+            pred, model, _, c = random_constrained_instance(seed)
+            saddle = constrained._fusion_saddle(pred.covariance, model, c)
+            assert np.array_equal(saddle, _block_saddle(pred.covariance, model, c))
+
+    def test_soft_stack_equals_the_block_assembly(self):
+        for seed in self.SEEDS:
+            _, model, z, c = random_constrained_instance(seed)
+            q = c.constraint_dim
+            g = np.random.default_rng(seed).standard_normal((q, q))
+            noise = g @ g.T + 1e-3 * g  # asymmetric: the stack symmetrizes it
+            for zs in (z.value, np.stack([z.value, 2.0 * z.value])):
+                obs, stacked_noise, stacked_z = constrained._soft_stack(zs, model, c, noise)
+                rhs = np.broadcast_to(c.rhs, (*zs.shape[:-1], q))
+                assert np.array_equal(obs, np.vstack([model.observation, c.matrix]))
+                assert np.array_equal(
+                    stacked_noise,
+                    scipy.linalg.block_diag(model.measurement_noise, 0.5 * (noise + noise.T)),
+                )
+                assert np.array_equal(stacked_z, np.concatenate([zs, rhs], axis=-1))
+
+    def test_gram_factorization_equals_the_numpy_qr_form(self):
+        # (U, G^-1) from the direct ?geqrf/?orgqr QR equal those from
+        # np.linalg.qr and scipy's solve_triangular bit for bit
+        for seed in self.SEEDS:
+            pred, _, _, c = random_constrained_instance(seed)
+            l_factor = np.linalg.cholesky(pred.covariance)
+            q_mat, r = np.linalg.qr((c.matrix @ l_factor).T)
+            z = scipy.linalg.solve_triangular(r, q_mat.T, check_finite=False)
+            r_inv = scipy.linalg.solve_triangular(
+                r, np.eye(c.constraint_dim), check_finite=False
+            )
+            ups, g_inv = constrained._gram_factorization(l_factor, c.matrix)
+            assert np.array_equal(ups, l_factor @ z.T)
+            assert np.array_equal(g_inv, r_inv @ r_inv.T)
 
 
 class TestStableCovarianceForms:
@@ -714,11 +765,16 @@ def test_fusion_returns_a_feasible_psd_estimate_or_raises_a_filter_error(
 
 
 @pytest.mark.parametrize("update", [
-    augmented_update, lambda pred, z, model, c: restricted_gain_update(pred, z, model, c)[1],
-], ids=["augmented", "restricted_gain"])
+    augmented_update,
+    lambda pred, z, model, c: restricted_gain_update(pred, z, model, c)[1],
+    lambda pred, z, model, c: update_joseph(pred, z, model),
+    HARD_METHODS["projection"],
+], ids=["augmented", "restricted_gain", "update_joseph", "projection"])
 def test_indefinite_unconstrained_posterior_raises_indefinite_covariance(update):
     # With P's smallest eigenvalue zeroed, seed 14's Joseph posterior has min
-    # eigenvalue -2.0e-7, beyond the StateEstimate allowance.
+    # eigenvalue -2.0e-7, beyond the StateEstimate allowance; the public
+    # update_joseph, and the projection route through it, raise the same
+    # typed error as the constrained updates.
     pred, model, z, c = _scaled_instance(14, dropped=1)
     with pytest.raises(IndefiniteCovariance, match="unconstrained posterior"):
         update(pred, z, model, c)

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from eqkf import kalman, predict, restricted_gain_update, update_joseph
@@ -24,7 +25,7 @@ from eqkf.harness import (
 )
 from eqkf.harness.config import METHODS
 from eqkf.harness.run import RNG_ALGORITHM, advance_method, emit_report
-from eqkf.oracle import random_constrained_instance
+from eqkf.oracle import empirical_covariance_check, random_constrained_instance
 
 
 def minimal_doc(**overrides):
@@ -554,3 +555,25 @@ class TestCli:
         assert run_cli("run", str(path), "--out", str(out_a)).returncode == 0
         assert run_cli("run", str(path), "--out", str(out_b)).returncode == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_filter_steps_look_up_no_lapack_routine(monkeypatch):
+    # The kernels call LAPACK through handles bound once at import.  Any
+    # get_lapack_funcs call during a step, by a kernel or by a scipy.linalg
+    # wrapper that looks its routine up per call, fails here.
+    config = load_bundled_scenario("line_2d")
+    sim = simulate_truth(config)
+    model = config.model_at(0)
+
+    def lookup(*args, **kwargs):
+        raise AssertionError(f"LAPACK routines {args[0]} looked up during a filter step")
+
+    original = scipy.linalg.get_lapack_funcs
+    for name, module in list(sys.modules.items()):
+        if name.startswith("scipy.linalg") and vars(module).get("get_lapack_funcs") is original:
+            monkeypatch.setattr(module, "get_lapack_funcs", lookup)
+    for tag in METHODS:
+        spec = method_spec(tag)
+        advance_method(config.initial_estimate, sim.measurements[0], model, spec, config)
+    one_step = dataclasses.replace(config, steps=1)
+    empirical_covariance_check(one_step, "augmented", 1000, seed=0)

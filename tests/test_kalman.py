@@ -73,6 +73,30 @@ class TestConstruction:
             assert [f.name for f in dataclasses.fields(est)] == ["mean", "covariance", "step"]
             assert "cov_" not in repr(est)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 96])
+    def test_covariance_check_measures_what_the_public_helpers_measure(self, n):
+        # the check works on the array it is given, without the public
+        # coercion, and must still report min_eigenvalue's figure bit for bit
+        rng = np.random.default_rng(n)
+        for trial in range(20):
+            g = rng.standard_normal((n, n))
+            cov = g @ g.T if trial % 2 else g[:, : max(n - 1, 1)] @ g[:, : max(n - 1, 1)].T
+            if trial % 4 == 3:
+                cov[0, -1] += 1e-13 * np.abs(cov).max()  # within the allowance
+            low, asym = kalman._check_covariance(cov, "c")
+            assert low == min_eigenvalue(cov)
+            assert asym == np.abs(cov - cov.T).max()
+
+    def test_covariance_check_still_rejects_beyond_its_allowances(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            kalman._check_covariance(np.array([[1.0, 0.0], [1e-6, 1.0]]), "c")
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            kalman._check_covariance(np.diag([1.0, -1e-6]), "c")
+        # a negative eigenvalue within -1e-9 trace - 1e-12 max(1, max |c|) passes
+        assert kalman._check_covariance(np.diag([1.0, -1e-10]), "c")[0] < 0.0
+        with pytest.raises(ValueError, match="not positive definite"):
+            kalman._check_covariance(np.diag([1.0, 0.0]), "c", require_pd=True)
+
     def test_innovation_stats_require_positive_definite_covariance(self):
         with pytest.raises(ValueError):
             InnovationStats([1.0], [[0.0]], [[0.5], [0.0]])

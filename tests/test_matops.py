@@ -10,7 +10,9 @@ from eqkf.errors import NotSquare, SingularBlock
 from eqkf.matops import (
     SaddlePointBlocks,
     _cholesky_solve,
-    _upper_triangular_solve,
+    _identity,
+    _qr,
+    _triangular_solve,
     as_matrix,
     as_vector,
     kron,
@@ -323,7 +325,35 @@ def test_kernel_solves_equal_the_scipy_wrappers_bit_for_bit(n):
     rhs = rng.standard_normal((n, 4))
     for tri in (r, np.asfortranarray(r)):
         ref = scipy.linalg.solve_triangular(tri, rhs, lower=False, check_finite=False)
-        assert np.array_equal(_upper_triangular_solve(tri, rhs), ref)
+        assert np.array_equal(_triangular_solve(tri, rhs), ref)
+    low = np.linalg.cholesky(spd)
+    for tri in (low, np.asfortranarray(low)):
+        ref = scipy.linalg.solve_triangular(tri, rhs, lower=True, check_finite=False)
+        assert np.array_equal(_triangular_solve(tri, rhs, lower=True), ref)
+    # only the named triangle is read
+    assert np.array_equal(_triangular_solve(r + np.tril(g, -1), rhs), _triangular_solve(r, rhs))
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (3, 2), (2, 2), (5, 3), (96, 24)])
+def test_kernel_qr_equals_numpy_qr_bit_for_bit(shape):
+    # the kernels call ?geqrf/?orgqr directly, as np.linalg.qr does; R's
+    # strict lower triangle keeps the Householder vectors
+    rng = np.random.default_rng(shape)
+    for _ in range(50):
+        strided = rng.standard_normal((2 * shape[0], 2 * shape[1]))[::2, ::2]
+        m = strided.copy()
+        for layout in (m, np.asfortranarray(m), strided):
+            q_mat, r = _qr(layout)
+            ref_q, ref_r = np.linalg.qr(layout)
+            assert np.array_equal(q_mat, ref_q)
+            assert np.array_equal(np.triu(r), ref_r)
+
+
+def test_shared_identity_is_read_only():
+    eye = _identity(3)
+    assert np.array_equal(eye, np.eye(3)) and _identity(3) is eye
+    with pytest.raises(ValueError):
+        eye[0, 0] = 2.0
 
 
 def test_kernel_cholesky_solve_raises_the_given_error():
