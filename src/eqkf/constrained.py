@@ -16,7 +16,9 @@ mean exactly on the constraint set:
   solved in closed form by :func:`solve_lagrange_system`.
 * :func:`fusion_constrained_update` fuses prediction, measurement, and
   constraint in a single stacked least-squares solve: one Bunch-Kaufman
-  factorization of the equilibrated saddle matrix (:func:`_saddle_solver`).
+  factorization of the equilibrated saddle matrix, in the kernel
+  ``kalman._fusion`` that :func:`kalman.update_fusion` runs with no
+  constraint rows.
 
 The first, second (with the posterior-inverse weight), and fourth agree in
 exact arithmetic; the third coincides with the identity-weight projection.
@@ -59,7 +61,6 @@ from .errors import (
     RankDeficientJacobian,
     SingularAugmentedInnovation,
     SingularConstraintGram,
-    SingularCovariance,
     SingularInnovationCovariance,
     SingularWeight,
 )
@@ -566,75 +567,6 @@ def restricted_gain_update(
     return solution, _result(RESTRICTED_GAIN, c, mean, cov, pred.step, est_u)
 
 
-def _saddle_solver(saddle) -> Callable[[np.ndarray], np.ndarray]:
-    """A solver for ``saddle @ x = rhs`` from one Bunch-Kaufman factorization
-    (LAPACK ``?sytrf``) of ``D saddle D``, ``D`` the diagonal with entries
-    ``1 / sqrt(max |row|)``, solved by ``?sytrs``; the handles are the ones
-    ``matops`` binds at import.  Raises ``SingularCovariance`` when a pivot
-    block is exactly singular or the ``?sycon`` reciprocal condition estimate
-    of the equilibrated matrix is below ``1 / CONDITION_LIMIT``."""
-    d = 1.0 / np.sqrt(np.abs(saddle).max(axis=1))
-    scaled = d[:, None] * saddle * d
-    work, _ = matops._SYTRF_LWORK(scaled.shape[0])
-    factor, ipiv, info = matops._SYTRF(scaled, lwork=max(int(work), 1))
-    rcond = (
-        0.0 if info > 0
-        else matops._SYCON(factor, ipiv, np.abs(scaled).sum(axis=0).max())[0]
-    )
-    if rcond < 1.0 / matops.CONDITION_LIMIT:
-        raise SingularCovariance(
-            f"fusion saddle matrix is numerically singular "
-            f"(reciprocal condition estimate {rcond:.3e})"
-        )
-    return lambda rhs: d[:, None] * matops._SYTRS(factor, ipiv, d[:, None] * rhs)[0]
-
-
-def _fusion_saddle(cov, model: SystemModel, c: EqualityConstraint) -> np.ndarray:
-    """The fusion saddle matrix ``[[blkdiag(P, R, 0), obs], [obs', 0]]`` with
-    ``obs = [I; H; A]``, written into one zero array block by block."""
-    n = cov.shape[0]
-    nm = n + model.measurement_dim
-    k = nm + c.constraint_dim
-    saddle = np.zeros((k + n, k + n))
-    saddle[:n, :n] = cov
-    saddle[n:nm, n:nm] = model.measurement_noise
-    np.fill_diagonal(saddle[:n, k:], 1.0)
-    np.fill_diagonal(saddle[k:, :n], 1.0)
-    saddle[n:nm, k:] = model.observation
-    saddle[nm:k, k:] = c.matrix
-    saddle[k:, n:nm] = model.observation.T
-    saddle[k:, nm:k] = c.matrix.T
-    return saddle
-
-
-def _fusion(mean, cov, z, model: SystemModel, c: EqualityConstraint):
-    """Array kernel of :func:`fusion_constrained_update`.  The saddle matrix is
-    solved for its last ``n`` unit columns, whose lower block is the negated
-    posterior covariance, and for each stacked observation ``[mean, z, b; 0]``,
-    whose lower block is the fused mean after one step of iterative
-    refinement against the saddle matrix itself.  ``P`` and ``R`` need not be
-    invertible: the factorization's own test in :func:`_saddle_solver` is
-    the one check that the saddle matrix is regular."""
-    n = cov.shape[0]
-    nm = n + model.measurement_dim
-    k = nm + c.constraint_dim
-    saddle = _fusion_saddle(cov, model, c)
-    stacked_z = np.empty((*mean.shape[:-1], k))
-    stacked_z[..., :n] = mean
-    stacked_z[..., n:nm] = z
-    stacked_z[..., nm:] = c.rhs
-    stacked_z = stacked_z.reshape(-1, k)
-    columns = np.zeros((k + n, n + stacked_z.shape[0]))
-    np.fill_diagonal(columns[k:], 1.0)
-    columns[:k, n:] = stacked_z.T
-    solve = _saddle_solver(saddle)
-    solved = solve(columns)
-    fused = solved[:, n:]
-    fused += solve(columns[:, n:] - saddle @ fused)
-    post = solved[k:, :n]
-    return fused[k:].T.reshape(mean.shape), -0.5 * (post + post.T)
-
-
 def fusion_constrained_update(
     pred: StateEstimate,
     z: Measurement,
@@ -651,13 +583,14 @@ def fusion_constrained_update(
     iterative refinement), and for its last ``n`` unit columns, whose
     negated lower block is the posterior covariance.  ``P`` and ``R`` need
     not be invertible, only the saddle matrix regular: ``SingularCovariance``
-    is raised when a pivot of the factorization is exactly singular or its
-    reciprocal condition estimate is below ``1 / CONDITION_LIMIT``.  With
-    q = 0 and ``P``, ``R`` invertible this reduces to :func:`update_fusion`.
+    is raised when it has a zero row, a pivot of the factorization is exactly
+    singular or its reciprocal condition estimate is below
+    ``1 / CONDITION_LIMIT``.  :func:`kalman.update_fusion` is its q = 0 case;
+    both run the kernel ``kalman._fusion``.
     """
     kalman._check_update_dims(pred, z, model)
     _check_state_dims(pred.dim, c)
-    mean, cov = _fusion(pred.mean, pred.covariance, z.value, model, c)
+    mean, cov = kalman._fusion(pred.mean, pred.covariance, z.value, model, c.matrix, c.rhs)
     return _result(FUSION, c, mean, cov, pred.step)
 
 

@@ -10,12 +10,11 @@ is printed on stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ..errors import ParseError, ScenarioStepError, ValidationError
 from . import checks
-from .config import config_from_document
+from .config import config_from_document, decode_document
 from .run import emit_report, run_scenario
 
 
@@ -31,21 +30,16 @@ def _run(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"cannot read '{args.config}': {exc}", 2)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return _fail(
-            f"invalid document at line {exc.lineno} column {exc.colno}: {exc.msg}", 2
-        )
-    if isinstance(doc, dict):
-        if args.steps is not None:
-            doc["steps"] = args.steps
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        if args.feedback is not None:
-            doc["feedback"] = args.feedback == "on"
-        if args.methods is not None:
-            doc["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
-    try:
+        doc = decode_document(text)
+        if isinstance(doc, dict):
+            if args.steps is not None:
+                doc["steps"] = args.steps
+            if args.seed is not None:
+                doc["seed"] = args.seed
+            if args.feedback is not None:
+                doc["feedback"] = args.feedback == "on"
+            if args.methods is not None:
+                doc["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
         config = config_from_document(doc)
     except (ParseError, ValidationError) as exc:
         return _fail(str(exc), 2)

@@ -5,7 +5,7 @@ are nested row-major arrays):
 
     name              optional string, default "scenario"
     steps             required non-negative integer
-    seed              optional integer, default 0
+    seed              optional non-negative integer, default 0
     feedback          optional bool, default true; when false, constrained
                       estimates are reported on the side while the filter
                       recursion continues from the unconstrained update
@@ -159,7 +159,7 @@ METHODS = {
     ),
     "fusion": Method(
         lambda mean, cov, z, model, lin, spec, config:
-            (constrained._fusion(mean, cov, z, model, lin), None),
+            (kalman._fusion(mean, cov, z, model, lin.matrix, lin.rhs), None),
         POSTERIOR_INVERSE,
     ),
     "projection": Method(_projection, POSTERIOR_INVERSE),
@@ -343,6 +343,12 @@ def _require_in(doc: dict, key: str, parent: str) -> Any:
     return doc[key]
 
 
+def _as_indices(value: Any) -> np.ndarray:
+    if not isinstance(value, list) or any(type(i) is not int for i in value):
+        raise ParseError("field 'constraint.indices': expected an array of integers")
+    return np.asarray(value, dtype=int)
+
+
 def _sphere_constraint(doc: dict, n: int) -> NonlinearConstraint:
     rhs = _as_array_1d(_require_in(doc, "rhs", "constraint"), "constraint.rhs")
     if rhs.size != 1:
@@ -351,8 +357,8 @@ def _sphere_constraint(doc: dict, n: int) -> NonlinearConstraint:
     if indices is None:
         idx = np.arange(n)
     else:
-        idx = np.asarray(indices, dtype=int)
-        if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= n:
+        idx = _as_indices(indices)
+        if idx.size == 0 or idx.min() < 0 or idx.max() >= n:
             raise ValidationError("constraint: sphere indices out of range")
     center_doc = doc.get("center")
     if center_doc is None:
@@ -378,8 +384,7 @@ def _product_constraint(doc: dict, n: int) -> NonlinearConstraint:
     rhs = _as_array_1d(_require_in(doc, "rhs", "constraint"), "constraint.rhs")
     if rhs.size != 1:
         raise ParseError("field 'constraint.rhs': product takes a single value")
-    indices = _require_in(doc, "indices", "constraint")
-    idx = np.asarray(indices, dtype=int)
+    idx = _as_indices(_require_in(doc, "indices", "constraint"))
     if idx.shape != (2,) or idx.min() < 0 or idx.max() >= n or idx[0] == idx[1]:
         raise ValidationError("constraint: product needs two distinct in-range indices")
     i, j = int(idx[0]), int(idx[1])
@@ -442,8 +447,8 @@ def config_from_document(doc: Any) -> ScenarioConfig:
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
         raise ParseError("field 'steps': expected a non-negative integer")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ParseError("field 'seed': expected an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ParseError("field 'seed': expected a non-negative integer")
     feedback = doc.get("feedback", True)
     if not isinstance(feedback, bool):
         raise ParseError("field 'feedback': expected a boolean")
@@ -554,15 +559,19 @@ def config_from_document(doc: Any) -> ScenarioConfig:
     )
 
 
-def load_config(text: str) -> ScenarioConfig:
-    """Parse and validate a scenario document from a JSON string."""
+def decode_document(text: str) -> Any:
+    """The unvalidated JSON value of a document; bad JSON raises ``ParseError``."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid document at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return config_from_document(doc)
+
+
+def load_config(text: str) -> ScenarioConfig:
+    """Parse and validate a scenario document from a JSON string."""
+    return config_from_document(decode_document(text))
 
 
 def load_config_file(path) -> ScenarioConfig:

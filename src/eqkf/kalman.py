@@ -7,7 +7,9 @@ provided:
 * :func:`update_joseph`, the classic gain recursion with the symmetric
   Joseph covariance form ``(I - K H) P (I - K H)' + K R K'``, and
 * :func:`update_fusion`, a weighted least-squares solve that stacks the
-  prediction on top of the measurement as one observation of the state.
+  prediction on top of the measurement as one observation of the state,
+  in the Bunch-Kaufman saddle kernel :func:`_fusion` that constrained
+  fusion runs with its exact rows stacked below.
 
 Covariances are symmetrized after every step so long runs cannot drift
 into asymmetry.  The public functions check their inputs and call private
@@ -25,18 +27,16 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IndefiniteCovariance,
-    SingularCovariance,
     SingularInnovationCovariance,
 )
 from .matops import (
     _cholesky_solve,
     _identity,
     _min_eig,
+    _saddle_solver,
     as_matrix,
     as_vector,
     frozen_array,
-    solve_spd,
-    symmetrize,
 )
 
 _EPS = np.finfo(float).eps
@@ -308,34 +308,67 @@ def update_joseph(
     return _estimate(mean, cov, pred.step, "unconstrained posterior"), innov
 
 
+def _fusion_saddle(cov, model: SystemModel, a) -> np.ndarray:
+    """The fusion saddle matrix ``[[blkdiag(P, R, 0), obs], [obs', 0]]`` with
+    ``obs = [I; H; A]``, written into one zero array block by block."""
+    n = cov.shape[0]
+    nm = n + model.measurement_dim
+    k = nm + a.shape[0]
+    saddle = np.zeros((k + n, k + n))
+    saddle[:n, :n] = cov
+    saddle[n:nm, n:nm] = model.measurement_noise
+    np.fill_diagonal(saddle[:n, k:], 1.0)
+    np.fill_diagonal(saddle[k:, :n], 1.0)
+    saddle[n:nm, k:] = model.observation
+    saddle[nm:k, k:] = a
+    saddle[k:, n:nm] = model.observation.T
+    saddle[k:, nm:k] = a.T
+    return saddle
+
+
+def _fusion(mean, cov, z, model: SystemModel, a, b):
+    """Array kernel of :func:`update_fusion` and of constrained fusion with
+    the exact rows ``A x = b`` (q = 0 for none).  The saddle matrix is
+    solved for its last ``n`` unit columns, whose lower block is the negated
+    posterior covariance, and for each stacked observation ``[mean, z, b; 0]``,
+    whose lower block is the fused mean after one step of iterative
+    refinement against the saddle matrix itself.  ``P`` and ``R`` need not be
+    invertible: the factorization's own test in :func:`matops._saddle_solver`
+    is the one check that the saddle matrix is regular."""
+    n = cov.shape[0]
+    nm = n + model.measurement_dim
+    k = nm + a.shape[0]
+    saddle = _fusion_saddle(cov, model, a)
+    stacked_z = np.empty((*mean.shape[:-1], k))
+    stacked_z[..., :n] = mean
+    stacked_z[..., n:nm] = z
+    stacked_z[..., nm:] = b
+    stacked_z = stacked_z.reshape(-1, k)
+    columns = np.zeros((k + n, n + stacked_z.shape[0]))
+    np.fill_diagonal(columns[k:], 1.0)
+    columns[:k, n:] = stacked_z.T
+    solve = _saddle_solver(saddle)
+    solved = solve(columns)
+    fused = solved[:, n:]
+    fused += solve(columns[:, n:] - saddle @ fused)
+    post = solved[k:, :n]
+    return fused[k:].T.reshape(mean.shape), -0.5 * (post + post.T)
+
+
 def update_fusion(pred: StateEstimate, z: Measurement, model: SystemModel) -> StateEstimate:
     """Weighted least-squares update.
 
     Stacks the prediction as a direct pseudo-measurement of the state above
-    the real measurement, weights by the block-diagonal of prediction
-    covariance and measurement noise, and solves the normal equations.
-    Equals :func:`update_joseph` in exact arithmetic.  Raises
-    ``SingularCovariance`` when the prediction covariance or the
-    measurement noise is not invertible, and ``IndefiniteCovariance`` when
-    the result fails the ``StateEstimate`` checks.
+    the real measurement, with noise ``blkdiag(P, R)``, and solves the
+    saddle system of :func:`_fusion` with no constraint rows.  Equals
+    :func:`update_joseph` in exact arithmetic.  ``P`` and ``R`` need not be
+    invertible: ``SingularCovariance`` means the saddle matrix is singular,
+    and ``IndefiniteCovariance`` that the result fails the ``StateEstimate``
+    checks.
     """
     _check_update_dims(pred, z, model)
     n = pred.dim
-    stacked_obs = np.vstack([np.eye(n), model.observation])
-    stacked_noise = np.zeros((n + z.dim, n + z.dim))
-    stacked_noise[:n, :n] = pred.covariance
-    stacked_noise[n:, n:] = model.measurement_noise
-    stacked_z = np.concatenate([pred.mean, z.value])
-    # One factorization of each matrix, both right-hand sides in one solve.
-    weighted = solve_spd(
-        stacked_noise, np.column_stack([stacked_obs, stacked_z]),
-        name="stacked noise covariance", error=SingularCovariance,
+    mean, cov = _fusion(
+        pred.mean, pred.covariance, z.value, model, np.zeros((0, n)), np.zeros(0)
     )
-    normal = symmetrize(stacked_obs.T @ weighted[:, :n])
-    solved = solve_spd(
-        normal, np.column_stack([stacked_obs.T @ weighted[:, n], np.eye(n)]),
-        name="fusion normal matrix", error=SingularCovariance,
-    )
-    return _estimate(
-        solved[:, 0], symmetrize(solved[:, 1:]), pred.step, "unconstrained fusion posterior"
-    )
+    return _estimate(mean, cov, pred.step, "unconstrained fusion posterior")

@@ -1,7 +1,7 @@
 """Dense linear-algebra utilities shared by the filter implementations.
 
 Everything here operates on plain row-major float64 ``numpy`` arrays and
-never mutates its inputs.  Three groups of helpers live here:
+never mutates its inputs.  Four groups of helpers live here:
 
 * Kronecker/vectorization calculus (``kron``, ``vec``, ``unvec``) used to
   pose matrix-valued least-squares problems as ordinary linear systems.
@@ -10,17 +10,20 @@ never mutates its inputs.  Three groups of helpers live here:
 * Covariance hygiene (``symmetrize``, ``min_eigenvalue``, ``solve_spd``,
   ``psd_factor``, ``check_symmetric_psd``) used to keep error covariances
   symmetric positive semidefinite over long filter runs.
+* The per-step kernels' LAPACK calls on handles bound once at import,
+  among them the fusion saddle matrix's Bunch-Kaufman solver (``_saddle_solver``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NotSquare, SingularBlock
+from .errors import NotSquare, SingularBlock, SingularCovariance
 
 # Invertibility tests reject matrices whose condition estimate exceeds this.
 CONDITION_LIMIT = 1e12
@@ -199,7 +202,7 @@ def solve_spd(m, rhs, name: str = "matrix", error=SingularBlock) -> np.ndarray:
 # ?potrf, ?potrs and ?trtrs behind scipy's cho_factor, cho_solve and
 # solve_triangular; ?geqrf and ?orgqr behind np.linalg.qr (:func:`_qr`);
 # and ?sytrf, ?sytrf_lwork, ?sycon and ?sytrs, the Bunch-Kaufman
-# factorization, condition estimate and solve of constrained fusion.
+# factorization, condition estimate and solve of :func:`_saddle_solver`.
 (
     _POTRF, _POTRS, _TRTRS, _GEQRF, _ORGQR, _SYTRF, _SYTRF_LWORK, _SYCON, _SYTRS
 ) = scipy.linalg.get_lapack_funcs(
@@ -228,6 +231,32 @@ def _qr(m) -> tuple[np.ndarray, np.ndarray]:
     factor, tau, _, _ = _GEQRF(m)
     q_mat, _, _ = _ORGQR(factor, tau)
     return q_mat, factor[: m.shape[1]]
+
+
+def _saddle_solver(saddle) -> Callable[[np.ndarray], np.ndarray]:
+    """A solver for ``saddle @ x = rhs`` from one Bunch-Kaufman factorization
+    (LAPACK ``?sytrf``) of ``D saddle D``, ``D`` the diagonal with entries
+    ``1 / sqrt(max |row|)``, solved by ``?sytrs``.  Raises
+    ``SingularCovariance`` when a row is zero, a pivot block is exactly
+    singular or the ``?sycon`` reciprocal condition estimate of the
+    equilibrated matrix is below ``1 / CONDITION_LIMIT``."""
+    row_max = np.abs(saddle).max(axis=1)
+    if not row_max.all():
+        raise SingularCovariance("fusion saddle matrix has a zero row")
+    d = 1.0 / np.sqrt(row_max)
+    scaled = d[:, None] * saddle * d
+    work, _ = _SYTRF_LWORK(scaled.shape[0])
+    factor, ipiv, info = _SYTRF(scaled, lwork=max(int(work), 1))
+    rcond = (
+        0.0 if info > 0
+        else _SYCON(factor, ipiv, np.abs(scaled).sum(axis=0).max())[0]
+    )
+    if rcond < 1.0 / CONDITION_LIMIT:
+        raise SingularCovariance(
+            f"fusion saddle matrix is numerically singular "
+            f"(reciprocal condition estimate {rcond:.3e})"
+        )
+    return lambda rhs: d[:, None] * _SYTRS(factor, ipiv, d[:, None] * rhs)[0]
 
 
 @cache

@@ -1,6 +1,8 @@
 """Constrained update methods: augmentation, projection, restricted gain,
 fusion, the stable covariance forms, linearization, and soft constraints."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -28,9 +30,10 @@ from eqkf import (
     restricted_gain_update,
     soft_augmented_update,
     solve_lagrange_system,
+    update_fusion,
     update_joseph,
 )
-from eqkf import constrained
+from eqkf import constrained, kalman, matops
 from eqkf.errors import (
     DegenerateResidual,
     DimensionMismatch,
@@ -362,8 +365,8 @@ class TestFusionConstrained:
             means = pred.mean + rng.standard_normal((4, pred.dim))
             zs = z.value + rng.standard_normal((4, z.dim))
             cov = pred.covariance
-            single = constrained._fusion(pred.mean, cov, z.value, model, c)
-            stacked = constrained._fusion(means, cov, zs, model, c)
+            single = kalman._fusion(pred.mean, cov, z.value, model, c.matrix, c.rhs)
+            stacked = kalman._fusion(means, cov, zs, model, c.matrix, c.rhs)
             for (mean, post), (ref_mean, ref_post) in (
                 (single, _pseudo_inverse_fusion(pred.mean, cov, z.value, model, c)),
                 (stacked, _pseudo_inverse_fusion(means, cov, zs, model, c)),
@@ -371,7 +374,8 @@ class TestFusionConstrained:
                 assert rel(mean, ref_mean) <= 1e-10
                 assert rel(post, ref_post) <= 1e-10
             for row, mean, zv in zip(stacked[0], means, zs):
-                assert rel(row, constrained._fusion(mean, cov, zv, model, c)[0]) <= 1e-12
+                row_fused = kalman._fusion(mean, cov, zv, model, c.matrix, c.rhs)[0]
+                assert rel(row, row_fused) <= 1e-12
 
     def test_nearly_dependent_constraint_rows_raise_singular_covariance(self):
         pred, z, model, _ = worked_planar_instance()
@@ -381,7 +385,23 @@ class TestFusionConstrained:
 
     def test_exactly_singular_pivot_raises_singular_covariance(self):
         with pytest.raises(SingularCovariance, match="saddle"):
-            constrained._saddle_solver(np.ones((2, 2)))
+            matops._saddle_solver(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("constraint_rows", [0, 1])
+    def test_zero_saddle_row_raises_singular_covariance_without_warning(
+        self, constraint_rows
+    ):
+        # a zero observation row with zero noise: the saddle has a zero row,
+        # rejected before equilibration could divide by it
+        pred = estimate([0.3, -0.3], 0.5 * np.eye(2), step=1)
+        model = SystemModel(np.eye(2), 0.01 * np.eye(2), [[0.0, 0.0]], [[0.0]])
+        z = Measurement([0.0], step=1)
+        with warnings.catch_warnings(), pytest.raises(SingularCovariance, match="zero row"):
+            warnings.simplefilter("error")
+            if constraint_rows:
+                fusion_constrained_update(pred, z, model, line_constraint())
+            else:
+                update_fusion(pred, z, model)
 
 
 def _block_saddle(cov, model, c):
@@ -413,7 +433,7 @@ class TestInPlaceAssembly:
     def test_fusion_saddle_equals_the_block_assembly(self):
         for seed in self.SEEDS:
             pred, model, _, c = random_constrained_instance(seed)
-            saddle = constrained._fusion_saddle(pred.covariance, model, c)
+            saddle = kalman._fusion_saddle(pred.covariance, model, c.matrix)
             assert np.array_equal(saddle, _block_saddle(pred.covariance, model, c))
 
     def test_soft_stack_equals_the_block_assembly(self):

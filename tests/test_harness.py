@@ -11,7 +11,14 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from eqkf import kalman, predict, restricted_gain_update, update_joseph
+from eqkf import (
+    fusion_constrained_update,
+    kalman,
+    predict,
+    restricted_gain_update,
+    update_fusion,
+    update_joseph,
+)
 from eqkf.errors import ParseError, ScenarioStepError, UnsupportedFormat, ValidationError
 from eqkf.harness import (
     METHOD_NAMES,
@@ -129,6 +136,16 @@ class TestConfigParsing:
     def test_constrained_method_requires_a_constraint(self):
         doc = minimal_doc(methods=["augmented"])
         with pytest.raises(ValidationError, match="constraint"):
+            config_from_document(doc)
+
+    @pytest.mark.parametrize("kind", ["sphere", "product"])
+    @pytest.mark.parametrize("indices", [["a", "b"], [0.7, 1.2], [True, False]])
+    def test_constraint_indices_must_be_integers(self, kind, indices):
+        doc = planar_constrained_doc(
+            constraint={"kind": kind, "indices": indices, "rhs": [0.0]},
+            initial_truth=[0.0, 0.0],
+        )
+        with pytest.raises(ParseError, match="constraint.indices"):
             config_from_document(doc)
 
     def test_unknown_constraint_kind(self):
@@ -494,9 +511,24 @@ class TestCli:
                 ),
                 "symmetric",
             ),
+            (minimal_doc(seed=-1), "field 'seed': expected a non-negative integer"),
+            (
+                planar_constrained_doc(
+                    constraint={"kind": "product", "indices": ["a", "b"], "rhs": [0.0]},
+                    initial_truth=[0.0, 0.0],
+                ),
+                "constraint.indices",
+            ),
+            (
+                planar_constrained_doc(
+                    constraint={"kind": "sphere", "indices": [0.7, 1.2], "rhs": [0.5]},
+                ),
+                "constraint.indices",
+            ),
         ],
         ids=["initial_covariance", "indefinite_weight", "asymmetric_weight",
-             "asymmetric_soft_noise"],
+             "asymmetric_soft_noise", "negative_seed", "string_indices",
+             "fractional_indices"],
     )
     def test_validation_failure_exits_with_parse_code(self, tmp_path, doc, message):
         path = tmp_path / "invalid.json"
@@ -504,6 +536,7 @@ class TestCli:
         proc = run_cli("run", str(path))
         assert proc.returncode == 2
         assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file_exits_with_parse_code(self, tmp_path):
         proc = run_cli("run", str(tmp_path / "missing.json"))
@@ -575,5 +608,8 @@ def test_filter_steps_look_up_no_lapack_routine(monkeypatch):
     for tag in METHODS:
         spec = method_spec(tag)
         advance_method(config.initial_estimate, sim.measurements[0], model, spec, config)
+    pred = predict(config.initial_estimate, model)
+    update_fusion(pred, sim.measurements[0], model)
+    fusion_constrained_update(pred, sim.measurements[0], model, config.constraint)
     one_step = dataclasses.replace(config, steps=1)
     empirical_covariance_check(one_step, "augmented", 1000, seed=0)

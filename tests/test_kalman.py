@@ -8,18 +8,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eqkf import (
+    EqualityConstraint,
     InnovationStats,
     Measurement,
     StateEstimate,
     SystemModel,
+    fusion_constrained_update,
     innovate,
     predict,
     update_fusion,
     update_joseph,
 )
 from eqkf.errors import DimensionMismatch, SingularInnovationCovariance
-from eqkf import kalman
-from eqkf.matops import min_eigenvalue, solve_spd
+from eqkf import kalman, matops
+from eqkf.matops import min_eigenvalue
 from eqkf.oracle import random_kalman_instance
 
 from helpers import estimate, rel
@@ -227,18 +229,62 @@ class TestUpdateFusion:
         with pytest.raises(DimensionMismatch):
             update_fusion(pred, Measurement(np.zeros(0), 1), model)
 
-    def test_factors_each_matrix_once(self, monkeypatch):
-        # one solve for the stacked noise, one for the normal matrix
+    def test_singular_prediction_covariance_agrees_with_joseph(self):
+        # P need not be invertible: only the saddle matrix must be regular
+        for seed in range(40):
+            pred, model, z = random_kalman_instance(seed)
+            vals, vecs = np.linalg.eigh(pred.covariance)
+            vals[0] = 0.0
+            p = (vecs * vals) @ vecs.T
+            singular = StateEstimate(pred.mean, 0.5 * (p + p.T), pred.step)
+            joseph, _ = update_joseph(singular, z, model)
+            fused = update_fusion(singular, z, model)
+            assert rel(fused.mean, joseph.mean) < 1e-9
+            assert rel(fused.covariance, joseph.covariance) < 1e-9
+
+    def test_noise_free_measurement_agrees_with_joseph(self):
+        # R = 0 with at most n measured rows; the posterior may be zero, so
+        # the covariance is compared on the scale of the prediction
+        checked = 0
+        for seed in range(40):
+            pred, model, z = random_kalman_instance(seed)
+            if model.measurement_dim > pred.dim:
+                continue
+            exact = dataclasses.replace(
+                model, measurement_noise=np.zeros_like(model.measurement_noise)
+            )
+            joseph, _ = update_joseph(pred, z, exact)
+            fused = update_fusion(pred, z, exact)
+            assert np.linalg.norm(fused.mean - joseph.mean) <= 1e-9 * (
+                1.0 + np.linalg.norm(joseph.mean)
+            )
+            gap = np.abs(fused.covariance - joseph.covariance).max()
+            assert gap <= 1e-9 * np.abs(pred.covariance).max()
+            checked += 1
+        assert checked >= 30
+
+    def test_factors_the_saddle_matrix_once(self, monkeypatch):
         factored = []
+        sytrf = matops._SYTRF
 
-        def counting_solve_spd(m, rhs, **kwargs):
-            factored.append(kwargs["name"])
-            return solve_spd(m, rhs, **kwargs)
+        def counting_sytrf(*args, **kwargs):
+            factored.append(args[0].shape)
+            return sytrf(*args, **kwargs)
 
-        monkeypatch.setattr(kalman, "solve_spd", counting_solve_spd)
+        monkeypatch.setattr(matops, "_SYTRF", counting_sytrf)
         pred, model, z = random_kalman_instance(0)
         update_fusion(pred, z, model)
-        assert factored == ["stacked noise covariance", "fusion normal matrix"]
+        k = 2 * pred.dim + z.dim
+        assert factored == [(k, k)]
+
+    def test_is_constrained_fusion_without_constraint_rows(self):
+        for seed in range(40):
+            pred, model, z = random_kalman_instance(seed)
+            empty = EqualityConstraint(np.zeros((0, pred.dim)), np.zeros(0))
+            fused = update_fusion(pred, z, model)
+            result = fusion_constrained_update(pred, z, model, empty)
+            assert np.array_equal(fused.mean, result.estimate.mean)
+            assert np.array_equal(fused.covariance, result.estimate.covariance)
 
 
 def test_posterior_never_exceeds_prior():

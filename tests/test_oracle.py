@@ -20,7 +20,7 @@ from eqkf import (
     restricted_gain_update,
     update_joseph,
 )
-from eqkf import constrained
+from eqkf import kalman
 from eqkf.errors import DegenerateResidual, IndefiniteCovariance, SingularKkt
 from eqkf.harness import config_from_document, load_bundled_scenario, run
 from eqkf.harness.run import advance_method
@@ -306,7 +306,7 @@ class TestArrayStep:
     def test_an_indefinite_posterior_raises_the_typed_error(self, feedback, monkeypatch):
         config = dataclasses.replace(load_bundled_scenario("line_2d"), feedback=feedback)
         spec = next(s for s in config.methods if s.name == "fusion")
-        monkeypatch.setattr(constrained, "_fusion", lambda mean, cov, *_: (mean, -cov))
+        monkeypatch.setattr(kalman, "_fusion", lambda mean, cov, *_: (mean, -cov))
         z = Measurement(np.ones(2), step=1)
         with pytest.raises(IndefiniteCovariance, match="fusion posterior"):
             advance_method(config.initial_estimate, z, config.model_at(0), spec, config)
