@@ -37,7 +37,7 @@ by :func:`_weight_factor`.  Each correction is the step of
 hard-constrained (rank ``n - q``) covariances symmetric positive
 semidefinite over long runs.  A posterior the ``StateEstimate`` checks
 reject raises ``IndefiniteCovariance`` (``kalman._estimate``, and
-:func:`_check_posterior` for a covariance shared by a stack of means).
+:func:`_check_posterior` for one that no estimate carries).
 
 Each update's arithmetic is a private kernel on plain arrays, which the
 public function calls after checking its inputs.  A kernel takes one mean
@@ -171,7 +171,8 @@ class ProjectionSpec:
 
     ``weight`` is the ``POSTERIOR_INVERSE`` marker (the default, weighting
     distances by the inverse posterior covariance), ``IDENTITY``, or an
-    explicit symmetric positive definite n x n matrix.
+    explicit n x n matrix, positive definite and symmetric by the rule of
+    ``kalman._check_covariance``.
     """
 
     weight: np.ndarray | str = POSTERIOR_INVERSE
@@ -182,9 +183,7 @@ class ProjectionSpec:
                 raise ValueError(f"unknown weight choice '{self.weight}'")
             return
         w = as_matrix(self.weight, "weight")
-        if w.shape[0] != w.shape[1]:
-            raise ValueError(f"weight must be square, got shape {w.shape}")
-        matops.check_symmetric_psd(w, "weight", definite=True)
+        kalman._check_covariance(w, "weight", require_pd=True)
         object.__setattr__(self, "weight", frozen_array(w))
 
 
@@ -213,13 +212,12 @@ class RestrictedGainSolution:
 
 @dataclass(frozen=True)
 class ConstrainedUpdateResult:
-    """A constrained estimate, the method tag that produced it, the Euclidean
-    norm of its constraint residual, and the unconstrained update if computed."""
+    """A constrained estimate, the method tag that produced it, and the
+    Euclidean norm of its constraint residual."""
 
     estimate: StateEstimate
     method: str
     constraint_residual: float
-    unconstrained: StateEstimate | None = None
 
     def __post_init__(self):
         if not isinstance(self.estimate, StateEstimate):
@@ -236,17 +234,17 @@ def _check_state_dims(dim: int, c: EqualityConstraint) -> None:
 
 def _check_posterior(cov, label: str) -> None:
     """Raise ``IndefiniteCovariance`` unless ``cov`` passes the ``StateEstimate``
-    checks; for a covariance shared by a stack of means."""
+    checks; for a covariance that no estimate carries."""
     try:
         kalman._check_covariance(as_matrix(cov, "covariance"), "covariance")
     except ValueError as exc:
         raise IndefiniteCovariance(f"{label} posterior: {exc}") from exc
 
 
-def _result(method: str, c: EqualityConstraint, mean, cov, step: int, unconstrained=None):
+def _result(method: str, c: EqualityConstraint, mean, cov, step: int):
     """The result of a constrained update, its estimate built by ``kalman._estimate``."""
     est = kalman._estimate(mean, cov, step, f"{method} posterior")
-    return ConstrainedUpdateResult(est, method, c.residual_norm(mean), unconstrained)
+    return ConstrainedUpdateResult(est, method, c.residual_norm(mean))
 
 
 def _gram_factorization(
@@ -420,8 +418,8 @@ def augmented_update(
     _check_state_dims(pred.dim, c)
     kalman._check_update_dims(pred, z, model)
     (mean, cov), unconstrained = _augmented(pred.mean, pred.covariance, z.value, model, c)
-    est_u = kalman._estimate(*unconstrained, pred.step, "unconstrained posterior")
-    return _result(AUGMENTED, c, mean, cov, pred.step, est_u)
+    _check_posterior(unconstrained[1], "unconstrained")
+    return _result(AUGMENTED, c, mean, cov, pred.step)
 
 
 def _project(mean, cov, c: EqualityConstraint, weight) -> tuple[np.ndarray, np.ndarray]:
@@ -556,15 +554,14 @@ def restricted_gain_update(
     ((mean, cov), unconstrained), (gain, s_inv_nu, quad) = _restricted_gain(
         pred.mean, pred.covariance, z.value, model, c
     )
-    est_u = kalman._estimate(*unconstrained, pred.step, "unconstrained posterior")
-    if c.constraint_dim == 0:
-        solution = RestrictedGainSolution(gain, np.zeros(gain.size), np.zeros(0))
-        return solution, ConstrainedUpdateResult(est_u, RESTRICTED_GAIN, 0.0, est_u)
-    target = c.rhs - c.matrix @ unconstrained[0]
-    correction, multipliers = _gain_correction(c, target, s_inv_nu, quad)
+    _check_posterior(unconstrained[1], "unconstrained")
+    correction, multipliers = np.zeros(gain.size), np.zeros(0)
+    if c.constraint_dim:
+        target = c.rhs - c.matrix @ unconstrained[0]
+        correction, multipliers = _gain_correction(c, target, s_inv_nu, quad)
     n, m = gain.shape
     solution = RestrictedGainSolution(gain + unvec(correction, n, m), correction, multipliers)
-    return solution, _result(RESTRICTED_GAIN, c, mean, cov, pred.step, est_u)
+    return solution, _result(RESTRICTED_GAIN, c, mean, cov, pred.step)
 
 
 def fusion_constrained_update(
@@ -696,10 +693,11 @@ def soft_augmented_update(
     """Augmented update with a relaxed constraint.
 
     Identical to :func:`augmented_update` except the constraint rows carry
-    the positive semidefinite noise covariance ``constraint_noise`` instead
-    of zero, so the posterior mean approaches the constraint set without
-    being pinned to it.  A zero noise recovers the hard augmented update; a
-    very large noise approaches the unconstrained update.  The constraint
+    the noise covariance ``constraint_noise`` instead of zero (checked by the
+    rule of the model's noise matrices, ``kalman._check_covariance``), so the
+    posterior mean approaches the constraint set without being pinned to it.
+    A zero noise recovers the hard augmented update; a very large noise
+    approaches the unconstrained update.  The constraint
     residual of the result is reported but no longer driven to zero.
     """
     _check_state_dims(pred.dim, c)
@@ -709,7 +707,7 @@ def soft_augmented_update(
         raise DimensionMismatch(
             f"constraint_noise must be {q}x{q}, got {noise.shape}"
         )
-    matops.check_symmetric_psd(noise, "constraint_noise")
+    kalman._check_covariance(noise, "constraint_noise")
     kalman._check_update_dims(pred, z, model)
     mean, cov = _soft_augmented(pred.mean, pred.covariance, z.value, model, c, noise)
     return _result(SOFT_AUGMENTED, c, mean, cov, pred.step)

@@ -66,7 +66,7 @@ from ..constrained import (
 )
 from ..errors import DegenerateResidual, ParseError, ValidationError
 from ..kalman import Measurement, StateEstimate, SystemModel
-from ..matops import check_symmetric_psd, frozen_array
+from ..matops import frozen_array
 
 
 @dataclass(frozen=True)
@@ -360,6 +360,8 @@ def _sphere_constraint(doc: dict, n: int) -> NonlinearConstraint:
         idx = _as_indices(indices)
         if idx.size == 0 or idx.min() < 0 or idx.max() >= n:
             raise ValidationError("constraint: sphere indices out of range")
+        if np.unique(idx).size != idx.size:
+            raise ValidationError("constraint: sphere indices must be distinct")
     center_doc = doc.get("center")
     if center_doc is None:
         center = np.zeros(idx.size)
@@ -417,8 +419,6 @@ def _build_constraint(
                 matrix, rhs
             )
         except ValueError as exc:
-            if "full row rank" in str(exc):
-                raise ValidationError(f"constraint rank: {exc}") from exc
             raise ValidationError(f"constraint: {exc}") from exc
         if constraint.state_dim != n:
             raise ValidationError(
@@ -496,7 +496,7 @@ def config_from_document(doc: Any) -> ScenarioConfig:
         raise ValidationError(
             f"dimensions: initial_estimate has length {estimate.dim}, model state is {n}"
         )
-    if float(np.linalg.eigvalsh(estimate.covariance)[0]) <= 0.0:
+    if estimate.cov_min_eig <= 0.0:
         raise ValidationError("initial estimate: covariance must be positive definite")
 
     constraint, constraint_doc = _build_constraint(doc.get("constraint"), n)
@@ -539,7 +539,7 @@ def config_from_document(doc: Any) -> ScenarioConfig:
         if soft_noise.shape != (q, q):
             raise ValidationError(f"soft_noise: expected a {q}x{q} matrix")
         try:
-            check_symmetric_psd(soft_noise, "soft_noise")
+            kalman._check_covariance(soft_noise, "soft_noise")
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
 

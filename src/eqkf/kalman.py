@@ -39,8 +39,6 @@ from .matops import (
     frozen_array,
 )
 
-_EPS = np.finfo(float).eps
-
 # Construction tolerances: relative symmetry/eigenvalue slack plus a small
 # absolute floor so genuinely zero covariances survive roundoff.
 _SYM_RTOL = 1e-9
@@ -53,7 +51,9 @@ def _check_covariance(
 ) -> tuple[float, float]:
     """Raise ``ValueError`` unless ``c`` is a symmetric positive semidefinite
     (definite if ``require_pd``) covariance; return the smallest eigenvalue
-    and the largest asymmetry ``|c - c'|`` it measured (nan and 0 if empty)."""
+    and the largest asymmetry ``|c - c'|`` it measured (nan and 0 if empty).
+    The package's one such rule: estimates, noise matrices, ``S``, projection
+    weights and soft constraint noise all pass it."""
     if c.shape[0] != c.shape[1]:
         raise ValueError(f"{name} must be square, got shape {c.shape}")
     if c.size == 0:

@@ -8,8 +8,8 @@ never mutates its inputs.  Four groups of helpers live here:
 * Saddle-point block algebra (``SaddlePointBlocks``, ``saddle_inverse``)
   for two-by-two block matrices of the form ``[[A, B'], [B, -C]]``.
 * Covariance hygiene (``symmetrize``, ``min_eigenvalue``, ``solve_spd``,
-  ``psd_factor``, ``check_symmetric_psd``) used to keep error covariances
-  symmetric positive semidefinite over long filter runs.
+  ``psd_factor``) used to keep error covariances symmetric positive
+  semidefinite over long filter runs.
 * The per-step kernels' LAPACK calls on handles bound once at import,
   among them the fusion saddle matrix's Bunch-Kaufman solver (``_saddle_solver``).
 """
@@ -116,21 +116,6 @@ def _min_eig(s: np.ndarray) -> float:
         s00, s10, s11 = float(s[0, 0]), float(s[1, 0]), float(s[1, 1])
         return 0.5 * (s00 + s11) - float(np.hypot(0.5 * (s00 - s11), s10))
     return float(np.linalg.eigvalsh(s)[0])
-
-
-def check_symmetric_psd(m: np.ndarray, name: str, definite: bool = False) -> None:
-    """Raise ``ValueError`` unless ``m`` is symmetric and positive semidefinite
-    (definite if ``definite``), to 1e-9 and -1e-12 of ``max(1, max |m|)``."""
-    if m.size == 0:
-        return
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > 1e-9 * scale:
-        raise ValueError(f"{name} must be symmetric")
-    low = float(np.linalg.eigvalsh(symmetrize(m))[0])
-    if definite and low <= 0.0:
-        raise ValueError(f"{name} must be positive definite")
-    if low < -1e-12 * scale:
-        raise ValueError(f"{name} must be positive semidefinite")
 
 
 def psd_factor(m) -> np.ndarray:

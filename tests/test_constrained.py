@@ -694,16 +694,6 @@ def test_posterior_from_prior_minus_gain_term():
         assert rel(0.5 * (short_form + short_form.T), post.covariance) < 1e-9
 
 
-def test_updates_return_the_unconstrained_update_they_computed():
-    for seed in range(10):
-        pred, model, z, c = random_constrained_instance(seed)
-        post, _ = update_joseph(pred, z, model)
-        for result in (augmented_update(pred, z, model, c),
-                       restricted_gain_update(pred, z, model, c)[1]):
-            assert np.array_equal(result.unconstrained.mean, post.mean)
-            assert np.array_equal(result.unconstrained.covariance, post.covariance)
-
-
 def _scaled_instance(seed, dropped=0):
     """A random instance whose prediction covariance is rescaled to s D P D,
     with s in 10^{-8, -6, 6, 8} and D a diagonal spanning 10^-4 to 10^4, and

@@ -12,14 +12,23 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from eqkf import (
+    EqualityConstraint,
+    ProjectionSpec,
     fusion_constrained_update,
     kalman,
     predict,
     restricted_gain_update,
+    soft_augmented_update,
     update_fusion,
     update_joseph,
 )
-from eqkf.errors import ParseError, ScenarioStepError, UnsupportedFormat, ValidationError
+from eqkf.errors import (
+    IndefiniteCovariance,
+    ParseError,
+    ScenarioStepError,
+    UnsupportedFormat,
+    ValidationError,
+)
 from eqkf.harness import (
     METHOD_NAMES,
     bundled_scenario_names,
@@ -147,6 +156,49 @@ class TestConfigParsing:
         )
         with pytest.raises(ParseError, match="constraint.indices"):
             config_from_document(doc)
+
+    @pytest.mark.parametrize("matrix, accepted", [
+        ([[1.0, 0.0], [0.0, -1e-10]], True),
+        ([[1e-3, 1e-10], [0.0, 1e-3]], False),
+        ([[1.0, 0.0], [0.0, -1e-6]], False),
+        ([[1.0, 0.0], [0.0, 1.0]], True),
+    ], ids=["roundoff_negative", "small_asymmetric", "indefinite", "identity"])
+    def test_noise_and_weights_follow_one_covariance_rule(self, matrix, accepted):
+        # R, the soft noise, the constraint noise and (if definite) the
+        # projection weight are judged by one rule, kalman._check_covariance
+        eye = np.eye(2).tolist()
+        doc = planar_constrained_doc(
+            constraint={"kind": "affine", "matrix": eye, "rhs": [0.5, -0.5]},
+            methods=["soft_augmented"],
+            soft_noise=matrix,
+        )
+        pred = kalman.StateEstimate([0.4, -0.3], 0.5 * np.eye(2))
+        model = kalman.SystemModel(eye, 0.02 * np.eye(2), eye, 0.04 * np.eye(2))
+        c = EqualityConstraint(eye, [0.5, -0.5])
+
+        def soft_update():
+            try:
+                soft_augmented_update(pred, kalman.Measurement([0.5, -0.5]), model, c, matrix)
+            except IndefiniteCovariance as exc:
+                # the noise passed; the posterior is judged on its own scale
+                assert "soft_augmented posterior" in str(exc)
+
+        checks = {
+            "measurement_noise": lambda: kalman.SystemModel(eye, eye, eye, matrix),
+            "soft_noise": lambda: config_from_document(doc),
+            "constraint_noise": soft_update,
+        }
+        if np.linalg.eigvalsh(matrix)[0] > 0.0:
+            checks["weight"] = lambda: ProjectionSpec(weight=matrix)
+        outcome = {}
+        for name, build in checks.items():
+            try:
+                build()
+                outcome[name] = True
+            except (ValueError, ValidationError) as exc:
+                assert "symmetric" in str(exc) or "positive" in str(exc)
+                outcome[name] = False
+        assert outcome == dict.fromkeys(checks, accepted)
 
     def test_unknown_constraint_kind(self):
         doc = planar_constrained_doc()
@@ -387,10 +439,11 @@ class TestRunScenario:
                 pred.mean, pred.covariance, z.value, model, c, None, None
             )
             result = restricted_gain_update(pred, z, model, c)[1]
+            plain = update_joseph(pred, z, model)[0]
             assert np.array_equal(mean, result.estimate.mean)
             assert np.array_equal(cov, result.estimate.covariance)
-            assert np.array_equal(plain_mean, result.unconstrained.mean)
-            assert np.array_equal(plain_cov, result.unconstrained.covariance)
+            assert np.array_equal(plain_mean, plain.mean)
+            assert np.array_equal(plain_cov, plain.covariance)
 
     def test_feedback_mode_changes_reports_but_not_truth(self):
         base = planar_constrained_doc(steps=8)
@@ -525,10 +578,23 @@ class TestCli:
                 ),
                 "constraint.indices",
             ),
+            (
+                planar_constrained_doc(
+                    constraint={"kind": "sphere", "indices": [0, 0], "rhs": [0.5]},
+                ),
+                "sphere indices must be distinct",
+            ),
+            (
+                planar_constrained_doc(
+                    methods=[{"method": "projection", "weight": [[1e-3, 1e-10], [0.0, 1e-3]]}]
+                ),
+                "symmetric",
+            ),
         ],
         ids=["initial_covariance", "indefinite_weight", "asymmetric_weight",
              "asymmetric_soft_noise", "negative_seed", "string_indices",
-             "fractional_indices"],
+             "fractional_indices", "repeated_sphere_indices",
+             "small_asymmetric_weight"],
     )
     def test_validation_failure_exits_with_parse_code(self, tmp_path, doc, message):
         path = tmp_path / "invalid.json"
