@@ -31,8 +31,9 @@ Every hard update except fusion (which factors its own saddle matrix)
 is a least-distance correction through the Gram matrix
 ``G = A W^-1 A'``, and all of them share one factorization of it,
 :func:`_gram_factorization`: a QR decomposition of ``(A L)'`` with
-``W^-1 = L L'``, guarded by ``matops.CONDITION_LIMIT``, with ``L`` picked
-by :func:`_weight_factor`.  Each correction is the step of
+``W^-1 = L L'``, guarded by ``matops.CONDITION_LIMIT``, with ``L`` from
+:func:`_covariance_factor` or, for an explicit weight, from its
+:class:`ProjectionSpec`.  Each correction is the step of
 :func:`_project_along`, whose congruence ``(I - U A) P (I - U A)'`` keeps
 hard-constrained (rank ``n - q``) covariances symmetric positive
 semidefinite over long runs.  A posterior the ``StateEstimate`` checks
@@ -172,19 +173,31 @@ class ProjectionSpec:
     ``weight`` is the ``POSTERIOR_INVERSE`` marker (the default, weighting
     distances by the inverse posterior covariance), ``IDENTITY``, or an
     explicit n x n matrix, positive definite and symmetric by the rule of
-    ``kalman._check_covariance``.
+    ``kalman._check_covariance``.  An explicit weight is condition-tested
+    (else ``SingularWeight``) and factored once: ``_factor``, not a field, is
+    ``L`` with ``W^-1 = L L'``.
     """
 
     weight: np.ndarray | str = POSTERIOR_INVERSE
 
     def __post_init__(self):
+        object.__setattr__(self, "_factor", None)
         if isinstance(self.weight, str):
             if self.weight not in (POSTERIOR_INVERSE, IDENTITY):
                 raise ValueError(f"unknown weight choice '{self.weight}'")
             return
         w = as_matrix(self.weight, "weight")
         kalman._check_covariance(w, "weight", require_pd=True)
+        cond = np.linalg.cond(w)
+        if not np.isfinite(cond) or cond > matops.CONDITION_LIMIT:
+            raise SingularWeight(
+                f"weight is numerically singular (condition estimate {cond:.3e})"
+            )
+        lw = matops.spd_cholesky(w, name="weight", error=SingularWeight)
+        # W^-1 = L L' with L the inverse transpose of the Cholesky factor.
+        factor = matops._triangular_solve(lw, matops._identity(w.shape[0]), lower=True).T
         object.__setattr__(self, "weight", frozen_array(w))
+        object.__setattr__(self, "_factor", frozen_array(factor))
 
 
 @dataclass(frozen=True)
@@ -269,35 +282,19 @@ def _gram_factorization(
     return l_factor @ z.T, r_inv @ r_inv.T
 
 
-def _weight_factor(weight: np.ndarray | str, cov: np.ndarray) -> np.ndarray:
-    """``L`` with ``W^-1 = L L'`` for a ``ProjectionSpec`` weight ``W`` other
-    than ``IDENTITY`` of an estimate with covariance ``P = cov``.
-
-    ``POSTERIOR_INVERSE`` takes the Cholesky factor of ``P``.  A covariance
-    that is only positive semidefinite (a hard-constrained posterior is
-    rank ``n - q``) has none, and falls back to the eigenvalue factor of
-    :func:`matops.psd_factor`; the Gram matrix is then regular only if no
-    combination of the rows of ``A`` lies in the null space of ``P``.
+def _covariance_factor(cov: np.ndarray) -> np.ndarray:
+    """``L`` with ``L L' = P`` for a covariance ``P = cov``, the ``W^-1`` factor
+    of the ``POSTERIOR_INVERSE`` weight: the Cholesky factor of ``P``.  A
+    covariance that is only positive semidefinite (a hard-constrained
+    posterior is rank ``n - q``) has none, and falls back to the eigenvalue
+    factor of :func:`matops.psd_factor`; the Gram matrix is then regular only
+    if no combination of the rows of ``A`` lies in the null space of ``P``.
     """
-    n = cov.shape[0]
-    if isinstance(weight, str):
-        sym = 0.5 * (cov + cov.T)
-        try:
-            return np.linalg.cholesky(sym)
-        except np.linalg.LinAlgError:
-            return matops.psd_factor(sym)
-    if weight.shape != (n, n):
-        raise DimensionMismatch(
-            f"weight shape {weight.shape} does not match state dimension {n}"
-        )
-    cond = np.linalg.cond(weight)
-    if not np.isfinite(cond) or cond > matops.CONDITION_LIMIT:
-        raise SingularWeight(
-            f"weight is numerically singular (condition estimate {cond:.3e})"
-        )
-    lw = matops.spd_cholesky(weight, name="weight", error=SingularWeight)
-    # W^-1 = L L' with L the inverse transpose of the Cholesky factor.
-    return matops._triangular_solve(lw, matops._identity(n), lower=True).T
+    sym = 0.5 * (cov + cov.T)
+    try:
+        return np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        return matops.psd_factor(sym)
 
 
 def _congruence(ups, a, cov) -> np.ndarray:
@@ -367,7 +364,7 @@ def block_s_inverse(
         )
     _check_state_dims(model.state_dim, c)
     p_post = symmetrize(p_pred - p_pred @ model.observation.T @ innov.gain.T)
-    _, g_inv = _gram_factorization(_weight_factor(POSTERIOR_INVERSE, p_post), c.matrix)
+    _, g_inv = _gram_factorization(_covariance_factor(p_post), c.matrix)
     blocks = _s_inverse_blocks(innov.residual_cov, innov.gain, c.matrix, g_inv)
     return SaddleInverseBlocks(*blocks)
 
@@ -382,9 +379,7 @@ def _augmented(mean, cov, z, model: SystemModel, c: EqualityConstraint):
         unconstrained = kalman._joseph_update(mean, cov, h, r, residual, gain)
         if c.constraint_dim == 0:
             return unconstrained, unconstrained
-        ups, g_inv = _gram_factorization(
-            _weight_factor(POSTERIOR_INVERSE, unconstrained[1]), a
-        )
+        ups, g_inv = _gram_factorization(_covariance_factor(unconstrained[1]), a)
         blocks = _s_inverse_blocks(s, gain, a, g_inv)
     except (SingularInnovationCovariance, SingularConstraintGram) as exc:
         raise SingularAugmentedInnovation(
@@ -422,12 +417,13 @@ def augmented_update(
     return _result(AUGMENTED, c, mean, cov, pred.step)
 
 
-def _project(mean, cov, c: EqualityConstraint, weight) -> tuple[np.ndarray, np.ndarray]:
-    """Array kernel of :func:`project` with the ``ProjectionSpec`` weight ``weight``."""
-    if isinstance(weight, str) and weight == IDENTITY:
+def _project(mean, cov, c: EqualityConstraint, spec: ProjectionSpec):
+    """Array kernel of :func:`project` with the weight of ``spec``."""
+    factor = spec._factor
+    if factor is None and spec.weight == IDENTITY:
         return _project_along(c._euclidean_gram[0], c, mean, cov)
-    ups, _ = _gram_factorization(_weight_factor(weight, cov), c.matrix)
-    return _project_along(ups, c, mean, cov)
+    factor = _covariance_factor(cov) if factor is None else factor
+    return _project_along(_gram_factorization(factor, c.matrix)[0], c, mean, cov)
 
 
 def project(
@@ -445,9 +441,13 @@ def project(
     keeps it symmetric positive semidefinite for any weight.
     """
     _check_state_dims(est.dim, c)
+    if spec._factor is not None and spec.weight.shape != (est.dim, est.dim):
+        raise DimensionMismatch(
+            f"weight shape {spec.weight.shape} does not match state dimension {est.dim}"
+        )
     if c.constraint_dim == 0:
         return ConstrainedUpdateResult(est, PROJECTION, 0.0)
-    mean, cov = _project(est.mean, est.covariance, c, spec.weight)
+    mean, cov = _project(est.mean, est.covariance, c, spec)
     return _result(PROJECTION, c, mean, cov, est.step)
 
 
@@ -597,7 +597,7 @@ def _posterior_direction(post_cov, c: EqualityConstraint) -> tuple[np.ndarray, n
     if p.shape[0] != p.shape[1]:
         raise DimensionMismatch(f"posterior covariance must be square, got {p.shape}")
     _check_state_dims(p.shape[0], c)
-    return p, _gram_factorization(_weight_factor(POSTERIOR_INVERSE, p), c.matrix)[0]
+    return p, _gram_factorization(_covariance_factor(p), c.matrix)[0]
 
 
 def gamma_projector(post_cov, c: EqualityConstraint) -> np.ndarray:

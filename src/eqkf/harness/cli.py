@@ -3,8 +3,8 @@
 ``eqkf run <config>`` simulates a scenario and writes a per-step report;
 ``eqkf check`` runs the verification battery.  Exit codes: 0 on success,
 1 when a verification check fails, 2 for configuration parse/validation
-problems, 3 when a run hits a numerical failure (the failing step index
-is printed on stderr).
+problems, 3 when a run hits a numerical failure: in a filter step (the
+failing step index is printed on stderr) or in the truth simulation.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import ParseError, ScenarioStepError, ValidationError
+from ..errors import FilterError, ParseError, ValidationError
 from . import checks
 from .config import config_from_document, decode_document
 from .run import emit_report, run_scenario
@@ -45,7 +45,7 @@ def _run(args: argparse.Namespace) -> int:
         return _fail(str(exc), 2)
     try:
         report = run_scenario(config)
-    except ScenarioStepError as exc:
+    except FilterError as exc:
         return _fail(str(exc), 3)
     rendered = emit_report(report, args.format)
     if args.out:

@@ -36,7 +36,8 @@ A method entry is a tag string, one of the keys of the method table
 :data:`METHODS` (which also gives each tag's update and equivalence
 group), or, for projection, an object {"method": "projection", "weight": W}
 where W is a ``ProjectionSpec`` weight: "posterior_inverse" or "identity"
-(the ``POSTERIOR_INVERSE`` and ``IDENTITY`` markers), or an explicit matrix.
+(the ``POSTERIOR_INVERSE`` and ``IDENTITY`` markers), or an explicit matrix,
+which is checked, condition-tested and factored once, at load.
 
 Malformed documents raise ``ParseError`` naming the field; well-formed
 documents violating a semantic invariant (dependent constraint rows, an
@@ -64,14 +65,15 @@ from ..constrained import (
     ProjectionSpec,
     linearize,
 )
-from ..errors import DegenerateResidual, ParseError, ValidationError
+from ..errors import DegenerateResidual, ParseError, SingularWeight, ValidationError
 from ..kalman import Measurement, StateEstimate, SystemModel
 from ..matops import frozen_array
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A requested update method; ``weight`` applies to projection only."""
+    """A requested update method; ``weight`` applies to projection only, and
+    is checked (an explicit one also factored) once by ``_projection``."""
 
     name: str
     weight: str | np.ndarray = POSTERIOR_INVERSE
@@ -79,11 +81,9 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise ValueError(f"unknown method '{self.name}'")
-        if isinstance(self.weight, str):
-            if self.weight not in _PROJECTION_TAGS:
-                raise ValueError(f"unknown projection weight '{self.weight}'")
-        else:
-            object.__setattr__(self, "weight", frozen_array(self.weight))
+        projection = ProjectionSpec(self.weight)
+        object.__setattr__(self, "weight", projection.weight)
+        object.__setattr__(self, "_projection", projection)
 
     @property
     def label(self) -> str:
@@ -124,7 +124,7 @@ def _unconstrained(mean, cov, z, model, lin, spec, config):
 
 def _projection(mean, cov, z, model, lin, spec, config):
     unconstrained, _ = _unconstrained(mean, cov, z, model, lin, spec, config)
-    return constrained._project(*unconstrained, lin, spec.weight), unconstrained
+    return constrained._project(*unconstrained, lin, spec._projection), unconstrained
 
 
 def _restricted_gain(mean, cov, z, model, lin, spec, config):
@@ -197,7 +197,10 @@ def method_spec(entry: Any) -> MethodSpec:
             if weight not in _PROJECTION_TAGS:
                 raise ParseError(f"field 'methods': unknown projection weight '{weight}'")
             return MethodSpec(PROJECTION, weight)
-        return MethodSpec(PROJECTION, _as_array_2d(weight, "methods.weight"))
+        try:
+            return MethodSpec(PROJECTION, _as_array_2d(weight, "methods.weight"))
+        except (ValueError, SingularWeight) as exc:
+            raise ValidationError(f"methods: projection {exc}") from exc
     raise ParseError("field 'methods': entries must be strings or objects")
 
 
@@ -519,13 +522,8 @@ def config_from_document(doc: Any) -> ScenarioConfig:
     for spec in methods:
         if METHODS[spec.name].needs_constraint and constraint is None:
             raise ValidationError(f"methods: '{spec.name}' requires a constraint")
-        if not isinstance(spec.weight, str):
-            if spec.weight.shape != (n, n):
-                raise ValidationError(f"methods: projection weight must be {n}x{n}")
-            try:
-                ProjectionSpec(weight=spec.weight)
-            except ValueError as exc:
-                raise ValidationError(f"methods: projection {exc}") from exc
+        if not isinstance(spec.weight, str) and spec.weight.shape != (n, n):
+            raise ValidationError(f"methods: projection weight must be {n}x{n}")
 
     soft_noise_doc = doc.get("soft_noise")
     soft_noise = None

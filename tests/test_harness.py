@@ -17,6 +17,7 @@ from eqkf import (
     fusion_constrained_update,
     kalman,
     predict,
+    project,
     restricted_gain_update,
     soft_augmented_update,
     update_fusion,
@@ -32,11 +33,14 @@ from eqkf.errors import (
 from eqkf.harness import (
     METHOD_NAMES,
     bundled_scenario_names,
+    bundled_scenario_text,
+    cli,
     config_from_document,
     load_bundled_scenario,
     load_config,
     method_spec,
     run_scenario,
+    simulate,
     simulate_truth,
 )
 from eqkf.harness.config import METHODS
@@ -227,6 +231,9 @@ class TestConfigParsing:
         assert method_spec(entry).label == "projection_identity"
         entry = {"method": "projection", "weight": [[2.0, 0.0], [0.0, 1.0]]}
         assert method_spec(entry).label == "projection_custom"
+        entry = {"method": "projection", "weight": [[1.0, 0.0], [0.0, 1e-14]]}
+        with pytest.raises(ValidationError, match="numerically singular"):
+            method_spec(entry)
 
     def test_document_round_trip(self):
         config = config_from_document(planar_constrained_doc())
@@ -419,27 +426,55 @@ class TestRunScenario:
         assert len(report.records) == 4 * len(METHODS)
         assert calls == [(3, 3)] * len(report.records)
 
+    def test_explicit_weight_is_factored_once_per_run(self, monkeypatch):
+        doc = json.loads(bundled_scenario_text("line_2d"))
+        doc["methods"] = [{"method": "projection", "weight": [[2.0, 0.3], [0.3, 1.0]]}]
+        config = config_from_document(doc)
+        calls = []
+        cond = np.linalg.cond
+
+        def counting_cond(*args, **kwargs):
+            calls.append(1)
+            return cond(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        run_scenario(config)
+        assert calls == []
+
     def test_restricted_gain_row_equals_the_public_update_bit_for_bit(self):
         row = METHODS["restricted_gain"].update
-        config = load_bundled_scenario("line_2d")
-        sim = simulate_truth(config)
-        instances = []
-        state = config.initial_estimate
-        for k, z in enumerate(sim.measurements):
-            model = config.model_at(k)
-            pred = predict(state, model)
-            c = config.linear_constraint_at(pred.mean)
-            instances.append((pred, model, z, c))
-            state = restricted_gain_update(pred, z, model, c)[1].estimate
-        for seed in range(50):
-            pred, model, z, c = random_constrained_instance(seed)
-            instances.append((pred, model, z, c))
+        instances = _line_2d_and_random_instances(
+            lambda pred, z, model, c: restricted_gain_update(pred, z, model, c)[1]
+        )
         for pred, model, z, c in instances:
             (mean, cov), (plain_mean, plain_cov) = row(
                 pred.mean, pred.covariance, z.value, model, c, None, None
             )
             result = restricted_gain_update(pred, z, model, c)[1]
             plain = update_joseph(pred, z, model)[0]
+            assert np.array_equal(mean, result.estimate.mean)
+            assert np.array_equal(cov, result.estimate.covariance)
+            assert np.array_equal(plain_mean, plain.mean)
+            assert np.array_equal(plain_cov, plain.covariance)
+
+    def test_explicit_weight_row_equals_the_public_update_bit_for_bit(self):
+        line_weight = [[2.0, 0.3], [0.3, 1.0]]
+        line_spec = ProjectionSpec(line_weight)
+        instances = _line_2d_and_random_instances(
+            lambda pred, z, model, c: project(update_joseph(pred, z, model)[0], c, line_spec)
+        )
+        rng = np.random.default_rng(83)
+        for pred, model, z, c in instances:
+            weight = line_weight
+            if pred.dim != 2:
+                g = rng.standard_normal((pred.dim, pred.dim))
+                weight = g @ g.T + 0.5 * np.eye(pred.dim)
+            spec = method_spec({"method": "projection", "weight": np.asarray(weight).tolist()})
+            (mean, cov), (plain_mean, plain_cov) = METHODS[spec.name].update(
+                pred.mean, pred.covariance, z.value, model, c, spec, None
+            )
+            plain = update_joseph(pred, z, model)[0]
+            result = project(plain, c, ProjectionSpec(spec.weight))
             assert np.array_equal(mean, result.estimate.mean)
             assert np.array_equal(cov, result.estimate.covariance)
             assert np.array_equal(plain_mean, plain.mean)
@@ -459,6 +494,23 @@ class TestRunScenario:
             if a.method == "projection"
         )
         assert means_differ
+
+
+def _line_2d_and_random_instances(update):
+    """``(pred, model, z, c)`` of each ``line_2d`` step, the recursion carried
+    on by the estimate of ``update(pred, z, model, c)``, then of the first 50
+    ``random_constrained_instance`` seeds."""
+    config = load_bundled_scenario("line_2d")
+    sim = simulate_truth(config)
+    instances = []
+    state = config.initial_estimate
+    for k, z in enumerate(sim.measurements):
+        model = config.model_at(k)
+        pred = predict(state, model)
+        c = config.linear_constraint_at(pred.mean)
+        instances.append((pred, model, z, c))
+        state = update(pred, z, model, c).estimate
+    return instances + [random_constrained_instance(seed) for seed in range(50)]
 
 
 class TestReports:
@@ -590,11 +642,17 @@ class TestCli:
                 ),
                 "symmetric",
             ),
+            (
+                planar_constrained_doc(
+                    methods=[{"method": "projection", "weight": [[1.0, 0.0], [0.0, 1e-14]]}]
+                ),
+                "weight is numerically singular",
+            ),
         ],
         ids=["initial_covariance", "indefinite_weight", "asymmetric_weight",
              "asymmetric_soft_noise", "negative_seed", "string_indices",
              "fractional_indices", "repeated_sphere_indices",
-             "small_asymmetric_weight"],
+             "small_asymmetric_weight", "ill_conditioned_weight"],
     )
     def test_validation_failure_exits_with_parse_code(self, tmp_path, doc, message):
         path = tmp_path / "invalid.json"
@@ -627,6 +685,16 @@ class TestCli:
         proc = run_cli("run", str(path))
         assert proc.returncode == 3
         assert "step 2" in proc.stderr
+
+    def test_failed_truth_simulation_exits_with_run_code(self, tmp_path, monkeypatch, capsys):
+        # with no iterations allowed, projecting the circle's truth fails
+        monkeypatch.setattr(simulate, "_MAX_PROJECTION_ITERATIONS", 0)
+        path = tmp_path / "circle.json"
+        path.write_text(bundled_scenario_text("circle"), encoding="utf-8")
+        assert cli.main(["run", str(path), "--steps", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "truth projection onto the constraint did not converge" in err
+        assert "Traceback" not in err
 
     def test_overrides_shrink_the_run(self, tmp_path):
         path = tmp_path / "scenario.json"

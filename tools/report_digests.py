@@ -1,8 +1,11 @@
 """Print the sha256 of every report in the byte-identity set, as JSON.
 
-The set is 54 reports, each emitted as CSV and as structured JSON:
+The set is 58 reports, each emitted as CSV and as structured JSON:
 
 * every bundled scenario, with ``feedback`` on and off (24 reports);
+* ``line_2d`` with the posterior-inverse projection and one with the
+  explicit weight ``EXPLICIT_WEIGHT``, with ``feedback`` on and off
+  (4 reports);
 * every ``track_small`` and ``track_wide`` document of
   ``perfbench/workloads.documents`` at seeds 1 to 3 (30 reports).
 
@@ -36,6 +39,7 @@ import workloads  # noqa: E402
 
 FORMATS = ("csv", "structured")
 SEEDS = (1, 2, 3)
+EXPLICIT_WEIGHT = [[2.0, 0.3], [0.3, 1.0]]
 
 
 def _documents():
@@ -45,6 +49,11 @@ def _documents():
             doc = json.loads(harness.bundled_scenario_text(name))
             doc["feedback"] = feedback
             yield f"bundled/{name}/feedback-{'on' if feedback else 'off'}", doc
+    for feedback in (True, False):
+        doc = json.loads(harness.bundled_scenario_text("line_2d"))
+        doc["feedback"] = feedback
+        doc["methods"] = ["projection", {"method": "projection", "weight": EXPLICIT_WEIGHT}]
+        yield f"explicit_weight/line_2d/feedback-{'on' if feedback else 'off'}", doc
     for workload in ("track_small", "track_wide"):
         for seed in SEEDS:
             for i, doc in enumerate(workloads.documents(workload, seed)):
