@@ -33,16 +33,21 @@ is a least-distance correction through the Gram matrix
 :func:`_gram_factorization`: a QR decomposition of ``(A L)'`` with
 ``W^-1 = L L'``, guarded by ``matops.CONDITION_LIMIT``, with ``L`` from
 :func:`_covariance_factor` or, for an explicit weight, from its
-:class:`ProjectionSpec`.  Each correction is the step of
-:func:`_project_along`, whose congruence ``(I - U A) P (I - U A)'`` keeps
+:class:`ProjectionSpec`.  Each correction moves the mean along
+``U`` (:func:`_along`), and its covariance is the congruence
+``(I - U A) P (I - U A)'`` of :func:`_congruence`, which keeps
 hard-constrained (rank ``n - q``) covariances symmetric positive
 semidefinite over long runs.  A posterior the ``StateEstimate`` checks
 reject raises ``IndefiniteCovariance`` (``kalman._estimate``, and
 :func:`_check_posterior` for one that no estimate carries).
 
-Each update's arithmetic is a private kernel on plain arrays, which the
-public function calls after checking its inputs.  A kernel takes one mean
-``(n,)`` or a stack ``(T, n)`` of means sharing one covariance.
+Each update's arithmetic is a private kernel on plain arrays in two
+stages, which the public function composes after checking its inputs.
+The covariance stage (``_*_stage``) reads only the covariance, the model,
+the constraint rows and the weight, and returns the posterior covariances
+and the blocks the mean needs: the gain, ``U`` or the gains of the
+augmented rows.  The mean stage (``_*_mean``, :func:`_along`) applies them
+to one mean ``(n,)`` or a stack ``(T, n)`` of means sharing one covariance.
 """
 
 from __future__ import annotations
@@ -304,11 +309,9 @@ def _congruence(ups, a, cov) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def _project_along(ups, c: EqualityConstraint, mean, cov) -> tuple[np.ndarray, np.ndarray]:
-    """The projection step along the direction ``U``: the mean
-    ``mean - U (A mean - b)`` of each row and the covariance
-    ``(I - U A) P (I - U A)'``."""
-    return mean - (mean @ c.matrix.T - c.rhs) @ ups.T, _congruence(ups, c.matrix, cov)
+def _along(ups, c: EqualityConstraint, mean) -> np.ndarray:
+    """Mean stage of a projection along ``U``: each row's ``mean - U (A mean - b)``."""
+    return mean - (mean @ c.matrix.T - c.rhs) @ ups.T
 
 
 def constrain_posterior(est: StateEstimate, c: EqualityConstraint) -> ConstrainedUpdateResult:
@@ -369,17 +372,16 @@ def block_s_inverse(
     return SaddleInverseBlocks(*blocks)
 
 
-def _augmented(mean, cov, z, model: SystemModel, c: EqualityConstraint):
-    """Array kernel of :func:`augmented_update`: the constrained and the
-    unconstrained ``(mean, cov)``.  One factorization of ``A P_post A'``, with
-    ``P_post`` the Joseph posterior, serves the blocks and the covariance."""
+def _augmented_stage(cov, model: SystemModel, c: EqualityConstraint):
+    """Covariance stage of :func:`augmented_update`: the unconstrained gain and
+    covariance ``P_post``, the gains of ``z`` and ``b`` (None with q = 0) and the
+    constrained covariance.  One factorization of ``A P_post A'`` serves both."""
     h, r, a = model.observation, model.measurement_noise, c.matrix
     try:
-        residual, s, gain = kalman._innovation(mean, cov, z, h, r)
-        unconstrained = kalman._joseph_update(mean, cov, h, r, residual, gain)
+        s, gain, post = kalman._joseph(cov, h, r)
         if c.constraint_dim == 0:
-            return unconstrained, unconstrained
-        ups, g_inv = _gram_factorization(_covariance_factor(unconstrained[1]), a)
+            return gain, post, None, None
+        ups, g_inv = _gram_factorization(_covariance_factor(post), a)
         blocks = _s_inverse_blocks(s, gain, a, g_inv)
     except (SingularInnovationCovariance, SingularConstraintGram) as exc:
         raise SingularAugmentedInnovation(
@@ -388,11 +390,20 @@ def _augmented(mean, cov, z, model: SystemModel, c: EqualityConstraint):
     ph = cov @ h.T
     pa = cov @ a.T
     upper_left, upper_right, lower_left, lower_right = blocks
-    gain_meas = ph @ upper_left + pa @ lower_left
-    gain_con = ph @ upper_right + pa @ lower_right
-    constraint_defect = c.rhs - mean @ a.T
-    mean = mean + residual @ gain_meas.T + constraint_defect @ gain_con.T
-    return (mean, _congruence(ups, a, unconstrained[1])), unconstrained
+    gains = ph @ upper_left + pa @ lower_left, ph @ upper_right + pa @ lower_right
+    return gain, post, gains, _congruence(ups, a, post)
+
+
+def _augmented_mean(stage, mean, z, model: SystemModel, c: EqualityConstraint):
+    """Mean stage of :func:`augmented_update`: the constrained and the
+    unconstrained ``(mean, cov)``."""
+    gain, post, gains, cov = stage
+    residual, plain = kalman._correct(mean, z, model.observation, gain)
+    if gains is None:
+        return ((plain, post),) * 2
+    constraint_defect = c.rhs - mean @ c.matrix.T
+    mean = mean + residual @ gains[0].T + constraint_defect @ gains[1].T
+    return (mean, cov), (plain, post)
 
 
 def augmented_update(
@@ -412,18 +423,22 @@ def augmented_update(
     """
     _check_state_dims(pred.dim, c)
     kalman._check_update_dims(pred, z, model)
-    (mean, cov), unconstrained = _augmented(pred.mean, pred.covariance, z.value, model, c)
+    stage = _augmented_stage(pred.covariance, model, c)
+    (mean, cov), unconstrained = _augmented_mean(stage, pred.mean, z.value, model, c)
     _check_posterior(unconstrained[1], "unconstrained")
     return _result(AUGMENTED, c, mean, cov, pred.step)
 
 
-def _project(mean, cov, c: EqualityConstraint, spec: ProjectionSpec):
-    """Array kernel of :func:`project` with the weight of ``spec``."""
+def _project_stage(cov, c: EqualityConstraint, spec: ProjectionSpec):
+    """Covariance stage of :func:`project`: ``U`` for ``spec``'s weight, and the
+    covariance."""
     factor = spec._factor
     if factor is None and spec.weight == IDENTITY:
-        return _project_along(c._euclidean_gram[0], c, mean, cov)
-    factor = _covariance_factor(cov) if factor is None else factor
-    return _project_along(_gram_factorization(factor, c.matrix)[0], c, mean, cov)
+        ups = c._euclidean_gram[0]
+    else:
+        factor = _covariance_factor(cov) if factor is None else factor
+        ups = _gram_factorization(factor, c.matrix)[0]
+    return ups, _congruence(ups, c.matrix, cov)
 
 
 def project(
@@ -437,7 +452,7 @@ def project(
 
         mean' = mean - W^-1 A' (A W^-1 A')^-1 (A mean - b)
 
-    The covariance takes the congruence of :func:`_project_along`, which
+    The covariance takes the congruence of :func:`_congruence`, which
     keeps it symmetric positive semidefinite for any weight.
     """
     _check_state_dims(est.dim, c)
@@ -447,8 +462,8 @@ def project(
         )
     if c.constraint_dim == 0:
         return ConstrainedUpdateResult(est, PROJECTION, 0.0)
-    mean, cov = _project(est.mean, est.covariance, c, spec)
-    return _result(PROJECTION, c, mean, cov, est.step)
+    ups, cov = _project_stage(est.covariance, c, spec)
+    return _result(PROJECTION, c, _along(ups, c, est.mean), cov, est.step)
 
 
 def _innovation_weight(s, residual) -> tuple[np.ndarray, np.ndarray]:
@@ -507,30 +522,34 @@ def solve_lagrange_system(
     return _gain_correction(c, -residual, *weight)
 
 
-def _restricted_gain(mean, cov, z, model: SystemModel, c: EqualityConstraint):
-    """Array kernel of :func:`restricted_gain_update`: the constrained and
-    the unconstrained ``(mean, cov)``, then the unconstrained gain ``K`` with
-    each row's ``S^-1 v`` and ``v' S^-1 v`` (None with q = 0).  Each row's
+def _restricted_gain_stage(cov, model: SystemModel, c: EqualityConstraint):
+    """Covariance stage of :func:`restricted_gain_update`: the stage of
+    ``kalman._joseph`` and its identity-weight projection (None with q = 0)."""
+    s, gain, post = kalman._joseph(cov, model.observation, model.measurement_noise)
+    ups = c._euclidean_gram[0] if c.constraint_dim else None
+    return s, gain, post, None if ups is None else _congruence(ups, c.matrix, post)
+
+
+def _restricted_gain_mean(stage, mean, z, model: SystemModel, c: EqualityConstraint):
+    """Mean stage of :func:`restricted_gain_update`: the constrained and the
+    unconstrained ``(mean, cov)``, then the unconstrained gain ``K`` with each
+    row's ``S^-1 v`` and ``v' S^-1 v`` (None with q = 0).  Each row's
     innovation ``v`` gets the gain ``K + U d w'`` of
     :func:`solve_lagrange_system` as ``K v + U d (w' v)``; a row with a
     degenerate ``v' S^-1 v`` takes the identity-weight projection, which has
     the same mean."""
-    h, r = model.observation, model.measurement_noise
-    residual, s, gain = kalman._innovation(mean, cov, z, h, r)
-    unconstrained = kalman._joseph_update(mean, cov, h, r, residual, gain)
-    if c.constraint_dim == 0:
-        return (unconstrained, unconstrained), (gain, None, None)
+    s, gain, post, cov = stage
+    residual, plain = kalman._correct(mean, z, model.observation, gain)
+    if cov is None:
+        return ((plain, post),) * 2, (gain, None, None)
     ups, _ = c._euclidean_gram
-    projected, cov = _project_along(ups, c, *unconstrained)
     s_inv_nu, quad = _innovation_weight(s, residual)
     degenerate = quad <= DEGENERATE_RESIDUAL_TOL
     w = s_inv_nu / np.where(degenerate, 1.0, quad)[..., None]
-    defect = c.rhs - unconstrained[0] @ c.matrix.T
-    corrected = (
-        mean + residual @ gain.T + np.sum(w * residual, axis=-1)[..., None] * (defect @ ups.T)
-    )
-    mean = np.where(degenerate[..., None], projected, corrected)
-    return ((mean, cov), unconstrained), (gain, s_inv_nu, quad)
+    defect = c.rhs - plain @ c.matrix.T
+    corrected = plain + np.sum(w * residual, axis=-1)[..., None] * (defect @ ups.T)
+    mean = np.where(degenerate[..., None], _along(ups, c, plain), corrected)
+    return ((mean, cov), (plain, post)), (gain, s_inv_nu, quad)
 
 
 def restricted_gain_update(
@@ -551,8 +570,9 @@ def restricted_gain_update(
     """
     _check_state_dims(pred.dim, c)
     kalman._check_update_dims(pred, z, model)
-    ((mean, cov), unconstrained), (gain, s_inv_nu, quad) = _restricted_gain(
-        pred.mean, pred.covariance, z.value, model, c
+    stage = _restricted_gain_stage(pred.covariance, model, c)
+    ((mean, cov), unconstrained), (gain, s_inv_nu, quad) = _restricted_gain_mean(
+        stage, pred.mean, z.value, model, c
     )
     _check_posterior(unconstrained[1], "unconstrained")
     correction, multipliers = np.zeros(gain.size), np.zeros(0)
@@ -652,9 +672,10 @@ def linearize(nc: NonlinearConstraint, x_ref) -> EqualityConstraint:
         ) from exc
 
 
-def _soft_stack(z, model: SystemModel, c: EqualityConstraint, noise):
-    """The stacked observation ``[H; A]``, noise ``blkdiag(R, sym(noise))`` and
-    measurement ``[z, b]`` of the soft update, each written into one array."""
+def _soft_stage(cov, model: SystemModel, c: EqualityConstraint, noise):
+    """Covariance stage of :func:`soft_augmented_update`: the stacked
+    observation ``[H; A]`` and the gain and Joseph covariance of it with noise
+    ``blkdiag(R, sym(noise))``, each stack written into one array."""
     m = model.measurement_dim
     k = m + c.constraint_dim
     stacked_obs = np.empty((k, model.state_dim))
@@ -663,24 +684,24 @@ def _soft_stack(z, model: SystemModel, c: EqualityConstraint, noise):
     stacked_noise = np.zeros((k, k))
     stacked_noise[:m, :m] = model.measurement_noise
     stacked_noise[m:, m:] = 0.5 * (noise + noise.T)
-    stacked_z = np.empty((*z.shape[:-1], k))
-    stacked_z[..., :m] = z
-    stacked_z[..., m:] = c.rhs
-    return stacked_obs, stacked_noise, stacked_z
-
-
-def _soft_augmented(mean, cov, z, model: SystemModel, c: EqualityConstraint, noise):
-    """Array kernel of :func:`soft_augmented_update`."""
-    stacked_obs, stacked_noise, stacked_z = _soft_stack(z, model, c, noise)
     try:
-        residual, _, gain = kalman._innovation(
-            mean, cov, stacked_z, stacked_obs, stacked_noise
-        )
+        _, gain, post = kalman._joseph(cov, stacked_obs, stacked_noise)
     except SingularInnovationCovariance as exc:
         raise SingularAugmentedInnovation(
             f"stacked residual covariance is singular: {exc}"
         ) from exc
-    return kalman._joseph_update(mean, cov, stacked_obs, stacked_noise, residual, gain)
+    return stacked_obs, gain, post
+
+
+def _soft_mean(stage, mean, z, model: SystemModel, c: EqualityConstraint):
+    """Mean stage of :func:`soft_augmented_update`: the ``(mean, cov)`` of the
+    gain update with each row's ``[z, b]``, written into one array, and None."""
+    stacked_obs, gain, post = stage
+    m = model.measurement_dim
+    stacked_z = np.empty((*z.shape[:-1], stacked_obs.shape[0]))
+    stacked_z[..., :m] = z
+    stacked_z[..., m:] = c.rhs
+    return (kalman._correct(mean, stacked_z, stacked_obs, gain)[1], post), None
 
 
 def soft_augmented_update(
@@ -709,5 +730,6 @@ def soft_augmented_update(
         )
     kalman._check_covariance(noise, "constraint_noise")
     kalman._check_update_dims(pred, z, model)
-    mean, cov = _soft_augmented(pred.mean, pred.covariance, z.value, model, c, noise)
+    stage = _soft_stage(pred.covariance, model, c, noise)
+    (mean, cov), _ = _soft_mean(stage, pred.mean, z.value, model, c)
     return _result(SOFT_AUGMENTED, c, mean, cov, pred.step)

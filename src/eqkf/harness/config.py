@@ -103,32 +103,45 @@ class MethodSpec:
 
 
 class Method(NamedTuple):
-    """A row of :data:`METHODS`.  ``update(mean, cov, z, model, lin, spec, config)``,
-    with ``lin`` the constraint linearized about the predicted means (or None
-    if not ``needs_constraint``), returns the estimate and the unconstrained
-    update if it computed it (else None), as ``(mean, cov)``.  Tags in one
+    """A row of :data:`METHODS`, an update in two stages.  The covariance stage
+    ``covariance(cov, model, lin, spec, config)`` reads no mean: ``lin`` is the
+    constraint linearized about the predicted means (None if not
+    ``needs_constraint``).  The mean stage ``mean(stage, mean, z, model, lin)``
+    applies it, and returns the estimate and the unconstrained update if
+    ``forms_unconstrained`` (else None), as ``(mean, cov)``.  Tags in one
     ``group`` have equal means in exact arithmetic; the group names the
     projection weight."""
 
-    update: Callable[..., tuple[tuple, tuple | None]]
+    covariance: Callable[..., tuple]
+    mean: Callable[..., tuple[tuple, tuple | None]]
     group: str | None = None
     needs_constraint: bool = True
+    forms_unconstrained: bool = True
 
 
-def _unconstrained(mean, cov, z, model, lin, spec, config):
-    h, r = model.observation, model.measurement_noise
-    residual, _, gain = kalman._innovation(mean, cov, z, h, r)
-    est = kalman._joseph_update(mean, cov, h, r, residual, gain)
+def _unconstrained_stage(cov, model, lin, spec, config):
+    return kalman._joseph(cov, model.observation, model.measurement_noise)
+
+
+def _unconstrained_mean(stage, mean, z, model, lin):
+    est = kalman._correct(mean, z, model.observation, stage[1])[1], stage[2]
     return est, est
 
 
-def _projection(mean, cov, z, model, lin, spec, config):
-    unconstrained, _ = _unconstrained(mean, cov, z, model, lin, spec, config)
-    return constrained._project(*unconstrained, lin, spec._projection), unconstrained
+def _projection_stage(cov, model, lin, spec, config):
+    plain = _unconstrained_stage(cov, model, lin, spec, config)
+    return plain, constrained._project_stage(plain[2], lin, spec._projection)
 
 
-def _restricted_gain(mean, cov, z, model, lin, spec, config):
-    estimates, (_, _, quad) = constrained._restricted_gain(mean, cov, z, model, lin)
+def _projection_mean(stage, mean, z, model, lin):
+    unconstrained, _ = _unconstrained_mean(stage[0], mean, z, model, lin)
+    ups, cov = stage[1]
+    return (constrained._along(ups, lin, unconstrained[0]), cov), unconstrained
+
+
+def _restricted_gain_mean(stage, mean, z, model, lin):
+    pred_cov, stage = stage  # the predicted covariance, for the public fallback
+    estimates, (_, _, quad) = constrained._restricted_gain_mean(stage, mean, z, model, lin)
     if mean.ndim == 2 or quad is None or quad > constrained.DEGENERATE_RESIDUAL_TOL:
         return estimates
     # A stack of means keeps the kernel's per-row fallback.  One estimate with
@@ -136,7 +149,7 @@ def _restricted_gain(mean, cov, z, model, lin, spec, config):
     # fallback shows at the public boundary (the benchmark's tracer counts it):
     # restricted_gain_update raises DegenerateResidual, and the identity-weight
     # projection reaches the same corrected mean.
-    pred, z = StateEstimate(mean, cov), Measurement(z)
+    pred, z = StateEstimate(mean, pred_cov), Measurement(z)
     with contextlib.suppress(DegenerateResidual):
         constrained.restricted_gain_update(pred, z, model, lin)
     unconstrained, _ = kalman.update_joseph(pred, z, model)
@@ -144,34 +157,40 @@ def _restricted_gain(mean, cov, z, model, lin, spec, config):
     return (est.mean, est.covariance), (unconstrained.mean, unconstrained.covariance)
 
 
-def _soft_augmented(mean, cov, z, model, lin, spec, config):
-    return constrained._soft_augmented(mean, cov, z, model, lin, config.soft_noise), None
+def _soft_stage(cov, model, lin, spec, config):
+    return constrained._soft_stage(cov, model, lin, config.soft_noise)
 
 
 # Every method, keyed by its document tag, which is also its report label.
 # The order fixes the order of METHOD_NAMES and of the divergence pairs.
 METHODS = {
-    "unconstrained": Method(_unconstrained, needs_constraint=False),
+    "unconstrained": Method(_unconstrained_stage, _unconstrained_mean, needs_constraint=False),
     "augmented": Method(
-        lambda mean, cov, z, model, lin, spec, config:
-            constrained._augmented(mean, cov, z, model, lin),
+        lambda cov, model, lin, *_: constrained._augmented_stage(cov, model, lin),
+        constrained._augmented_mean,
         POSTERIOR_INVERSE,
     ),
     "fusion": Method(
-        lambda mean, cov, z, model, lin, spec, config:
-            (kalman._fusion(mean, cov, z, model, lin.matrix, lin.rhs), None),
+        lambda cov, model, lin, *_: kalman._fusion_stage(cov, model, lin.matrix),
+        lambda stage, mean, z, model, lin:
+            (kalman._fusion_solve(stage, mean, z, lin.rhs), None),
         POSTERIOR_INVERSE,
+        forms_unconstrained=False,
     ),
-    "projection": Method(_projection, POSTERIOR_INVERSE),
-    "restricted_gain": Method(_restricted_gain, IDENTITY),
-    "projection_identity": Method(_projection, IDENTITY),
-    "soft_augmented": Method(_soft_augmented),
+    "projection": Method(_projection_stage, _projection_mean, POSTERIOR_INVERSE),
+    "restricted_gain": Method(
+        lambda cov, model, lin, *_: (cov, constrained._restricted_gain_stage(cov, model, lin)),
+        _restricted_gain_mean,
+        IDENTITY,
+    ),
+    "projection_identity": Method(_projection_stage, _projection_mean, IDENTITY),
+    "soft_augmented": Method(_soft_stage, constrained._soft_mean, forms_unconstrained=False),
 }
 
 # The tag of the projection with each string weight; a projection tag other
 # than PROJECTION itself names a weight, not a MethodSpec name.
 _PROJECTION_TAGS = {
-    row.group: tag for tag, row in METHODS.items() if row.update is _projection
+    row.group: tag for tag, row in METHODS.items() if row.mean is _projection_mean
 }
 METHOD_NAMES = tuple(
     tag for tag in METHODS if tag == PROJECTION or tag not in _PROJECTION_TAGS.values()
@@ -184,7 +203,7 @@ def method_spec(entry: Any) -> MethodSpec:
         row = METHODS.get(entry)
         if row is None:
             raise ParseError(f"field 'methods': unknown method '{entry}'")
-        if row.update is _projection:
+        if row.mean is _projection_mean:
             return MethodSpec(PROJECTION, row.group)
         return MethodSpec(entry)
     if isinstance(entry, dict):
@@ -529,7 +548,7 @@ def config_from_document(doc: Any) -> ScenarioConfig:
     soft_noise = None
     if soft_noise_doc is not None:
         soft_noise = _as_array_2d(soft_noise_doc, "soft_noise")
-    soft = [spec.name for spec in methods if METHODS[spec.name].update is _soft_augmented]
+    soft = [spec.name for spec in methods if METHODS[spec.name].covariance is _soft_stage]
     if soft:
         if soft_noise is None:
             raise ValidationError(f"methods: '{soft[0]}' requires soft_noise")

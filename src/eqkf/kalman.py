@@ -12,10 +12,14 @@ provided:
   fusion runs with its exact rows stacked below.
 
 Covariances are symmetrized after every step so long runs cannot drift
-into asymmetry.  The public functions check their inputs and call private
-kernels on arrays, which also take a ``(T, n)`` stack of means in rows;
-a result that fails the ``StateEstimate`` checks raises
-``IndefiniteCovariance`` (:func:`_estimate`).
+into asymmetry.  The public functions check their inputs and run private
+kernels on arrays in two stages: a covariance stage that reads no mean
+(:func:`_predict_covariance`, :func:`_gain`, :func:`_joseph`,
+:func:`_fusion_stage`) and returns the covariance and what the mean needs,
+and a mean stage (:func:`_correct`, :func:`_fusion_solve`) that applies it
+to one mean or a ``(T, n)`` stack of means in rows.  :func:`_estimate`
+builds an estimate from a kernel's arrays; one that fails the
+``StateEstimate`` checks raises ``IndefiniteCovariance``.
 """
 
 from __future__ import annotations
@@ -103,10 +107,8 @@ class StateEstimate:
                 f"covariance shape {cov.shape} does not match state dimension {mean.size}"
             )
         health = _check_covariance(cov, "covariance")
-        object.__setattr__(self, "mean", frozen_array(mean))
-        object.__setattr__(self, "covariance", frozen_array(cov))
-        object.__setattr__(self, "step", int(self.step))
-        object.__setattr__(self, "_health", health)
+        self.__dict__.update(mean=frozen_array(mean), covariance=frozen_array(cov),
+                             step=int(self.step), _health=health)
 
     @property
     def dim(self) -> int:
@@ -124,13 +126,24 @@ class StateEstimate:
         return self._health[1]
 
 
-def _estimate(mean, cov, step: int, what: str) -> StateEstimate:
-    """A ``StateEstimate`` from a kernel's arrays; a covariance its checks
-    reject raises ``IndefiniteCovariance`` naming ``what``."""
+def _estimate(mean, cov, step: int, what: str, earlier=None) -> StateEstimate:
+    """A ``StateEstimate`` that takes over a kernel's finite arrays, checking
+    ``cov`` by :func:`_check_covariance`, or with the covariance and figures
+    of an ``earlier`` estimate in its place; a failure raises
+    ``IndefiniteCovariance`` naming ``what``.  A view is copied, so no
+    estimate pins a larger work array, and both arrays become read-only."""
+    cov, health = (cov, None) if earlier is None else (earlier.covariance, earlier._health)
     try:
-        return StateEstimate(mean, cov, step)
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("non-finite entries")
+        health = health or _check_covariance(cov, "covariance")
     except ValueError as exc:
         raise IndefiniteCovariance(f"{what}: {exc}") from exc
+    mean, cov = (a if a.base is None else a.copy() for a in (mean, cov))
+    mean.flags.writeable = cov.flags.writeable = False
+    est = object.__new__(StateEstimate)
+    est.__dict__.update(mean=mean, covariance=cov, step=step, _health=health)
+    return est
 
 
 @dataclass(frozen=True)
@@ -235,11 +248,11 @@ def _check_update_dims(pred: StateEstimate, z: Measurement, model: SystemModel) 
         )
 
 
-def _predict(mean, cov, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
-    """Array kernel of :func:`predict`."""
+def _predict_covariance(cov, model: SystemModel) -> np.ndarray:
+    """Covariance stage of :func:`predict`: ``F P F' + Q``, symmetrized."""
     f = model.transition
     p = f @ cov @ f.T + model.process_noise
-    return mean @ f.T, 0.5 * (p + p.T)
+    return 0.5 * (p + p.T)
 
 
 def predict(est: StateEstimate, model: SystemModel) -> StateEstimate:
@@ -252,25 +265,40 @@ def predict(est: StateEstimate, model: SystemModel) -> StateEstimate:
         raise DimensionMismatch(
             f"model state dimension {model.state_dim} does not match estimate {est.dim}"
         )
-    return _estimate(*_predict(est.mean, est.covariance, model), est.step + 1, "prediction")
+    cov = _predict_covariance(est.covariance, model)
+    return _estimate(est.mean @ model.transition.T, cov, est.step + 1, "prediction")
 
 
-def _innovation(mean, cov, z, h, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array kernel of :func:`innovate`: the residual, ``S`` and the gain."""
-    residual = z - mean @ h.T
+def _gain(cov, h, r) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance stage of :func:`innovate`: ``S`` and the gain ``P H' S^-1``."""
     s = h @ cov @ h.T + r
     s = 0.5 * (s + s.T)
     gain = _cholesky_solve(
         s, (cov @ h.T).T, "innovation covariance", SingularInnovationCovariance
     ).T
-    return residual, s, gain
+    return s, gain
 
 
-def _joseph_update(mean, cov, h, r, residual, gain) -> tuple[np.ndarray, np.ndarray]:
-    """Array kernel of :func:`update_joseph`: the mean and Joseph covariance."""
+def _joseph(cov, h, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Covariance stage of :func:`update_joseph`: ``S``, the gain ``K`` and the
+    Joseph covariance ``(I - K H) P (I - K H)' + K R K'``."""
+    s, gain = _gain(cov, h, r)
     i_kh = _identity(cov.shape[0]) - gain @ h
     p = i_kh @ cov @ i_kh.T + gain @ r @ gain.T
-    return mean + residual @ gain.T, 0.5 * (p + p.T)
+    return s, gain, 0.5 * (p + p.T)
+
+
+def _correct(mean, z, h, gain) -> tuple[np.ndarray, np.ndarray]:
+    """Mean stage of a gain update: each row's residual ``v = z - H x`` and ``x + K v``."""
+    residual = z - mean @ h.T
+    return residual, mean + residual @ gain.T
+
+
+def _innovation_stats(residual, s, gain) -> InnovationStats:
+    try:
+        return InnovationStats(residual, s, gain)
+    except ValueError as exc:
+        raise SingularInnovationCovariance(f"innovation covariance: {exc}") from exc
 
 
 def innovate(pred: StateEstimate, z: Measurement, model: SystemModel) -> InnovationStats:
@@ -281,13 +309,9 @@ def innovate(pred: StateEstimate, z: Measurement, model: SystemModel) -> Innovat
     positive definite.
     """
     _check_update_dims(pred, z, model)
-    residual, s, gain = _innovation(
-        pred.mean, pred.covariance, z.value, model.observation, model.measurement_noise
-    )
-    try:
-        return InnovationStats(residual, s, gain)
-    except ValueError as exc:
-        raise SingularInnovationCovariance(f"innovation covariance: {exc}") from exc
+    h = model.observation
+    s, gain = _gain(pred.covariance, h, model.measurement_noise)
+    return _innovation_stats(_correct(pred.mean, z.value, h, gain)[0], s, gain)
 
 
 def update_joseph(
@@ -300,17 +324,21 @@ def update_joseph(
     ``IndefiniteCovariance`` when the Joseph covariance fails the
     ``StateEstimate`` checks.
     """
-    innov = innovate(pred, z, model)
-    mean, cov = _joseph_update(
-        pred.mean, pred.covariance, model.observation, model.measurement_noise,
-        innov.residual, innov.gain,
-    )
+    _check_update_dims(pred, z, model)
+    h = model.observation
+    s, gain, cov = _joseph(pred.covariance, h, model.measurement_noise)
+    residual, mean = _correct(pred.mean, z.value, h, gain)
+    innov = _innovation_stats(residual, s, gain)
     return _estimate(mean, cov, pred.step, "unconstrained posterior"), innov
 
 
-def _fusion_saddle(cov, model: SystemModel, a) -> np.ndarray:
-    """The fusion saddle matrix ``[[blkdiag(P, R, 0), obs], [obs', 0]]`` with
-    ``obs = [I; H; A]``, written into one zero array block by block."""
+def _fusion_stage(cov, model: SystemModel, a) -> tuple:
+    """Covariance stage of :func:`_fusion`: the saddle matrix
+    ``[[blkdiag(P, R, 0), obs], [obs', 0]]`` with ``obs = [I; H; A]``, written
+    into one zero array block by block, and its solver.  ``P`` and ``R`` need
+    not be invertible: the factorization's own test in
+    :func:`matops._saddle_solver` is the one check that the saddle matrix is
+    regular."""
     n = cov.shape[0]
     nm = n + model.measurement_dim
     k = nm + a.shape[0]
@@ -323,36 +351,39 @@ def _fusion_saddle(cov, model: SystemModel, a) -> np.ndarray:
     saddle[nm:k, k:] = a
     saddle[k:, n:nm] = model.observation.T
     saddle[k:, nm:k] = a.T
-    return saddle
+    return saddle, _saddle_solver(saddle)
 
 
-def _fusion(mean, cov, z, model: SystemModel, a, b):
-    """Array kernel of :func:`update_fusion` and of constrained fusion with
-    the exact rows ``A x = b`` (q = 0 for none).  The saddle matrix is
-    solved for its last ``n`` unit columns, whose lower block is the negated
-    posterior covariance, and for each stacked observation ``[mean, z, b; 0]``,
-    whose lower block is the fused mean after one step of iterative
-    refinement against the saddle matrix itself.  ``P`` and ``R`` need not be
-    invertible: the factorization's own test in :func:`matops._saddle_solver`
-    is the one check that the saddle matrix is regular."""
-    n = cov.shape[0]
-    nm = n + model.measurement_dim
-    k = nm + a.shape[0]
-    saddle = _fusion_saddle(cov, model, a)
+def _fusion_solve(stage, mean, z, b) -> tuple[np.ndarray, np.ndarray]:
+    """Mean stage of :func:`_fusion`, one solve for the saddle matrix's last
+    ``n`` unit columns, whose lower block is the negated posterior covariance,
+    and each stacked observation ``[mean, z, b; 0]``, whose lower block is the
+    fused mean after one step of iterative refinement against the saddle
+    matrix itself.  The unit columns are solved with the observations, as one
+    right-hand side, also when the covariance is already known: ``?sytrs`` is
+    not bound to round a column the same when other columns share its solve."""
+    saddle, solve = stage
+    n = mean.shape[-1]
+    k = saddle.shape[0] - n
     stacked_z = np.empty((*mean.shape[:-1], k))
     stacked_z[..., :n] = mean
-    stacked_z[..., n:nm] = z
-    stacked_z[..., nm:] = b
+    stacked_z[..., n : k - b.size] = z
+    stacked_z[..., k - b.size :] = b
     stacked_z = stacked_z.reshape(-1, k)
     columns = np.zeros((k + n, n + stacked_z.shape[0]))
     np.fill_diagonal(columns[k:], 1.0)
     columns[:k, n:] = stacked_z.T
-    solve = _saddle_solver(saddle)
     solved = solve(columns)
     fused = solved[:, n:]
     fused += solve(columns[:, n:] - saddle @ fused)
     post = solved[k:, :n]
     return fused[k:].T.reshape(mean.shape), -0.5 * (post + post.T)
+
+
+def _fusion(mean, cov, z, model: SystemModel, a, b):
+    """Array kernel of :func:`update_fusion` and of constrained fusion with
+    the exact rows ``A x = b`` (q = 0 for none)."""
+    return _fusion_solve(_fusion_stage(cov, model, a), mean, z, b)
 
 
 def update_fusion(pred: StateEstimate, z: Measurement, model: SystemModel) -> StateEstimate:

@@ -274,7 +274,7 @@ def empirical_covariance_check(
         x = x @ model.transition.T + rng.standard_normal((trials, n)) @ lq.T
         m = model.measurement_dim
         z = x @ model.observation.T + rng.standard_normal((trials, m)) @ lr.T
-        (reported, p), (means, cov) = _step(means, cov, z, model, spec, config)
+        (reported, p), (means, cov), _ = _step(means, cov, z, model, spec, config)
         _check_posterior(p, spec.label)
         if cov is not p:
             _check_posterior(cov, "unconstrained")

@@ -432,7 +432,7 @@ class TestInPlaceAssembly:
     def test_fusion_saddle_equals_the_block_assembly(self):
         for seed in self.SEEDS:
             pred, model, _, c = random_constrained_instance(seed)
-            saddle = kalman._fusion_saddle(pred.covariance, model, c.matrix)
+            saddle, _ = kalman._fusion_stage(pred.covariance, model, c.matrix)
             assert np.array_equal(saddle, _block_saddle(pred.covariance, model, c))
 
     def test_soft_stack_equals_the_block_assembly(self):
@@ -441,15 +441,24 @@ class TestInPlaceAssembly:
             q = c.constraint_dim
             g = np.random.default_rng(seed).standard_normal((q, q))
             noise = g @ g.T + 1e-3 * g  # asymmetric: the stack symmetrizes it
+            cov = np.eye(c.state_dim)
+            obs = np.vstack([model.observation, c.matrix])
+            stacked_noise = scipy.linalg.block_diag(
+                model.measurement_noise, 0.5 * (noise + noise.T)
+            )
+            stage = constrained._soft_stage(cov, model, c, noise)
+            _, gain, post = kalman._joseph(cov, obs, stacked_noise)
+            assert np.array_equal(stage[0], obs)
+            assert np.array_equal(stage[1], gain)
+            assert np.array_equal(stage[2], post)
             for zs in (z.value, np.stack([z.value, 2.0 * z.value])):
-                obs, stacked_noise, stacked_z = constrained._soft_stack(zs, model, c, noise)
+                # the mean stage writes each row's [z, b] into one array
                 rhs = np.broadcast_to(c.rhs, (*zs.shape[:-1], q))
-                assert np.array_equal(obs, np.vstack([model.observation, c.matrix]))
-                assert np.array_equal(
-                    stacked_noise,
-                    scipy.linalg.block_diag(model.measurement_noise, 0.5 * (noise + noise.T)),
-                )
-                assert np.array_equal(stacked_z, np.concatenate([zs, rhs], axis=-1))
+                stacked_z = np.concatenate([zs, rhs], axis=-1)
+                mean = np.zeros(zs.shape[:-1] + (c.state_dim,))
+                expected = kalman._correct(mean, stacked_z, obs, stage[1])[1]
+                (got, _), _ = constrained._soft_mean(stage, mean, zs, model, c)
+                assert np.array_equal(got, expected)
 
     def test_gram_factorization_equals_the_numpy_qr_form(self):
         # (U, G^-1) from the direct ?geqrf/?orgqr QR equal those from

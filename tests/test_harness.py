@@ -5,6 +5,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from eqkf import (
+    IDENTITY,
     EqualityConstraint,
+    Measurement,
     ProjectionSpec,
+    augmented_update,
     fusion_constrained_update,
     kalman,
     predict,
@@ -43,6 +47,7 @@ from eqkf.harness import (
     simulate,
     simulate_truth,
 )
+from eqkf.harness import run as run_module
 from eqkf.harness.config import METHODS
 from eqkf.harness.run import RNG_ALGORITHM, advance_method, emit_report
 from eqkf.oracle import empirical_covariance_check, random_constrained_instance
@@ -379,14 +384,14 @@ class TestRunScenario:
         pred = predict(config.initial_estimate, model)
         plain, _ = update_joseph(pred, sim.measurements[0], model)
         calls = []
-        joseph = kalman._joseph_update
+        joseph = kalman._joseph
 
         def counting_joseph(*args):
             calls.append(args)
             return joseph(*args)
 
         # no second Joseph update for the continuing state
-        monkeypatch.setattr(kalman, "_joseph_update", counting_joseph)
+        monkeypatch.setattr(kalman, "_joseph", counting_joseph)
         _, next_state = advance_method(
             config.initial_estimate, sim.measurements[0], model, config.methods[0], config
         )
@@ -396,7 +401,8 @@ class TestRunScenario:
 
     def test_each_reported_covariance_is_decomposed_once(self, monkeypatch):
         # n = 3, so each min eigenvalue is one eigvalsh call; the record reuses
-        # the one its StateEstimate check made
+        # the one that advance_method's check of the kernel's covariance made
+        # (kalman._estimate), and four steps repeat no covariance stage
         doc = {
             "steps": 4,
             "seed": 5,
@@ -442,14 +448,12 @@ class TestRunScenario:
         assert calls == []
 
     def test_restricted_gain_row_equals_the_public_update_bit_for_bit(self):
-        row = METHODS["restricted_gain"].update
+        spec = method_spec("restricted_gain")
         instances = _line_2d_and_random_instances(
             lambda pred, z, model, c: restricted_gain_update(pred, z, model, c)[1]
         )
         for pred, model, z, c in instances:
-            (mean, cov), (plain_mean, plain_cov) = row(
-                pred.mean, pred.covariance, z.value, model, c, None, None
-            )
+            (mean, cov), (plain_mean, plain_cov) = _run_row(spec, pred, z, model, c)
             result = restricted_gain_update(pred, z, model, c)[1]
             plain = update_joseph(pred, z, model)[0]
             assert np.array_equal(mean, result.estimate.mean)
@@ -470,9 +474,7 @@ class TestRunScenario:
                 g = rng.standard_normal((pred.dim, pred.dim))
                 weight = g @ g.T + 0.5 * np.eye(pred.dim)
             spec = method_spec({"method": "projection", "weight": np.asarray(weight).tolist()})
-            (mean, cov), (plain_mean, plain_cov) = METHODS[spec.name].update(
-                pred.mean, pred.covariance, z.value, model, c, spec, None
-            )
+            (mean, cov), (plain_mean, plain_cov) = _run_row(spec, pred, z, model, c)
             plain = update_joseph(pred, z, model)[0]
             result = project(plain, c, ProjectionSpec(spec.weight))
             assert np.array_equal(mean, result.estimate.mean)
@@ -494,6 +496,205 @@ class TestRunScenario:
             if a.method == "projection"
         )
         assert means_differ
+
+
+def _same_bytes(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def _reused_stages(config, sim, monkeypatch) -> dict[str, int]:
+    """Per method label, how many steps of ``run_scenario`` ran the mean stage alone."""
+    hits = {spec.label: 0 for spec in config.methods}
+    step = run_module._step
+
+    def counting(mean, cov, z, model, spec, config, stage=None):
+        hits[spec.label] += stage is not None
+        return step(mean, cov, z, model, spec, config, stage)
+
+    monkeypatch.setattr(run_module, "_step", counting)
+    run_scenario(config, sim)
+    monkeypatch.setattr(run_module, "_step", step)
+    return hits
+
+
+def _n8_config(feedback: bool):
+    """An affine scenario at n = 8 with every method, from the first
+    ``random_constrained_instance`` of that dimension."""
+    pred, model, _, c = next(
+        instance for instance in map(random_constrained_instance, range(200))
+        if instance[0].dim == 8
+    )
+    q = c.constraint_dim
+    return config_from_document({
+        "steps": 4,
+        "feedback": feedback,
+        "model": {
+            "transition": model.transition.tolist(),
+            "process_noise": model.process_noise.tolist(),
+            "observation": model.observation.tolist(),
+            "measurement_noise": model.measurement_noise.tolist(),
+        },
+        "constraint": {"kind": "affine", "matrix": c.matrix.tolist(), "rhs": c.rhs.tolist()},
+        "initial_truth": (c.matrix.T @ c.rhs).tolist(),
+        "initial_estimate": {"mean": pred.mean.tolist(), "covariance": pred.covariance.tolist()},
+        "methods": list(METHODS),
+        "soft_noise": (0.05 * np.eye(q)).tolist(),
+    })
+
+
+class TestStageReuse:
+    """``run_scenario`` reuses a covariance stage whose input covariance
+    repeats byte for byte; nothing it reports may change."""
+
+    @pytest.mark.parametrize("feedback", [True, False], ids=["feedback-on", "feedback-off"])
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_records_equal_a_loop_that_reuses_nothing(self, name, feedback, monkeypatch):
+        config = dataclasses.replace(load_bundled_scenario(name), feedback=feedback)
+        sim = simulate_truth(config)
+        covariances = {spec.label: [] for spec in config.methods}
+        advance = run_module.advance_method
+
+        def recording(state, z, model, spec, config, **memory):
+            out = advance(state, z, model, spec, config, **memory)
+            covariances[spec.label].append(out[0].covariance)
+            return out
+
+        monkeypatch.setattr(run_module, "advance_method", recording)
+        report = run_scenario(config, sim)
+        monkeypatch.setattr(run_module, "advance_method", advance)
+        for spec in config.methods:
+            records = [r for r in report.records if r.method == spec.label]
+            state = config.initial_estimate
+            for k, (record, cov) in enumerate(zip(records, covariances[spec.label])):
+                estimate, state = advance_method(
+                    state, sim.measurements[k], config.model_at(k), spec, config
+                )
+                assert _same_bytes(record.mean, estimate.mean)
+                assert _same_bytes(record.cov_min_eig, estimate.cov_min_eig)
+                assert _same_bytes(record.cov_asym, estimate.cov_asym)
+                assert _same_bytes(cov, estimate.covariance)
+            assert len(records) == config.steps
+
+    @pytest.mark.parametrize("tag", list(METHODS))
+    def test_every_row_equals_its_public_update_bit_for_bit(self, tag):
+        def public(pred, z, model, c):
+            return {
+                "unconstrained": lambda: update_joseph(pred, z, model)[0],
+                "augmented": lambda: augmented_update(pred, z, model, c).estimate,
+                "fusion": lambda: fusion_constrained_update(pred, z, model, c).estimate,
+                "projection": lambda: project(update_joseph(pred, z, model)[0], c).estimate,
+                "projection_identity": lambda: project(
+                    update_joseph(pred, z, model)[0], c, ProjectionSpec(IDENTITY)
+                ).estimate,
+                "restricted_gain": lambda: restricted_gain_update(pred, z, model, c)[1].estimate,
+                "soft_augmented": lambda: soft_augmented_update(
+                    pred, z, model, c, 0.25 * np.eye(c.constraint_dim)
+                ).estimate,
+            }[tag]()
+
+        spec = method_spec(tag)
+        instances = _line_2d_and_random_instances(
+            lambda pred, z, model, c: SimpleNamespace(estimate=public(pred, z, model, c))
+        )
+        assert len(instances) == 100
+        for pred, model, z, c in instances:
+            config = dataclasses.replace(
+                load_bundled_scenario("line_2d"), soft_noise=0.25 * np.eye(c.constraint_dim)
+            )
+            (mean, cov), unconstrained = _run_row(spec, pred, z, model, c, config)
+            expected = public(pred, z, model, c)
+            assert np.array_equal(mean, expected.mean)
+            assert np.array_equal(cov, expected.covariance)
+            if unconstrained is not None:
+                plain = update_joseph(pred, z, model)[0]
+                assert np.array_equal(unconstrained[0], plain.mean)
+                assert np.array_equal(unconstrained[1], plain.covariance)
+            assert (unconstrained is None) == (not METHODS[tag].forms_unconstrained)
+
+    def test_a_line_2d_run_checks_at_most_half_its_estimates(self, monkeypatch):
+        # Without reuse every estimate's covariance is checked once.
+        doc = json.loads(bundled_scenario_text("line_2d"))
+        doc["steps"] = 100
+        config = config_from_document(doc)
+        assert sorted(spec.label for spec in config.methods) == sorted(METHODS)
+        sim = simulate_truth(config)
+        calls = []
+        check = kalman._check_covariance
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(kalman, "_check_covariance", counting)
+        report = run_scenario(config, sim)
+        assert len(report.records) == 700
+        assert 0 < len(calls) <= len(report.records) // 2
+
+    def test_a_per_step_model_list_never_reuses_a_stage(self, monkeypatch):
+        doc = json.loads(bundled_scenario_text("line_2d"))
+        doc["steps"] = 100
+        single = config_from_document(doc)
+        doc["model"] = [doc["model"]] * 100
+        listed = config_from_document(doc)
+        sim = simulate_truth(single)
+        assert all(count >= 50 for count in _reused_stages(single, sim, monkeypatch).values())
+        assert set(_reused_stages(listed, sim, monkeypatch).values()) == {0}
+        assert emit_report(run_scenario(listed, sim)) == emit_report(run_scenario(single, sim))
+
+    def test_circle_reuses_only_its_unconstrained_stage(self, monkeypatch):
+        config = load_bundled_scenario("circle")
+        for feedback in (True, False):
+            config = dataclasses.replace(config, feedback=feedback)
+            hits = _reused_stages(config, simulate_truth(config), monkeypatch)
+            assert hits["projection"] == 0
+            assert hits["unconstrained"] > 0
+
+    @pytest.mark.parametrize("feedback", [True, False], ids=["feedback-on", "feedback-off"])
+    def test_estimates_own_read_only_arrays(self, feedback):
+        config = _n8_config(feedback)
+        model = config.model_at(0)
+        z = Measurement(np.linspace(-1.0, 1.0, model.measurement_dim), step=1)
+        for spec in config.methods:
+            memory = (set(), {})
+            # a first sighting, a second that stores the stage, and a reuse
+            for _ in range(3):
+                for estimate in advance_method(
+                    config.initial_estimate, z, model, spec, config, _memory=memory
+                ):
+                    for array in (estimate.mean, estimate.covariance):
+                        assert array.flags.owndata and not array.flags.writeable
+            assert len(memory[1]) == 1
+        # fusion's mean stage returns a view into its (k + n) x (n + 1) solve,
+        # which an estimate must not pin
+        c = config.constraint
+        stage = kalman._fusion_stage(config.initial_estimate.covariance, model, c.matrix)
+        mean, _ = kalman._fusion_solve(stage, config.initial_estimate.mean, z.value, c.rhs)
+        assert mean.base is not None
+
+    @pytest.mark.parametrize("kernel, part", [
+        ("_correct", 1), ("_joseph", 2), ("_fusion_solve", 0), ("_fusion_solve", 1),
+    ])
+    def test_a_non_finite_kernel_result_raises_the_typed_error(self, kernel, part, monkeypatch):
+        config = load_bundled_scenario("line_2d")
+        spec = method_spec("fusion" if kernel == "_fusion_solve" else "unconstrained")
+        original = getattr(kalman, kernel)
+
+        def poisoned(*args):
+            out = list(original(*args))
+            out[part] = np.full_like(out[part], np.nan)
+            return tuple(out)
+
+        monkeypatch.setattr(kalman, kernel, poisoned)
+        z = Measurement(np.ones(config.model_at(0).measurement_dim), step=1)
+        with pytest.raises(IndefiniteCovariance, match="non-finite"):
+            advance_method(config.initial_estimate, z, config.model_at(0), spec, config)
+
+
+def _run_row(spec, pred, z, model, c, config=None):
+    """The two stages of the ``METHODS`` row of ``spec`` on one prediction."""
+    row = METHODS[spec.name]
+    stage = row.covariance(pred.covariance, model, c, spec, config)
+    return row.mean(stage, pred.mean, z.value, model, c)
 
 
 def _line_2d_and_random_instances(update):

@@ -286,7 +286,7 @@ class TestArrayStep:
         for k in range(config.steps):
             model = config.model_at(k)
             z = 0.5 * rng.standard_normal((len(states), model.measurement_dim))
-            (reported, reported_cov), (means, cov) = run._step(
+            (reported, reported_cov), (means, cov), _ = run._step(
                 means, cov, z, model, method, config
             )
             got = []
@@ -306,7 +306,11 @@ class TestArrayStep:
     def test_an_indefinite_posterior_raises_the_typed_error(self, feedback, monkeypatch):
         config = dataclasses.replace(load_bundled_scenario("line_2d"), feedback=feedback)
         spec = next(s for s in config.methods if s.name == "fusion")
-        monkeypatch.setattr(kalman, "_fusion", lambda mean, cov, *_: (mean, -cov))
+        # the fusion mean stage returns the posterior covariance it solved for
+        n = config.state_dim
+        monkeypatch.setattr(
+            kalman, "_fusion_solve", lambda stage, mean, *_: (mean, -stage[0][:n, :n])
+        )
         z = Measurement(np.ones(2), step=1)
         with pytest.raises(IndefiniteCovariance, match="fusion posterior"):
             advance_method(config.initial_estimate, z, config.model_at(0), spec, config)
@@ -323,7 +327,7 @@ class TestArrayStep:
         predicted = means @ model.transition.T
         z = predicted @ model.observation.T + 0.2 * rng.standard_normal((4, 2))
         z[1] = predicted[1] @ model.observation.T  # a zero innovation
-        (reported, cov), _ = run._step(means, start.covariance, z, model, spec, config)
+        (reported, cov), _, _ = run._step(means, start.covariance, z, model, spec, config)
         assert np.isfinite(reported).all()
         for t in range(4):
             pred = predict(StateEstimate(means[t], start.covariance), model)

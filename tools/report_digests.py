@@ -1,6 +1,7 @@
 """Print the sha256 of every report in the byte-identity set, as JSON.
 
-The set is 58 reports, each emitted as CSV and as structured JSON:
+The set is 61 reports.  58 come from scenario runs, each run emitted as CSV
+and as structured JSON:
 
 * every bundled scenario, with ``feedback`` on and off (24 reports);
 * ``line_2d`` with the posterior-inverse projection and one with the
@@ -8,6 +9,11 @@ The set is 58 reports, each emitted as CSV and as structured JSON:
   (4 reports);
 * every ``track_small`` and ``track_wide`` document of
   ``perfbench/workloads.documents`` at seeds 1 to 3 (30 reports).
+
+The other 3 are the ``empirical_covariance_check`` reports of
+``perfbench/workloads.MC_RUNS`` at ``MC_TRIALS`` trials, with the oracle
+seeds of the ``mc_sweep`` workload at seed 1: the bytes of the reported and
+sample covariances and the ``repr`` of each statistic.
 
 Run from anywhere; ``eqkf`` is imported from this checkout's ``src/``::
 
@@ -40,6 +46,7 @@ import workloads  # noqa: E402
 FORMATS = ("csv", "structured")
 SEEDS = (1, 2, 3)
 EXPLICIT_WEIGHT = [[2.0, 0.3], [0.3, 1.0]]
+MC_TRIALS = 2000
 
 
 def _documents():
@@ -68,6 +75,15 @@ def digests() -> dict[str, str]:
         for fmt in FORMATS:
             text = harness.emit_report(report, fmt)
             out[f"{label}.{fmt}"] = hashlib.sha256(text.encode()).hexdigest()
+    docs = workloads.documents("mc_sweep", 1)
+    mc = workloads.McWorkload(docs, workloads.load(docs), 1, MC_TRIALS)
+    for (index, method), report in zip(workloads.MC_RUNS, mc.run_op().outputs[0]):
+        stats = (report.max_relative_deviation, report.matched_entries,
+                 report.constraint_row_rms)
+        data = (report.reported_covariance.tobytes() + report.sample_covariance.tobytes()
+                + repr(stats).encode())
+        label = f"oracle/mc_sweep/{index}-{docs[index]['name']}-{method}"
+        out[label] = hashlib.sha256(data).hexdigest()
     return out
 
 
