@@ -16,9 +16,9 @@ mean exactly on the constraint set:
   solved in closed form by :func:`solve_lagrange_system`.
 * :func:`fusion_constrained_update` fuses prediction, measurement, and
   constraint in a single stacked least-squares solve: one Bunch-Kaufman
-  factorization of the equilibrated saddle matrix, in the kernel
-  ``kalman._fusion`` that :func:`kalman.update_fusion` runs with no
-  constraint rows.
+  factorization of the equilibrated saddle matrix, in the stages
+  ``kalman._fusion_stage`` and ``kalman._fusion_solve`` that
+  :func:`kalman.update_fusion` runs with no constraint rows.
 
 The first, second (with the posterior-inverse weight), and fourth agree in
 exact arithmetic; the third coincides with the identity-weight projection.
@@ -33,9 +33,9 @@ is a least-distance correction through the Gram matrix
 :func:`_gram_factorization`: a QR decomposition of ``(A L)'`` with
 ``W^-1 = L L'``, guarded by ``matops.CONDITION_LIMIT``, with ``L`` from
 :func:`_covariance_factor` or, for an explicit weight, from its
-:class:`ProjectionSpec`.  Each correction moves the mean along
-``U`` (:func:`_along`), and its covariance is the congruence
-``(I - U A) P (I - U A)'`` of :func:`_congruence`, which keeps
+:class:`ProjectionSpec`.  Each correction moves the mean along ``U``
+(:func:`_along`); its covariance, from :func:`_project_stage` for all of
+them, is the congruence ``(I - U A) P (I - U A)'``, which keeps
 hard-constrained (rank ``n - q``) covariances symmetric positive
 semidefinite over long runs.  A posterior the ``StateEstimate`` checks
 reject raises ``IndefiniteCovariance`` (``kalman._estimate``, and
@@ -205,6 +205,10 @@ class ProjectionSpec:
         object.__setattr__(self, "_factor", frozen_array(factor))
 
 
+_POSTERIOR_INVERSE_SPEC = ProjectionSpec(POSTERIOR_INVERSE)
+_IDENTITY_SPEC = ProjectionSpec(IDENTITY)
+
+
 @dataclass(frozen=True)
 class RestrictedGainSolution:
     """Output of the gain re-optimization.
@@ -302,13 +306,6 @@ def _covariance_factor(cov: np.ndarray) -> np.ndarray:
         return matops.psd_factor(sym)
 
 
-def _congruence(ups, a, cov) -> np.ndarray:
-    """The covariance ``(I - U A) P (I - U A)'`` of a projection along ``U``."""
-    pi = matops._identity(cov.shape[0]) - ups @ a
-    p = pi @ cov @ pi.T
-    return 0.5 * (p + p.T)
-
-
 def _along(ups, c: EqualityConstraint, mean) -> np.ndarray:
     """Mean stage of a projection along ``U``: each row's ``mean - U (A mean - b)``."""
     return mean - (mean @ c.matrix.T - c.rhs) @ ups.T
@@ -372,26 +369,27 @@ def block_s_inverse(
     return SaddleInverseBlocks(*blocks)
 
 
-def _augmented_stage(cov, model: SystemModel, c: EqualityConstraint):
+def _augmented_stage(cov, model: SystemModel, c: EqualityConstraint | None):
     """Covariance stage of :func:`augmented_update`: the unconstrained gain and
-    covariance ``P_post``, the gains of ``z`` and ``b`` (None with q = 0) and the
-    constrained covariance.  One factorization of ``A P_post A'`` serves both."""
-    h, r, a = model.observation, model.measurement_noise, c.matrix
+    covariance ``P_post``, the gains of ``z`` and ``b`` (None without rows) and
+    the constrained covariance, which shares ``G^-1`` with them (:func:`_project_stage`)."""
+    h, r = model.observation, model.measurement_noise
+    if c is None or c.constraint_dim == 0:
+        _, gain, post = kalman._joseph(cov, h, r)
+        return gain, post, None, None
     try:
         s, gain, post = kalman._joseph(cov, h, r)
-        if c.constraint_dim == 0:
-            return gain, post, None, None
-        ups, g_inv = _gram_factorization(_covariance_factor(post), a)
-        blocks = _s_inverse_blocks(s, gain, a, g_inv)
+        (_, g_inv), constrained_cov = _project_stage(post, c, _POSTERIOR_INVERSE_SPEC)
+        blocks = _s_inverse_blocks(s, gain, c.matrix, g_inv)
     except (SingularInnovationCovariance, SingularConstraintGram) as exc:
         raise SingularAugmentedInnovation(
             f"stacked residual covariance is singular: {exc}"
         ) from exc
     ph = cov @ h.T
-    pa = cov @ a.T
+    pa = cov @ c.matrix.T
     upper_left, upper_right, lower_left, lower_right = blocks
     gains = ph @ upper_left + pa @ lower_left, ph @ upper_right + pa @ lower_right
-    return gain, post, gains, _congruence(ups, a, post)
+    return gain, post, gains, constrained_cov
 
 
 def _augmented_mean(stage, mean, z, model: SystemModel, c: EqualityConstraint):
@@ -417,9 +415,9 @@ def augmented_update(
     Runs a gain update on the stacked observation ``[H; A]`` with noise
     ``blkdiag(R, 0)``; the stacked residual covariance is inverted through
     the blocks of :func:`block_s_inverse` rather than densely.  Equals
-    :func:`constrain_posterior` applied after :func:`update_joseph`.
-    Raises ``SingularAugmentedInnovation`` when the stacked residual
-    covariance is singular (either factor of its block reduction fails).
+    :func:`constrain_posterior` applied after :func:`update_joseph`, and is
+    that update with q = 0.  A singular stacked residual covariance raises
+    ``SingularAugmentedInnovation`` (``SingularInnovationCovariance`` if q = 0).
     """
     _check_state_dims(pred.dim, c)
     kalman._check_update_dims(pred, z, model)
@@ -430,15 +428,17 @@ def augmented_update(
 
 
 def _project_stage(cov, c: EqualityConstraint, spec: ProjectionSpec):
-    """Covariance stage of :func:`project`: ``U`` for ``spec``'s weight, and the
-    covariance."""
+    """Covariance stage of :func:`project` and of each update equal to one:
+    ``(U, G^-1)`` for ``spec``'s weight, and ``(I - U A) cov (I - U A)'``."""
     factor = spec._factor
     if factor is None and spec.weight == IDENTITY:
-        ups = c._euclidean_gram[0]
+        gram = c._euclidean_gram
     else:
         factor = _covariance_factor(cov) if factor is None else factor
-        ups = _gram_factorization(factor, c.matrix)[0]
-    return ups, _congruence(ups, c.matrix, cov)
+        gram = _gram_factorization(factor, c.matrix)
+    pi = matops._identity(cov.shape[0]) - gram[0] @ c.matrix
+    p = pi @ cov @ pi.T
+    return gram, 0.5 * (p + p.T)
 
 
 def project(
@@ -452,7 +452,7 @@ def project(
 
         mean' = mean - W^-1 A' (A W^-1 A')^-1 (A mean - b)
 
-    The covariance takes the congruence of :func:`_congruence`, which
+    The covariance takes the congruence ``(I - U A) P (I - U A)'``, which
     keeps it symmetric positive semidefinite for any weight.
     """
     _check_state_dims(est.dim, c)
@@ -462,7 +462,7 @@ def project(
         )
     if c.constraint_dim == 0:
         return ConstrainedUpdateResult(est, PROJECTION, 0.0)
-    ups, cov = _project_stage(est.covariance, c, spec)
+    (ups, _), cov = _project_stage(est.covariance, c, spec)
     return _result(PROJECTION, c, _along(ups, c, est.mean), cov, est.step)
 
 
@@ -526,8 +526,8 @@ def _restricted_gain_stage(cov, model: SystemModel, c: EqualityConstraint):
     """Covariance stage of :func:`restricted_gain_update`: the stage of
     ``kalman._joseph`` and its identity-weight projection (None with q = 0)."""
     s, gain, post = kalman._joseph(cov, model.observation, model.measurement_noise)
-    ups = c._euclidean_gram[0] if c.constraint_dim else None
-    return s, gain, post, None if ups is None else _congruence(ups, c.matrix, post)
+    projected = _project_stage(post, c, _IDENTITY_SPEC)[1] if c.constraint_dim else None
+    return s, gain, post, projected
 
 
 def _restricted_gain_mean(stage, mean, z, model: SystemModel, c: EqualityConstraint):
@@ -603,21 +603,22 @@ def fusion_constrained_update(
     is raised when it has a zero row, a pivot of the factorization is exactly
     singular or its reciprocal condition estimate is below
     ``1 / CONDITION_LIMIT``.  :func:`kalman.update_fusion` is its q = 0 case;
-    both run the kernel ``kalman._fusion``.
+    both run the stages ``kalman._fusion_stage`` and ``kalman._fusion_solve``.
     """
     kalman._check_update_dims(pred, z, model)
     _check_state_dims(pred.dim, c)
-    mean, cov = kalman._fusion(pred.mean, pred.covariance, z.value, model, c.matrix, c.rhs)
+    stage = kalman._fusion_stage(pred.covariance, model, c.matrix)
+    mean, cov = kalman._fusion_solve(stage, pred.mean, z.value, c.rhs)
     return _result(FUSION, c, mean, cov, pred.step)
 
 
-def _posterior_direction(post_cov, c: EqualityConstraint) -> tuple[np.ndarray, np.ndarray]:
-    """``P = post_cov`` as a square array, and its direction ``P A' (A P A')^-1``."""
+def _square_posterior(post_cov, c: EqualityConstraint) -> np.ndarray:
+    """``post_cov`` as an array, checked to be square over ``c``'s states."""
     p = as_matrix(post_cov, "posterior covariance")
     if p.shape[0] != p.shape[1]:
         raise DimensionMismatch(f"posterior covariance must be square, got {p.shape}")
     _check_state_dims(p.shape[0], c)
-    return p, _gram_factorization(_covariance_factor(p), c.matrix)[0]
+    return p
 
 
 def gamma_projector(post_cov, c: EqualityConstraint) -> np.ndarray:
@@ -628,8 +629,8 @@ def gamma_projector(post_cov, c: EqualityConstraint) -> np.ndarray:
     multiplying the posterior covariance by it yields a matrix ``X`` with
     ``A X = 0``.
     """
-    p, ups = _posterior_direction(post_cov, c)
-    return np.eye(p.shape[0]) - ups @ c.matrix
+    (ups, _), _ = _project_stage(_square_posterior(post_cov, c), c, _POSTERIOR_INVERSE_SPEC)
+    return np.eye(c.state_dim) - ups @ c.matrix
 
 
 def joseph_constrained_cov(post_cov, c: EqualityConstraint) -> np.ndarray:
@@ -640,8 +641,7 @@ def joseph_constrained_cov(post_cov, c: EqualityConstraint) -> np.ndarray:
     positive semidefinite by construction, which makes it the stable
     choice inside long recursions.
     """
-    p, ups = _posterior_direction(post_cov, c)
-    return _congruence(ups, c.matrix, p)
+    return _project_stage(_square_posterior(post_cov, c), c, _POSTERIOR_INVERSE_SPEC)[1]
 
 
 def linearize(nc: NonlinearConstraint, x_ref) -> EqualityConstraint:

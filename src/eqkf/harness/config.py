@@ -105,12 +105,12 @@ class MethodSpec:
 class Method(NamedTuple):
     """A row of :data:`METHODS`, an update in two stages.  The covariance stage
     ``covariance(cov, model, lin, spec, config)`` reads no mean: ``lin`` is the
-    constraint linearized about the predicted means (None if not
-    ``needs_constraint``).  The mean stage ``mean(stage, mean, z, model, lin)``
-    applies it, and returns the estimate and the unconstrained update if
-    ``forms_unconstrained`` (else None), as ``(mean, cov)``.  Tags in one
-    ``group`` have equal means in exact arithmetic; the group names the
-    projection weight."""
+    constraint linearized about the predicted means, None if not
+    ``needs_constraint`` (so the unconstrained row is augmentation with no
+    rows).  The mean stage ``mean(stage, mean, z, model, lin)`` applies it and
+    returns the estimate and the unconstrained update if ``forms_unconstrained``
+    (else None), as ``(mean, cov)``.  Tags in one ``group`` have equal means in
+    exact arithmetic; the group names the projection weight."""
 
     covariance: Callable[..., tuple]
     mean: Callable[..., tuple[tuple, tuple | None]]
@@ -119,23 +119,18 @@ class Method(NamedTuple):
     forms_unconstrained: bool = True
 
 
-def _unconstrained_stage(cov, model, lin, spec, config):
-    return kalman._joseph(cov, model.observation, model.measurement_noise)
-
-
-def _unconstrained_mean(stage, mean, z, model, lin):
-    est = kalman._correct(mean, z, model.observation, stage[1])[1], stage[2]
-    return est, est
+def _augmented_stage(cov, model, lin, spec, config):
+    return constrained._augmented_stage(cov, model, lin)
 
 
 def _projection_stage(cov, model, lin, spec, config):
-    plain = _unconstrained_stage(cov, model, lin, spec, config)
-    return plain, constrained._project_stage(plain[2], lin, spec._projection)
+    plain = constrained._augmented_stage(cov, model, None)
+    return plain, constrained._project_stage(plain[1], lin, spec._projection)
 
 
 def _projection_mean(stage, mean, z, model, lin):
-    unconstrained, _ = _unconstrained_mean(stage[0], mean, z, model, lin)
-    ups, cov = stage[1]
+    unconstrained, _ = constrained._augmented_mean(stage[0], mean, z, model, None)
+    (ups, _), cov = stage[1]
     return (constrained._along(ups, lin, unconstrained[0]), cov), unconstrained
 
 
@@ -153,7 +148,7 @@ def _restricted_gain_mean(stage, mean, z, model, lin):
     with contextlib.suppress(DegenerateResidual):
         constrained.restricted_gain_update(pred, z, model, lin)
     unconstrained, _ = kalman.update_joseph(pred, z, model)
-    est = constrained.project(unconstrained, lin, ProjectionSpec(IDENTITY)).estimate
+    est = constrained.project(unconstrained, lin, constrained._IDENTITY_SPEC).estimate
     return (est.mean, est.covariance), (unconstrained.mean, unconstrained.covariance)
 
 
@@ -164,12 +159,10 @@ def _soft_stage(cov, model, lin, spec, config):
 # Every method, keyed by its document tag, which is also its report label.
 # The order fixes the order of METHOD_NAMES and of the divergence pairs.
 METHODS = {
-    "unconstrained": Method(_unconstrained_stage, _unconstrained_mean, needs_constraint=False),
-    "augmented": Method(
-        lambda cov, model, lin, *_: constrained._augmented_stage(cov, model, lin),
-        constrained._augmented_mean,
-        POSTERIOR_INVERSE,
+    "unconstrained": Method(
+        _augmented_stage, constrained._augmented_mean, needs_constraint=False
     ),
+    "augmented": Method(_augmented_stage, constrained._augmented_mean, POSTERIOR_INVERSE),
     "fusion": Method(
         lambda cov, model, lin, *_: kalman._fusion_stage(cov, model, lin.matrix),
         lambda stage, mean, z, model, lin:
@@ -326,10 +319,8 @@ def _as_array_2d(value: Any, name: str) -> np.ndarray:
             raise ParseError(
                 f"field '{name}': row {i} has length {len(row)}, expected {width}"
             )
-        for entry in row:
-            if not isinstance(entry, (int, float)) or isinstance(entry, bool):
-                raise ParseError(f"field '{name}': entries must be numbers")
-    return np.asarray(value, dtype=float)
+    flat = _as_array_1d([entry for row in value for entry in row], name)
+    return flat.reshape(len(value), width)
 
 
 def _as_array_1d(value: Any, name: str) -> np.ndarray:
@@ -338,7 +329,11 @@ def _as_array_1d(value: Any, name: str) -> np.ndarray:
     for entry in value:
         if not isinstance(entry, (int, float)) or isinstance(entry, bool):
             raise ParseError(f"field '{name}': entries must be numbers")
-    return np.asarray(value, dtype=float)
+    # json reads NaN and Infinity, and an integer may exceed every float
+    with contextlib.suppress(OverflowError):
+        if np.isfinite(array := np.asarray(value, dtype=float)).all():
+            return array
+    raise ParseError(f"field '{name}': entries must be finite numbers")
 
 
 def _require(doc: dict, name: str) -> Any:

@@ -94,13 +94,13 @@ def _step(mean, cov, z, model: SystemModel, spec: MethodSpec, config: ScenarioCo
         separate = not (config.feedback or method.forms_unconstrained)
         stage = (
             method.covariance(cov, model, lin, spec, config),
-            plain.covariance(cov, model, lin, spec, config) if separate else None,
+            plain.covariance(cov, model, None, spec, config) if separate else None,
         )
     reported, unconstrained = method.mean(stage[0], mean, z, model, lin)
     if config.feedback:
         return reported, reported, stage
     if unconstrained is None:
-        unconstrained, _ = plain.mean(stage[1], mean, z, model, lin)
+        unconstrained, _ = plain.mean(stage[1], mean, z, model, None)
     return reported, unconstrained, stage
 
 
@@ -122,14 +122,20 @@ def advance_method(
     Nonlinear constraints are relinearized about the predicted mean.
 
     ``_memory`` (from :func:`run_scenario` only) is ``(seen, stored)`` for one
-    method: the hashes of the input covariances' bytes seen so far, and up to
-    four covariance stages, with their estimates, stored by those bytes once
-    their hash is seen again.  A stage is reused only for byte-equal bytes,
-    and its estimates lend their checked covariances to the new ones.
+    method: the hashes of the input covariances' diagonals' bytes seen so far,
+    and up to four covariance stages, with their estimates, stored by the full
+    bytes once the diagonal's hash is seen again.  A stage is reused only for
+    byte-equal bytes, and its estimates lend their checked covariances.
     """
     kalman._check_update_dims(state, z, model)
-    key = None if _memory is None else state.covariance.tobytes()
-    stage, earlier = (None, ()) if key is None else _memory[1].get(key, (None, ()))
+    key, stage, earlier = None, None, ()
+    if _memory is not None:
+        seen, stored = _memory
+        diagonal = hash(state.covariance.diagonal().tobytes())
+        if diagonal in seen:
+            key = state.covariance.tobytes()
+            stage, earlier = stored.get(key, (None, ()))
+        seen.add(diagonal)
     reported, following, stage = _step(
         state.mean, state.covariance, z.value, model, spec, config, stage
     )
@@ -139,11 +145,8 @@ def advance_method(
         kalman._estimate(*pair, state.step + 1, what, prior)
         for pair, what, prior in zip(pairs, whats, earlier or (None, None))
     ]
-    if key is not None and not earlier:
-        seen, stored = _memory
-        if hash(key) in seen and len(stored) < 4:
-            stored[key] = stage, estimates
-        seen.add(hash(key))
+    if key is not None and not earlier and len(stored) < 4:
+        stored[key] = stage, estimates
     return estimates[0], estimates[-1]
 
 

@@ -66,8 +66,16 @@ def _project_feasible(
     raise FilterError("truth projection onto the constraint did not converge")
 
 
+def _finite(x: np.ndarray, what: str, step: int) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise FilterError(f"truth simulation: the {what} of step {step} is not finite")
+    return x
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_with_rng(config: ScenarioConfig, rng: np.random.Generator) -> SimulationResult:
-    """Simulate with an externally supplied generator (for Monte-Carlo use)."""
+    """Simulate with an externally supplied generator (for Monte-Carlo use); a
+    truth or measurement that overflows raises ``FilterError`` naming its step."""
     n = config.state_dim
     truth = np.empty((config.steps + 1, n))
     truth[0] = _project_feasible(np.asarray(config.initial_truth, dtype=float),
@@ -82,11 +90,11 @@ def simulate_with_rng(config: ScenarioConfig, rng: np.random.Generator) -> Simul
                             psd_factor(model.measurement_noise))
         lq, lr = factors[key]
         noisy = model.transition @ truth[k - 1] + lq @ rng.standard_normal(n)
-        truth[k] = _project_feasible(noisy, config.constraint)
+        truth[k] = _project_feasible(_finite(noisy, "truth", k), config.constraint)
         value = model.observation @ truth[k] + lr @ rng.standard_normal(
             model.measurement_dim
         )
-        measurements.append(Measurement(value, step=k))
+        measurements.append(Measurement(_finite(value, "measurement", k), step=k))
     return SimulationResult(truth, tuple(measurements))
 
 

@@ -8,8 +8,8 @@ provided:
   Joseph covariance form ``(I - K H) P (I - K H)' + K R K'``, and
 * :func:`update_fusion`, a weighted least-squares solve that stacks the
   prediction on top of the measurement as one observation of the state,
-  in the Bunch-Kaufman saddle kernel :func:`_fusion` that constrained
-  fusion runs with its exact rows stacked below.
+  in the saddle stages :func:`_fusion_stage` and :func:`_fusion_solve` that
+  constrained fusion runs with its exact rows stacked below.
 
 Covariances are symmetrized after every step so long runs cannot drift
 into asymmetry.  The public functions check their inputs and run private
@@ -333,10 +333,10 @@ def update_joseph(
 
 
 def _fusion_stage(cov, model: SystemModel, a) -> tuple:
-    """Covariance stage of :func:`_fusion`: the saddle matrix
-    ``[[blkdiag(P, R, 0), obs], [obs', 0]]`` with ``obs = [I; H; A]``, written
-    into one zero array block by block, and its solver.  ``P`` and ``R`` need
-    not be invertible: the factorization's own test in
+    """Covariance stage of fusion with exact rows ``A`` (q = 0 for none): the
+    saddle matrix ``[[blkdiag(P, R, 0), obs], [obs', 0]]``, ``obs = [I; H; A]``,
+    written into one zero array block by block, and its solver.  ``P`` and
+    ``R`` need not be invertible: the factorization's own test in
     :func:`matops._saddle_solver` is the one check that the saddle matrix is
     regular."""
     n = cov.shape[0]
@@ -355,11 +355,11 @@ def _fusion_stage(cov, model: SystemModel, a) -> tuple:
 
 
 def _fusion_solve(stage, mean, z, b) -> tuple[np.ndarray, np.ndarray]:
-    """Mean stage of :func:`_fusion`, one solve for the saddle matrix's last
-    ``n`` unit columns, whose lower block is the negated posterior covariance,
-    and each stacked observation ``[mean, z, b; 0]``, whose lower block is the
-    fused mean after one step of iterative refinement against the saddle
-    matrix itself.  The unit columns are solved with the observations, as one
+    """Mean stage of fusion with exact rows ``A x = b``, one solve for the saddle
+    matrix's last ``n`` unit columns, whose lower block is the negated posterior
+    covariance, and each stacked observation ``[mean, z, b; 0]``, whose lower
+    block is the fused mean after one step of iterative refinement against the
+    saddle matrix itself.  The unit columns are solved with the observations, as one
     right-hand side, also when the covariance is already known: ``?sytrs`` is
     not bound to round a column the same when other columns share its solve."""
     saddle, solve = stage
@@ -380,26 +380,18 @@ def _fusion_solve(stage, mean, z, b) -> tuple[np.ndarray, np.ndarray]:
     return fused[k:].T.reshape(mean.shape), -0.5 * (post + post.T)
 
 
-def _fusion(mean, cov, z, model: SystemModel, a, b):
-    """Array kernel of :func:`update_fusion` and of constrained fusion with
-    the exact rows ``A x = b`` (q = 0 for none)."""
-    return _fusion_solve(_fusion_stage(cov, model, a), mean, z, b)
-
-
 def update_fusion(pred: StateEstimate, z: Measurement, model: SystemModel) -> StateEstimate:
     """Weighted least-squares update.
 
     Stacks the prediction as a direct pseudo-measurement of the state above
     the real measurement, with noise ``blkdiag(P, R)``, and solves the
-    saddle system of :func:`_fusion` with no constraint rows.  Equals
+    saddle system of :func:`_fusion_stage` with no constraint rows.  Equals
     :func:`update_joseph` in exact arithmetic.  ``P`` and ``R`` need not be
     invertible: ``SingularCovariance`` means the saddle matrix is singular,
     and ``IndefiniteCovariance`` that the result fails the ``StateEstimate``
     checks.
     """
     _check_update_dims(pred, z, model)
-    n = pred.dim
-    mean, cov = _fusion(
-        pred.mean, pred.covariance, z.value, model, np.zeros((0, n)), np.zeros(0)
-    )
+    stage = _fusion_stage(pred.covariance, model, np.zeros((0, pred.dim)))
+    mean, cov = _fusion_solve(stage, pred.mean, z.value, np.zeros(0))
     return _estimate(mean, cov, pred.step, "unconstrained fusion posterior")

@@ -40,7 +40,9 @@ from eqkf.errors import (
     FilterError,
     IndefiniteCovariance,
     RankDeficientJacobian,
+    SingularAugmentedInnovation,
     SingularCovariance,
+    SingularInnovationCovariance,
     SingularWeight,
 )
 from eqkf.matops import min_eigenvalue, pseudo_inverse, unvec
@@ -147,6 +149,30 @@ class TestAugmentedUpdate:
         result = augmented_update(pred, z, model, c)
         assert_allclose(result.estimate.mean, [0.7, -0.2], atol=1e-10)
         assert np.abs(result.estimate.covariance).max() < 1e-10
+
+    def test_without_constraint_rows_is_update_joseph_bit_for_bit(self):
+        instances = [worked_planar_instance()[:3]] + [
+            (pred, z, model) for pred, model, z, _ in map(random_constrained_instance, range(50))
+        ]
+        for pred, z, model in instances:
+            empty = EqualityConstraint(np.zeros((0, pred.dim)), np.zeros(0))
+            result = augmented_update(pred, z, model, empty)
+            plain, _ = update_joseph(pred, z, model)
+            assert np.array_equal(result.estimate.mean, plain.mean)
+            assert np.array_equal(result.estimate.covariance, plain.covariance)
+            assert result.constraint_residual == 0.0
+
+    @pytest.mark.parametrize("rows, error", [
+        (0, SingularInnovationCovariance), (1, SingularAugmentedInnovation),
+    ])
+    def test_a_singular_innovation_covariance_raises(self, rows, error):
+        # H = 0 and R = 0: S = 0.  With no rows augmentation is the plain update.
+        pred = estimate([0.3, -0.3], 0.5 * np.eye(2), step=1)
+        model = SystemModel(np.eye(2), 0.01 * np.eye(2), [[0.0, 0.0]], [[0.0]])
+        c = line_constraint() if rows else EqualityConstraint(np.zeros((0, 2)), np.zeros(0))
+        with pytest.raises(error) as info:
+            augmented_update(pred, Measurement([0.0], step=1), model, c)
+        assert type(info.value) is error
 
 
 class TestBlockSInverse:
@@ -364,8 +390,9 @@ class TestFusionConstrained:
             means = pred.mean + rng.standard_normal((4, pred.dim))
             zs = z.value + rng.standard_normal((4, z.dim))
             cov = pred.covariance
-            single = kalman._fusion(pred.mean, cov, z.value, model, c.matrix, c.rhs)
-            stacked = kalman._fusion(means, cov, zs, model, c.matrix, c.rhs)
+            stage = kalman._fusion_stage(cov, model, c.matrix)
+            single = kalman._fusion_solve(stage, pred.mean, z.value, c.rhs)
+            stacked = kalman._fusion_solve(stage, means, zs, c.rhs)
             for (mean, post), (ref_mean, ref_post) in (
                 (single, _pseudo_inverse_fusion(pred.mean, cov, z.value, model, c)),
                 (stacked, _pseudo_inverse_fusion(means, cov, zs, model, c)),
@@ -373,7 +400,7 @@ class TestFusionConstrained:
                 assert rel(mean, ref_mean) <= 1e-10
                 assert rel(post, ref_post) <= 1e-10
             for row, mean, zv in zip(stacked[0], means, zs):
-                row_fused = kalman._fusion(mean, cov, zv, model, c.matrix, c.rhs)[0]
+                row_fused = kalman._fusion_solve(stage, mean, zv, c.rhs)[0]
                 assert rel(row, row_fused) <= 1e-12
 
     def test_nearly_dependent_constraint_rows_raise_singular_covariance(self):

@@ -17,6 +17,8 @@ from eqkf import (
     EqualityConstraint,
     Measurement,
     ProjectionSpec,
+    StateEstimate,
+    SystemModel,
     augmented_update,
     fusion_constrained_update,
     kalman,
@@ -31,6 +33,7 @@ from eqkf.errors import (
     IndefiniteCovariance,
     ParseError,
     ScenarioStepError,
+    SingularInnovationCovariance,
     UnsupportedFormat,
     ValidationError,
 )
@@ -65,6 +68,12 @@ def minimal_doc(**overrides):
         "initial_truth": [0.0],
         "initial_estimate": {"mean": [0.0], "covariance": [[1.0]]},
     }
+    doc.update(overrides)
+    return doc
+
+
+def line_2d_doc(**overrides):
+    doc = json.loads(bundled_scenario_text("line_2d"))
     doc.update(overrides)
     return doc
 
@@ -671,6 +680,22 @@ class TestStageReuse:
         mean, _ = kalman._fusion_solve(stage, config.initial_estimate.mean, z.value, c.rhs)
         assert mean.base is not None
 
+    def test_only_byte_equal_covariances_share_a_stage(self):
+        # two covariances with one diagonal: the diagonal's hash is what a run
+        # remembers, and the full bytes decide every reuse
+        config = load_bundled_scenario("line_2d")
+        model, spec = config.model_at(0), method_spec("augmented")
+        z = Measurement([0.3, -0.1], step=1)
+        states = [StateEstimate([0.1, 0.2], [[1.0, r], [r, 1.0]]) for r in (0.2, -0.2)]
+        memory = (set(), {})
+        for state in states + states + states:
+            fresh = advance_method(state, z, model, spec, config)
+            remembered = advance_method(state, z, model, spec, config, _memory=memory)
+            for a, b in zip(fresh, remembered):
+                assert _same_bytes(a.mean, b.mean) and _same_bytes(a.covariance, b.covariance)
+        assert memory[0] == {hash(states[0].covariance.diagonal().tobytes())}
+        assert set(memory[1]) == {state.covariance.tobytes() for state in states}
+
     @pytest.mark.parametrize("kernel, part", [
         ("_correct", 1), ("_joseph", 2), ("_fusion_solve", 0), ("_fusion_solve", 1),
     ])
@@ -690,9 +715,72 @@ class TestStageReuse:
             advance_method(config.initial_estimate, z, config.model_at(0), spec, config)
 
 
+def _recorded_run(config, monkeypatch):
+    """``run_scenario(config)`` with each ``advance_method`` call's state,
+    measurement, model and method label, and the two estimates it returned."""
+    calls = []
+    advance = run_module.advance_method
+
+    def recording(state, z, model, spec, config, **memory):
+        out = advance(state, z, model, spec, config, **memory)
+        calls.append((state, z, model, spec.label, *out))
+        return out
+
+    monkeypatch.setattr(run_module, "advance_method", recording)
+    run_scenario(config)
+    monkeypatch.setattr(run_module, "advance_method", advance)
+    return calls
+
+
+class TestOneProjectionStage:
+    """Augmentation, the restricted gain and the unconstrained row share the
+    projection's covariance stage; what they report must not change."""
+
+    @pytest.mark.parametrize("name", ["line_2d", "soft_line_2d", "circle"])
+    def test_feedback_off_continues_from_update_joseph(self, name, monkeypatch):
+        config = dataclasses.replace(load_bundled_scenario(name), feedback=False)
+        calls = _recorded_run(config, monkeypatch)
+        assert {call[3] for call in calls} == {spec.label for spec in config.methods}
+        for state, z, model, label, _, following in calls:
+            expected, _ = update_joseph(predict(state, model), z, model)
+            assert _same_bytes(following.mean, expected.mean), label
+            assert _same_bytes(following.covariance, expected.covariance), label
+
+    @pytest.mark.parametrize("feedback", [True, False], ids=["feedback-on", "feedback-off"])
+    def test_equivalent_rows_report_equal_covariance_bytes_on_line_2d(
+        self, feedback, monkeypatch
+    ):
+        config = dataclasses.replace(load_bundled_scenario("line_2d"), feedback=feedback)
+        covariances = {spec.label: [] for spec in config.methods}
+        for *_, label, reported, _ in _recorded_run(config, monkeypatch):
+            covariances[label].append(reported.covariance.tobytes())
+        assert len(covariances["augmented"]) == config.steps
+        assert covariances["augmented"] == covariances["projection"]
+        assert covariances["restricted_gain"] == covariances["projection_identity"]
+
+    def test_equivalent_updates_return_equal_covariance_bytes(self):
+        for seed in range(50):
+            pred, model, z, c = random_constrained_instance(seed)
+            plain, _ = update_joseph(pred, z, model)
+            augmented = augmented_update(pred, z, model, c).estimate
+            restricted = restricted_gain_update(pred, z, model, c)[1].estimate
+            projected = project(plain, c).estimate
+            identity = project(plain, c, ProjectionSpec(IDENTITY)).estimate
+            assert _same_bytes(augmented.covariance, projected.covariance), seed
+            assert _same_bytes(restricted.covariance, identity.covariance), seed
+
+    def test_unconstrained_row_raises_on_a_singular_innovation_covariance(self):
+        pred = StateEstimate([0.3, -0.3], 0.5 * np.eye(2), step=1)
+        model = SystemModel(np.eye(2), 0.01 * np.eye(2), [[0.0, 0.0]], [[0.0]])
+        with pytest.raises(SingularInnovationCovariance) as info:
+            _run_row(method_spec("unconstrained"), pred, Measurement([0.0]), model, None)
+        assert type(info.value) is SingularInnovationCovariance
+
+
 def _run_row(spec, pred, z, model, c, config=None):
     """The two stages of the ``METHODS`` row of ``spec`` on one prediction."""
     row = METHODS[spec.name]
+    c = c if row.needs_constraint else None
     stage = row.covariance(pred.covariance, model, c, spec, config)
     return row.mean(stage, pred.mean, z.value, model, c)
 
@@ -849,11 +937,43 @@ class TestCli:
                 ),
                 "weight is numerically singular",
             ),
+            # json reads and writes NaN and Infinity
+            (
+                line_2d_doc(initial_truth=[np.inf, -np.inf]),
+                "'initial_truth': entries must be finite",
+            ),
+            (
+                line_2d_doc(initial_truth=[np.nan, 0.0]),
+                "'initial_truth': entries must be finite",
+            ),
+            (
+                line_2d_doc(constraint={"kind": "sphere", "rhs": [np.inf]}),
+                "'constraint.rhs': entries must be finite",
+            ),
+            (
+                line_2d_doc(
+                    constraint={"kind": "sphere", "rhs": [1.0], "center": [np.nan, 0.0]}
+                ),
+                "'constraint.center': entries must be finite",
+            ),
+            (
+                line_2d_doc(
+                    constraint={"kind": "product", "indices": [0, 1], "rhs": [np.inf]}
+                ),
+                "'constraint.rhs': entries must be finite",
+            ),
+            (line_2d_doc(soft_noise=[[np.inf]]), "'soft_noise': entries must be finite"),
+            (line_2d_doc(soft_noise=[[np.nan]]), "'soft_noise': entries must be finite"),
+            # an integer beyond the largest float
+            (line_2d_doc(initial_truth=[10**400, 0]), "'initial_truth': entries must be finite"),
         ],
         ids=["initial_covariance", "indefinite_weight", "asymmetric_weight",
              "asymmetric_soft_noise", "negative_seed", "string_indices",
              "fractional_indices", "repeated_sphere_indices",
-             "small_asymmetric_weight", "ill_conditioned_weight"],
+             "small_asymmetric_weight", "ill_conditioned_weight",
+             "infinite_truth", "nan_truth", "infinite_sphere_rhs", "nan_sphere_center",
+             "infinite_product_rhs", "infinite_soft_noise", "nan_soft_noise",
+             "huge_integer_truth"],
     )
     def test_validation_failure_exits_with_parse_code(self, tmp_path, doc, message):
         path = tmp_path / "invalid.json"
@@ -895,6 +1015,21 @@ class TestCli:
         assert cli.main(["run", str(path), "--steps", "2"]) == 3
         err = capsys.readouterr().err
         assert "truth projection onto the constraint did not converge" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "unconstrained"])
+    def test_overflowing_truth_simulation_exits_with_run_code(self, tmp_path, capsys,
+                                                              constrained):
+        # an unstable model: the truth grows by 1.5 a step and overflows at step 1752
+        doc = line_2d_doc(steps=2000)
+        doc["model"]["transition"] = [[1.5, 0.0], [0.0, 1.5]]
+        if not constrained:
+            doc.update(constraint=None, methods=["unconstrained"])
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "truth simulation: the truth of step 1752 is not finite" in err
         assert "Traceback" not in err
 
     def test_overrides_shrink_the_run(self, tmp_path):

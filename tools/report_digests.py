@@ -19,9 +19,13 @@ Run from anywhere; ``eqkf`` is imported from this checkout's ``src/``::
 
     python3 tools/report_digests.py > digests.json
     python3 tools/report_digests.py --compare digests.json
+    python3 tools/report_digests.py --against HEAD~1
 
 ``--compare FILE`` names every report whose digest differs from the one in
 ``FILE`` (or is missing from either side) and exits with code 1 if any does.
+``--against REV`` compares in the same way with the digests of REV's
+``src/``, extracted by ``git archive`` into a temporary directory that is
+removed afterwards, on this checkout's document set (its ``perfbench/``).
 BLAS runs on one thread, so the digests do not depend on the core count.
 """
 
@@ -31,14 +35,18 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+# The package is imported from ``--src DIR`` (how --against runs REV's code).
+_SRC = sys.argv[sys.argv.index("--src") + 1] if "--src" in sys.argv[:-1] else ROOT / "src"
+sys.path[:0] = [str(_SRC), str(ROOT / "perfbench")]
 
 from eqkf import harness  # noqa: E402
 import workloads  # noqa: E402
@@ -87,16 +95,37 @@ def digests() -> dict[str, str]:
     return out
 
 
+def _digests_at(rev: str) -> dict[str, str]:
+    """The digests of REV's ``src/``, printed by this script in a child process;
+    a failing command (an unknown REV) shows its own stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", rev, "src"], stdout=subprocess.PIPE, check=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        child = subprocess.run(
+            [sys.executable, __file__, "--src", str(Path(tmp) / "src")],
+            stdout=subprocess.PIPE, text=True, check=True,
+        )
+    return json.loads(child.stdout)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--compare", metavar="FILE", help="digests printed by an earlier run")
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument("--compare", metavar="FILE", help="digests printed by an earlier run")
+    which.add_argument("--against", metavar="REV", help="a git revision whose src/ to digest")
+    parser.add_argument("--src", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     current = digests()
-    if args.compare is None:
+    if args.against is not None:
+        expected = _digests_at(args.against)
+    elif args.compare is not None:
+        with open(args.compare, encoding="utf-8") as fh:
+            expected = json.load(fh)
+    else:
         print(json.dumps(current, indent=2, sort_keys=True))
         return 0
-    with open(args.compare, encoding="utf-8") as fh:
-        expected = json.load(fh)
     differing = sorted(
         key for key in current.keys() | expected.keys()
         if current.get(key) != expected.get(key)
