@@ -5,9 +5,11 @@ four hard-constraint strategies are provided, each landing the posterior
 mean exactly on the constraint set:
 
 * :func:`augmented_update` appends the constraint rows as noise-free
-  pseudo-measurements below the real measurement and runs a standard gain
-  update, inverting the stacked residual covariance through its block
-  structure (:func:`block_s_inverse`) instead of densely.
+  pseudo-measurements below the real measurement and applies the stacked
+  gain ``[K - U (A K), U]`` to the stacked innovation ``[v; b - A x]``.
+  Its blocks are those of the inverse stacked residual covariance
+  (:func:`block_s_inverse`), written with the projection's ``U`` so that
+  no block of that inverse is formed.
 * :func:`project` (and its posterior-inverse specialization
   :func:`constrain_posterior`) corrects an unconstrained posterior by a
   weighted least-distance move onto the constraint set.
@@ -45,9 +47,10 @@ Each update's arithmetic is a private kernel on plain arrays in two
 stages, which the public function composes after checking its inputs.
 The covariance stage (``_*_stage``) reads only the covariance, the model,
 the constraint rows and the weight, and returns the posterior covariances
-and the blocks the mean needs: the gain, ``U`` or the gains of the
-augmented rows.  The mean stage (``_*_mean``, :func:`_along`) applies them
-to one mean ``(n,)`` or a stack ``(T, n)`` of means sharing one covariance.
+and the blocks the mean needs: the gain and ``U``; augmentation and the
+restricted gain run the stage of the projection they equal.  The mean stage
+(``_*_mean``, :func:`_along`) applies them to one mean ``(n,)`` or a stack
+``(T, n)`` of means sharing one covariance.
 """
 
 from __future__ import annotations
@@ -277,13 +280,15 @@ def _gram_factorization(
 
     ``G = R' R`` is factored through one QR decomposition of ``(A L)'``
     (``?geqrf`` and ``?orgqr``, :func:`matops._qr`) so its condition number
-    is never squared; ``SingularConstraintGram`` is raised when the diagonal
-    of ``R`` puts that condition number above ``CONDITION_LIMIT``.
+    is never squared; ``SingularConstraintGram`` is raised when its estimate
+    ``(|R|_F / min |r_ii|)^2``, which unlike the ratio of extreme diagonal
+    entries sees nearly parallel rows of ``A L``, exceeds ``CONDITION_LIMIT``.
     """
     q_mat, r = matops._qr((a @ l_factor).T)
     diag = np.abs(r.diagonal()).tolist()
     if diag and (
-        min(diag) <= 0.0 or (max(diag) / min(diag)) ** 2 > matops.CONDITION_LIMIT
+        min(diag) <= 0.0
+        or (np.linalg.norm(np.triu(r)) / min(diag)) ** 2 > matops.CONDITION_LIMIT
     ):
         raise SingularConstraintGram("constraint Gram matrix is numerically singular")
     z = matops._triangular_solve(r, q_mat.T)
@@ -325,17 +330,6 @@ def constrain_posterior(est: StateEstimate, c: EqualityConstraint) -> Constraine
     return project(est, c)
 
 
-def _s_inverse_blocks(s, gain, a, g_inv) -> tuple[np.ndarray, ...]:
-    """The blocks of :func:`block_s_inverse` from ``S``, ``K``, ``A`` and ``G^-1``."""
-    s_inv = matops._cholesky_solve(
-        s, matops._identity(s.shape[0]), "innovation covariance", SingularInnovationCovariance
-    )
-    ak = a @ gain
-    akt_ginv = ak.T @ g_inv
-    upper_left = s_inv + akt_ginv @ ak
-    return 0.5 * (upper_left + upper_left.T), -akt_ginv, -g_inv @ ak, g_inv
-
-
 def block_s_inverse(
     pred_cov: np.ndarray,
     model: SystemModel,
@@ -365,42 +359,49 @@ def block_s_inverse(
     _check_state_dims(model.state_dim, c)
     p_post = symmetrize(p_pred - p_pred @ model.observation.T @ innov.gain.T)
     _, g_inv = _gram_factorization(_covariance_factor(p_post), c.matrix)
-    blocks = _s_inverse_blocks(innov.residual_cov, innov.gain, c.matrix, g_inv)
-    return SaddleInverseBlocks(*blocks)
+    s = innov.residual_cov
+    s_inv = matops._cholesky_solve(
+        s, matops._identity(s.shape[0]), "innovation covariance", SingularInnovationCovariance
+    )
+    ak = c.matrix @ innov.gain
+    akt_ginv = ak.T @ g_inv
+    upper_left = s_inv + akt_ginv @ ak
+    return SaddleInverseBlocks(0.5 * (upper_left + upper_left.T), -akt_ginv, -g_inv @ ak, g_inv)
+
+
+def _joseph_stage(cov, model: SystemModel, c: EqualityConstraint | None, spec: ProjectionSpec):
+    """Covariance stage of each gain update that projects: ``kalman._joseph``'s
+    ``S``, ``K`` and ``P_post``, and the :func:`_project_stage` of ``P_post``
+    with ``spec``'s weight (None without rows)."""
+    s, gain, post = kalman._joseph(cov, model.observation, model.measurement_noise)
+    if c is None or c.constraint_dim == 0:
+        return s, gain, post, None
+    return s, gain, post, _project_stage(post, c, spec)
 
 
 def _augmented_stage(cov, model: SystemModel, c: EqualityConstraint | None):
-    """Covariance stage of :func:`augmented_update`: the unconstrained gain and
-    covariance ``P_post``, the gains of ``z`` and ``b`` (None without rows) and
-    the constrained covariance, which shares ``G^-1`` with them (:func:`_project_stage`)."""
-    h, r = model.observation, model.measurement_noise
-    if c is None or c.constraint_dim == 0:
-        _, gain, post = kalman._joseph(cov, h, r)
-        return gain, post, None, None
+    """Covariance stage of :func:`augmented_update`: :func:`_joseph_stage` with
+    the ``POSTERIOR_INVERSE`` weight, which is the projection's stage."""
     try:
-        s, gain, post = kalman._joseph(cov, h, r)
-        (_, g_inv), constrained_cov = _project_stage(post, c, _POSTERIOR_INVERSE_SPEC)
-        blocks = _s_inverse_blocks(s, gain, c.matrix, g_inv)
+        return _joseph_stage(cov, model, c, _POSTERIOR_INVERSE_SPEC)
     except (SingularInnovationCovariance, SingularConstraintGram) as exc:
-        raise SingularAugmentedInnovation(
-            f"stacked residual covariance is singular: {exc}"
-        ) from exc
-    ph = cov @ h.T
-    pa = cov @ c.matrix.T
-    upper_left, upper_right, lower_left, lower_right = blocks
-    gains = ph @ upper_left + pa @ lower_left, ph @ upper_right + pa @ lower_right
-    return gain, post, gains, constrained_cov
+        if c is None or c.constraint_dim == 0:
+            raise
+        message = f"stacked residual covariance is singular: {exc}"
+        raise SingularAugmentedInnovation(message) from exc
 
 
 def _augmented_mean(stage, mean, z, model: SystemModel, c: EqualityConstraint):
     """Mean stage of :func:`augmented_update`: the constrained and the
-    unconstrained ``(mean, cov)``."""
-    gain, post, gains, cov = stage
+    unconstrained ``(mean, cov)``, each row's ``[v; b - A x]`` times the
+    stacked gain ``[K - U (A K), U]`` that :func:`block_s_inverse` gives."""
+    _, gain, post, projected = stage
     residual, plain = kalman._correct(mean, z, model.observation, gain)
-    if gains is None:
+    if projected is None:
         return ((plain, post),) * 2
-    constraint_defect = c.rhs - mean @ c.matrix.T
-    mean = mean + residual @ gains[0].T + constraint_defect @ gains[1].T
+    (ups, _), cov = projected
+    a = c.matrix
+    mean = mean + residual @ (gain - ups @ (a @ gain)).T + (c.rhs - mean @ a.T) @ ups.T
     return (mean, cov), (plain, post)
 
 
@@ -413,8 +414,9 @@ def augmented_update(
     """Hard-constrained update by measurement augmentation.
 
     Runs a gain update on the stacked observation ``[H; A]`` with noise
-    ``blkdiag(R, 0)``; the stacked residual covariance is inverted through
-    the blocks of :func:`block_s_inverse` rather than densely.  Equals
+    ``blkdiag(R, 0)``: the stacked gain ``[K - U (A K), U]`` of
+    :func:`_augmented_mean`, with ``U = P_post A' G^-1`` of the projection,
+    not a block inverse of the stacked residual covariance.  Equals
     :func:`constrain_posterior` applied after :func:`update_joseph`, and is
     that update with q = 0.  A singular stacked residual covariance raises
     ``SingularAugmentedInnovation`` (``SingularInnovationCovariance`` if q = 0).
@@ -522,27 +524,20 @@ def solve_lagrange_system(
     return _gain_correction(c, -residual, *weight)
 
 
-def _restricted_gain_stage(cov, model: SystemModel, c: EqualityConstraint):
-    """Covariance stage of :func:`restricted_gain_update`: the stage of
-    ``kalman._joseph`` and its identity-weight projection (None with q = 0)."""
-    s, gain, post = kalman._joseph(cov, model.observation, model.measurement_noise)
-    projected = _project_stage(post, c, _IDENTITY_SPEC)[1] if c.constraint_dim else None
-    return s, gain, post, projected
-
-
 def _restricted_gain_mean(stage, mean, z, model: SystemModel, c: EqualityConstraint):
-    """Mean stage of :func:`restricted_gain_update`: the constrained and the
+    """Mean stage of :func:`restricted_gain_update` (whose covariance stage is
+    :func:`_joseph_stage` with the ``IDENTITY`` weight): the constrained and the
     unconstrained ``(mean, cov)``, then the unconstrained gain ``K`` with each
     row's ``S^-1 v`` and ``v' S^-1 v`` (None with q = 0).  Each row's
     innovation ``v`` gets the gain ``K + U d w'`` of
     :func:`solve_lagrange_system` as ``K v + U d (w' v)``; a row with a
     degenerate ``v' S^-1 v`` takes the identity-weight projection, which has
     the same mean."""
-    s, gain, post, cov = stage
+    s, gain, post, projected = stage
     residual, plain = kalman._correct(mean, z, model.observation, gain)
-    if cov is None:
+    if projected is None:
         return ((plain, post),) * 2, (gain, None, None)
-    ups, _ = c._euclidean_gram
+    (ups, _), cov = projected
     s_inv_nu, quad = _innovation_weight(s, residual)
     degenerate = quad <= DEGENERATE_RESIDUAL_TOL
     w = s_inv_nu / np.where(degenerate, 1.0, quad)[..., None]
@@ -570,7 +565,7 @@ def restricted_gain_update(
     """
     _check_state_dims(pred.dim, c)
     kalman._check_update_dims(pred, z, model)
-    stage = _restricted_gain_stage(pred.covariance, model, c)
+    stage = _joseph_stage(pred.covariance, model, c, _IDENTITY_SPEC)
     ((mean, cov), unconstrained), (gain, s_inv_nu, quad) = _restricted_gain_mean(
         stage, pred.mean, z.value, model, c
     )
@@ -629,7 +624,8 @@ def gamma_projector(post_cov, c: EqualityConstraint) -> np.ndarray:
     multiplying the posterior covariance by it yields a matrix ``X`` with
     ``A X = 0``.
     """
-    (ups, _), _ = _project_stage(_square_posterior(post_cov, c), c, _POSTERIOR_INVERSE_SPEC)
+    p = _square_posterior(post_cov, c)
+    ups, _ = _gram_factorization(_covariance_factor(p), c.matrix)
     return np.eye(c.state_dim) - ups @ c.matrix
 
 

@@ -110,32 +110,39 @@ class Method(NamedTuple):
     rows).  The mean stage ``mean(stage, mean, z, model, lin)`` applies it and
     returns the estimate and the unconstrained update if ``forms_unconstrained``
     (else None), as ``(mean, cov)``.  Tags in one ``group`` have equal means in
-    exact arithmetic; the group names the projection weight."""
+    exact arithmetic; the group names the projection weight.  ``shares`` names
+    the tag whose covariance stage the row's is, which ``run_scenario`` then
+    computes once per step for both."""
 
     covariance: Callable[..., tuple]
     mean: Callable[..., tuple[tuple, tuple | None]]
     group: str | None = None
     needs_constraint: bool = True
     forms_unconstrained: bool = True
+    shares: str | None = None
 
 
+# A gain row's stage is (P, constrained._joseph_stage); the detour below reads P.
 def _augmented_stage(cov, model, lin, spec, config):
-    return constrained._augmented_stage(cov, model, lin)
+    return cov, constrained._augmented_stage(cov, model, lin)
+
+
+def _augmented_mean(stage, mean, z, model, lin):
+    return constrained._augmented_mean(stage[1], mean, z, model, lin)
 
 
 def _projection_stage(cov, model, lin, spec, config):
-    plain = constrained._augmented_stage(cov, model, None)
-    return plain, constrained._project_stage(plain[1], lin, spec._projection)
+    return cov, constrained._joseph_stage(cov, model, lin, spec._projection)
 
 
 def _projection_mean(stage, mean, z, model, lin):
-    unconstrained, _ = constrained._augmented_mean(stage[0], mean, z, model, None)
-    (ups, _), cov = stage[1]
-    return (constrained._along(ups, lin, unconstrained[0]), cov), unconstrained
+    _, (_, gain, post, ((ups, _), cov)) = stage
+    plain = kalman._correct(mean, z, model.observation, gain)[1]
+    return (constrained._along(ups, lin, plain), cov), (plain, post)
 
 
 def _restricted_gain_mean(stage, mean, z, model, lin):
-    pred_cov, stage = stage  # the predicted covariance, for the public fallback
+    pred_cov, stage = stage
     estimates, (_, _, quad) = constrained._restricted_gain_mean(stage, mean, z, model, lin)
     if mean.ndim == 2 or quad is None or quad > constrained.DEGENERATE_RESIDUAL_TOL:
         return estimates
@@ -159,10 +166,8 @@ def _soft_stage(cov, model, lin, spec, config):
 # Every method, keyed by its document tag, which is also its report label.
 # The order fixes the order of METHOD_NAMES and of the divergence pairs.
 METHODS = {
-    "unconstrained": Method(
-        _augmented_stage, constrained._augmented_mean, needs_constraint=False
-    ),
-    "augmented": Method(_augmented_stage, constrained._augmented_mean, POSTERIOR_INVERSE),
+    "unconstrained": Method(_augmented_stage, _augmented_mean, needs_constraint=False),
+    "augmented": Method(_augmented_stage, _augmented_mean, POSTERIOR_INVERSE, shares="projection"),
     "fusion": Method(
         lambda cov, model, lin, *_: kalman._fusion_stage(cov, model, lin.matrix),
         lambda stage, mean, z, model, lin:
@@ -172,9 +177,11 @@ METHODS = {
     ),
     "projection": Method(_projection_stage, _projection_mean, POSTERIOR_INVERSE),
     "restricted_gain": Method(
-        lambda cov, model, lin, *_: (cov, constrained._restricted_gain_stage(cov, model, lin)),
+        lambda cov, model, lin, *_:
+            (cov, constrained._joseph_stage(cov, model, lin, constrained._IDENTITY_SPEC)),
         _restricted_gain_mean,
         IDENTITY,
+        shares="projection_identity",
     ),
     "projection_identity": Method(_projection_stage, _projection_mean, IDENTITY),
     "soft_augmented": Method(_soft_stage, constrained._soft_mean, forms_unconstrained=False),
@@ -579,6 +586,8 @@ def decode_document(text: str) -> Any:
         raise ParseError(
             f"invalid document at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise ParseError(f"invalid document: {exc}") from exc
 
 
 def load_config(text: str) -> ScenarioConfig:

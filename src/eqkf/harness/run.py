@@ -10,12 +10,13 @@ structured JSON document whose config section round-trips through
 
 Each step of each method runs the covariance stage of its
 :data:`~eqkf.harness.config.METHODS` row, which reads no mean, then the
-mean stage.  With one model and a linear constraint (or none) the
-covariance recursion of a run soon repeats bit for bit, so
-:func:`run_scenario` keeps a few covariance stages per method and reuses
-one when a step's input covariance equals its input byte for byte; the
-mean stage then runs alone and the reports do not change.  A time-varying
-model or a relinearized constraint never reuses a stage.
+mean stage.  With one model and a linear constraint (or none)
+:func:`run_scenario` keeps a memory per covariance stage, keyed by stage
+(``Method.shares``), and reuses a stage for its partner row within a step
+and, as the covariance recursion soon repeats bit for bit, for a byte-equal
+input covariance across steps; the mean stage then runs alone and the
+reports do not change.  A time-varying model or a relinearized constraint
+never reuses a stage.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def advance_method(
     spec: MethodSpec,
     config: ScenarioConfig,
     *,
-    _memory: tuple[set, dict] | None = None,
+    _memory: tuple | None = None,
 ) -> tuple[StateEstimate, StateEstimate]:
     """Run one predict/update cycle of ``spec`` from ``state``.
 
@@ -121,21 +122,27 @@ def advance_method(
     which case the recursion continues from the unconstrained update.
     Nonlinear constraints are relinearized about the predicted mean.
 
-    ``_memory`` (from :func:`run_scenario` only) is ``(seen, stored)`` for one
-    method: the hashes of the input covariances' diagonals' bytes seen so far,
-    and up to four covariance stages, with their estimates, stored by the full
-    bytes once the diagonal's hash is seen again.  A stage is reused only for
-    byte-equal bytes, and its estimates lend their checked covariances.
+    ``_memory`` (from :func:`run_scenario` only) is ``(seen, stored[, last])``
+    for one covariance stage: the diagonal hashes of the input covariances seen
+    so far; up to four stages and their estimates, stored by the full bytes of
+    an input whose diagonal was seen and reused for equal bytes; and the input,
+    stage and estimates of the latest step, reused for the same (read-only)
+    input object, such as a partner row's.  Reused estimates lend their checked
+    covariances, so partner rows go on from one object.
     """
     kalman._check_update_dims(state, z, model)
-    key, stage, earlier = None, None, ()
+    key, stage, earlier, last = None, None, (), []
     if _memory is not None:
-        seen, stored = _memory
-        diagonal = hash(state.covariance.diagonal().tobytes())
-        if diagonal in seen:
-            key = state.covariance.tobytes()
-            stage, earlier = stored.get(key, (None, ()))
-        seen.add(diagonal)
+        seen, stored, *rest = _memory
+        last = rest[0] if rest else last
+        if last and last[0] is state.covariance:
+            _, stage, earlier = last
+        else:
+            diagonal = hash(state.covariance.diagonal().tobytes())
+            if diagonal in seen:
+                key = state.covariance.tobytes()
+                stage, earlier = stored.get(key, (None, ()))
+            seen.add(diagonal)
     reported, following, stage = _step(
         state.mean, state.covariance, z.value, model, spec, config, stage
     )
@@ -147,6 +154,7 @@ def advance_method(
     ]
     if key is not None and not earlier and len(stored) < 4:
         stored[key] = stage, estimates
+    last[:] = state.covariance, stage, estimates
     return estimates[0], estimates[-1]
 
 
@@ -168,8 +176,9 @@ def run_scenario(
     labels = [spec.label for spec in config.methods]
     # A covariance stage can repeat under one model and a fixed constraint.
     fixed = not isinstance(config.constraint, NonlinearConstraint)
+    stages = {spec.label: METHODS[spec.name].shares or spec.label for spec in config.methods}
     memory = {
-        spec.label: (set(), {}) for spec in config.methods
+        stages[spec.label]: (set(), {}, []) for spec in config.methods
         if len(config.models) == 1 and (fixed or not METHODS[spec.name].needs_constraint)
     }
     states: dict[str, StateEstimate] = {
@@ -188,7 +197,7 @@ def run_scenario(
             label = spec.label
             try:
                 reported, next_state = advance_method(
-                    states[label], z, model, spec, config, _memory=memory.get(label)
+                    states[label], z, model, spec, config, _memory=memory.get(stages[label])
                 )
             except FilterError as exc:
                 raise ScenarioStepError(k, label, exc) from exc

@@ -69,7 +69,8 @@ def _check_covariance(
         scale = float(np.abs(c).max())
         if asym > _SYM_RTOL * scale + _ABS_FLOOR * max(1.0, scale):
             raise ValueError(f"{name} is not symmetric")
-    low = _min_eig(0.5 * (c + c.T))
+    # an exactly symmetric c is its own symmetric part, bit for bit
+    low = _min_eig(0.5 * (c + c.T) if asym else c)
     if require_pd:
         if low <= 0.0:
             raise ValueError(f"{name} is not positive definite")

@@ -11,7 +11,8 @@ never mutates its inputs.  Four groups of helpers live here:
   ``psd_factor``) used to keep error covariances symmetric positive
   semidefinite over long filter runs.
 * The per-step kernels' LAPACK calls on handles bound once at import,
-  among them the fusion saddle matrix's Bunch-Kaufman solver (``_saddle_solver``).
+  among them the fusion saddle matrix's Bunch-Kaufman solver (``_saddle_solver``)
+  and the ``?syevr`` call that finds only the smallest eigenvalue (``_min_eig``).
 """
 
 from __future__ import annotations
@@ -115,7 +116,10 @@ def _min_eig(s: np.ndarray) -> float:
         # closed form keeps per-step covariance telemetry cheap
         s00, s10, s11 = float(s[0, 0]), float(s[1, 0]), float(s[1, 1])
         return 0.5 * (s00 + s11) - float(np.hypot(0.5 * (s00 - s11), s10))
-    return float(np.linalg.eigvalsh(s)[0])
+    low, _, _, _, info = _SYEVR(s, compute_v=0, range="I", il=1, iu=1)
+    if info:
+        raise np.linalg.LinAlgError("eigenvalue computation did not converge")
+    return float(low[0])
 
 
 def psd_factor(m) -> np.ndarray:
@@ -186,13 +190,14 @@ def solve_spd(m, rhs, name: str = "matrix", error=SingularBlock) -> np.ndarray:
 # The LAPACK routines the per-step kernels call directly, bound once here:
 # ?potrf, ?potrs and ?trtrs behind scipy's cho_factor, cho_solve and
 # solve_triangular; ?geqrf and ?orgqr behind np.linalg.qr (:func:`_qr`);
-# and ?sytrf, ?sytrf_lwork, ?sycon and ?sytrs, the Bunch-Kaufman
-# factorization, condition estimate and solve of :func:`_saddle_solver`.
+# ?sytrf, ?sytrf_lwork, ?sycon and ?sytrs, the Bunch-Kaufman
+# factorization, condition estimate and solve of :func:`_saddle_solver`;
+# and ?syevr, the smallest eigenvalue of :func:`_min_eig`.
 (
-    _POTRF, _POTRS, _TRTRS, _GEQRF, _ORGQR, _SYTRF, _SYTRF_LWORK, _SYCON, _SYTRS
+    _POTRF, _POTRS, _TRTRS, _GEQRF, _ORGQR, _SYTRF, _SYTRF_LWORK, _SYCON, _SYTRS, _SYEVR
 ) = scipy.linalg.get_lapack_funcs(
-    ("potrf", "potrs", "trtrs", "geqrf", "orgqr", "sytrf", "sytrf_lwork", "sycon", "sytrs"),
-    dtype=np.float64,
+    ("potrf", "potrs", "trtrs", "geqrf", "orgqr", "sytrf", "sytrf_lwork", "sycon", "sytrs",
+     "syevr"), dtype=np.float64,
 )
 
 

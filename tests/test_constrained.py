@@ -771,25 +771,20 @@ def test_ill_scaled_update_returns_or_raises_a_filter_error(seed, method):
     assert np.isfinite(result.estimate.covariance).all()
 
 
-@settings(max_examples=500)
-# Probe seeds the factored solve leaves off the constraint without its
-# refinement step (10, 295, 530), and the indefinite pseudo-inverse case (1782).
-@example(seed=10, dropped=0, noise_exponent=0.0, row_exponents=[0.0] * 3)
-@example(seed=295, dropped=0, noise_exponent=0.0, row_exponents=[0.0] * 3)
-@example(seed=530, dropped=0, noise_exponent=0.0, row_exponents=[0.0] * 3)
-@example(seed=1782, dropped=0, noise_exponent=0.0, row_exponents=[0.0] * 3)
-@given(
+# Scaled-probe inputs, with the smallest `dropped` eigenvalues of P zeroed
+# (rank-deficient P), R scaled by 10^noise_exponent and each constraint row
+# (with its right-hand side) by 10^row_exponent.
+_SCALED_PROBE = given(
     seed=st.integers(0, 2999),
     dropped=st.integers(0, 7),
     noise_exponent=st.floats(-6.0, 6.0),
     row_exponents=st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3),
 )
-def test_fusion_returns_a_feasible_psd_estimate_or_raises_a_filter_error(
-    seed, dropped, noise_exponent, row_exponents
-):
-    # Scaled-probe inputs, with the smallest `dropped` eigenvalues of P zeroed
-    # (rank-deficient P), R scaled by 10^noise_exponent and each constraint
-    # row (with its right-hand side) by 10^row_exponent.
+
+
+def _feasible_psd_or_filter_error(update, seed, dropped, noise_exponent, row_exponents):
+    """``update`` on a scaled-probe instance returns a finite, PSD and feasible
+    estimate, or raises a ``FilterError``."""
     pred, model, z, c = _scaled_instance(seed, dropped)
     model = SystemModel(
         model.transition, model.process_noise, model.observation,
@@ -798,7 +793,7 @@ def test_fusion_returns_a_feasible_psd_estimate_or_raises_a_filter_error(
     rows = 10.0 ** np.array(row_exponents[: c.constraint_dim])
     c = EqualityConstraint(rows[:, None] * c.matrix, rows * c.rhs)
     try:
-        result = fusion_constrained_update(pred, z, model, c)
+        result = update(pred, z, model, c)
     except FilterError:
         return
     mean, post = result.estimate.mean, result.estimate.covariance
@@ -807,6 +802,35 @@ def test_fusion_returns_a_feasible_psd_estimate_or_raises_a_filter_error(
     assert min_eigenvalue(post) >= -1e-9 * np.trace(post) - 1e-12 * max(1.0, scale)
     feasible = 1e-8 * (np.linalg.norm(c.matrix, 2) * np.linalg.norm(mean) + np.linalg.norm(c.rhs))
     assert np.linalg.norm(c.matrix @ mean - c.rhs) <= feasible
+
+
+@settings(max_examples=500)
+# Probe seeds the factored solve leaves off the constraint without its
+# refinement step (10, 295, 530), and the indefinite pseudo-inverse case (1782).
+@example(seed=10, dropped=0, noise_exponent=0.0, row_exponents=[0.0] * 3)
+@example(seed=295, dropped=0, noise_exponent=0.0, row_exponents=[0.0] * 3)
+@example(seed=530, dropped=0, noise_exponent=0.0, row_exponents=[0.0] * 3)
+@example(seed=1782, dropped=0, noise_exponent=0.0, row_exponents=[0.0] * 3)
+@_SCALED_PROBE
+def test_fusion_returns_a_feasible_psd_estimate_or_raises_a_filter_error(
+    seed, dropped, noise_exponent, row_exponents
+):
+    _feasible_psd_or_filter_error(
+        fusion_constrained_update, seed, dropped, noise_exponent, row_exponents
+    )
+
+
+@settings(max_examples=500)
+# The first probe seed whose mean the gains built from the blocks of
+# block_s_inverse left off the constraint, 6.3 times the bound.
+@example(seed=1, dropped=0, noise_exponent=0.0, row_exponents=[0.0] * 3)
+@_SCALED_PROBE
+def test_augmented_returns_a_feasible_psd_estimate_or_raises_a_filter_error(
+    seed, dropped, noise_exponent, row_exponents
+):
+    _feasible_psd_or_filter_error(
+        augmented_update, seed, dropped, noise_exponent, row_exponents
+    )
 
 
 @pytest.mark.parametrize("update", [

@@ -20,8 +20,10 @@ from eqkf import (
     StateEstimate,
     SystemModel,
     augmented_update,
+    constrained,
     fusion_constrained_update,
     kalman,
+    matops,
     predict,
     project,
     restricted_gain_update,
@@ -409,9 +411,11 @@ class TestRunScenario:
         assert np.array_equal(next_state.covariance, plain.covariance)
 
     def test_each_reported_covariance_is_decomposed_once(self, monkeypatch):
-        # n = 3, so each min eigenvalue is one eigvalsh call; the record reuses
+        # n = 3, so each min eigenvalue is one ?syevr call; the record reuses
         # the one that advance_method's check of the kernel's covariance made
-        # (kalman._estimate), and four steps repeat no covariance stage
+        # (kalman._estimate), and four steps repeat no covariance stage.  A
+        # row that shares its partner's stage reports the partner's checked
+        # covariance object.
         doc = {
             "steps": 4,
             "seed": 5,
@@ -430,16 +434,17 @@ class TestRunScenario:
         config = config_from_document(doc)
         sim = simulate_truth(config)
         calls = []
-        eigvalsh = np.linalg.eigvalsh
+        syevr = matops._SYEVR
 
-        def counting_eigvalsh(a, *args, **kwargs):
+        def counting_syevr(a, *args, **kwargs):
             calls.append(a.shape)
-            return eigvalsh(a, *args, **kwargs)
+            return syevr(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        report = run_scenario(config, sim)
-        assert len(report.records) == 4 * len(METHODS)
-        assert calls == [(3, 3)] * len(report.records)
+        monkeypatch.setattr(matops, "_SYEVR", counting_syevr)
+        reported = [call[4].covariance for call in _recorded_run(config, monkeypatch, sim)]
+        assert len(reported) == 4 * len(METHODS)
+        assert calls == [(3, 3)] * len({id(cov) for cov in reported})
+        assert len({id(cov) for cov in reported}) == 4 * (len(METHODS) - 2)
 
     def test_explicit_weight_is_factored_once_per_run(self, monkeypatch):
         doc = json.loads(bundled_scenario_text("line_2d"))
@@ -715,8 +720,8 @@ class TestStageReuse:
             advance_method(config.initial_estimate, z, config.model_at(0), spec, config)
 
 
-def _recorded_run(config, monkeypatch):
-    """``run_scenario(config)`` with each ``advance_method`` call's state,
+def _recorded_run(config, monkeypatch, sim=None):
+    """``run_scenario(config, sim)`` with each ``advance_method`` call's state,
     measurement, model and method label, and the two estimates it returned."""
     calls = []
     advance = run_module.advance_method
@@ -727,7 +732,7 @@ def _recorded_run(config, monkeypatch):
         return out
 
     monkeypatch.setattr(run_module, "advance_method", recording)
-    run_scenario(config)
+    run_scenario(config, sim)
     monkeypatch.setattr(run_module, "advance_method", advance)
     return calls
 
@@ -775,6 +780,72 @@ class TestOneProjectionStage:
         with pytest.raises(SingularInnovationCovariance) as info:
             _run_row(method_spec("unconstrained"), pred, Measurement([0.0]), model, None)
         assert type(info.value) is SingularInnovationCovariance
+
+
+class TestSharedStage:
+    """Augmentation runs the projection's covariance stage and the restricted
+    gain the identity projection's (``Method.shares``).  ``run_scenario`` runs
+    each such stage once per step; the later row runs its mean stage alone
+    and reports its partner's checked covariance object."""
+
+    @pytest.mark.parametrize(
+        "feedback, joseph", [(True, 4), (False, 6)], ids=["feedback-on", "feedback-off"]
+    )
+    def test_each_step_runs_a_shared_stage_once(self, feedback, joseph, monkeypatch):
+        # Of the seven rows, six run a Joseph stage (soft_augmented's on its
+        # stacked rows) and four a projection stage, one per row without
+        # sharing.  With feedback off, fusion and soft_augmented also run the
+        # unconstrained stage for the estimate they continue from (8 without
+        # sharing).
+        config = _n8_config(feedback)
+        current, steps = [0], {"_joseph": [], "_project_stage": []}
+        advance = run_module.advance_method
+
+        def stepping(state, *args, **kwargs):
+            current[0] = state.step + 1
+            return advance(state, *args, **kwargs)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                steps[name].append(current[0])
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(run_module, "advance_method", stepping)
+        monkeypatch.setattr(kalman, "_joseph", counted("_joseph", kalman._joseph))
+        monkeypatch.setattr(
+            constrained, "_project_stage", counted("_project_stage", constrained._project_stage)
+        )
+        run_scenario(config)
+        assert config.steps == 4
+        for k in range(2, config.steps + 1):
+            assert steps["_joseph"].count(k) == joseph
+            assert steps["_project_stage"].count(k) == 2
+
+    @pytest.mark.parametrize("feedback", [True, False], ids=["feedback-on", "feedback-off"])
+    def test_a_later_row_reports_its_partners_covariance_object(self, feedback, monkeypatch):
+        config = _n8_config(feedback)
+        estimates = {
+            (state.step + 1, label): (reported, following)
+            for state, _, _, label, reported, following in _recorded_run(config, monkeypatch)
+        }
+        for k in range(1, config.steps + 1):
+            for later, earlier in (
+                ("projection", "augmented"), ("restricted_gain", "projection_identity")
+            ):
+                for a, b in zip(estimates[k, later], estimates[k, earlier]):
+                    assert a.covariance is b.covariance
+                    assert a.cov_min_eig == b.cov_min_eig
+
+
+    @pytest.mark.parametrize("feedback", [True, False], ids=["feedback-on", "feedback-off"])
+    def test_reports_do_not_depend_on_which_row_runs_a_shared_stage(self, feedback):
+        config = _n8_config(feedback)
+        reordered = dataclasses.replace(config, methods=config.methods[::-1])
+        sim = simulate_truth(config)
+        reports = [run_scenario(c, sim) for c in (config, reordered)]
+        assert emit_report(reports[0]) == emit_report(reports[1])
+        assert reports[0].summary.to_document() == reports[1].summary.to_document()
 
 
 def _run_row(spec, pred, z, model, c, config=None):
@@ -966,6 +1037,14 @@ class TestCli:
             (line_2d_doc(soft_noise=[[np.nan]]), "'soft_noise': entries must be finite"),
             # an integer beyond the largest float
             (line_2d_doc(initial_truth=[10**400, 0]), "'initial_truth': entries must be finite"),
+            # an integer of more digits than int() converts (json.dumps cannot
+            # write it either, so the document is text)
+            (
+                json.dumps(line_2d_doc(initial_truth=[7, 0])).replace(
+                    '"initial_truth": [7, 0]', '"initial_truth": [' + "7" * 5000 + ", 0]"
+                ),
+                "invalid document",
+            ),
         ],
         ids=["initial_covariance", "indefinite_weight", "asymmetric_weight",
              "asymmetric_soft_noise", "negative_seed", "string_indices",
@@ -973,11 +1052,11 @@ class TestCli:
              "small_asymmetric_weight", "ill_conditioned_weight",
              "infinite_truth", "nan_truth", "infinite_sphere_rhs", "nan_sphere_center",
              "infinite_product_rhs", "infinite_soft_noise", "nan_soft_noise",
-             "huge_integer_truth"],
+             "huge_integer_truth", "long_integer_truth"],
     )
     def test_validation_failure_exits_with_parse_code(self, tmp_path, doc, message):
         path = tmp_path / "invalid.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         proc = run_cli("run", str(path))
         assert proc.returncode == 2
         assert message in proc.stderr

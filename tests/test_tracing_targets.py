@@ -91,3 +91,26 @@ def test_degenerate_restricted_gain_step_goes_through_the_public_update(monkeypa
 
 def test_degenerate_step_with_a_stored_stage_goes_through_the_public_update(monkeypatch):
     _degenerate_restricted_gain_step(monkeypatch, stored=True)
+
+
+def test_degenerate_step_with_a_shared_stage_goes_through_the_public_update(monkeypatch):
+    # restricted_gain runs the identity projection's covariance stage; a step
+    # that takes it from that row still shows the fallback where it is counted
+    config = harness.load_bundled_scenario("line_2d")
+    specs = {spec.label: spec for spec in config.methods}
+    model = config.model_at(0)
+    state = config.initial_estimate
+    memory = (set(), {}, [])
+    z = Measurement(model.observation @ model.transition @ state.mean, step=1)
+    partner, _ = harness.advance_method(
+        state, z, model, specs["projection_identity"], config, _memory=memory
+    )
+    calls = _record_calls(monkeypatch, constrained, ("restricted_gain_update", "project"))
+    stages = _record_calls(monkeypatch, kalman, ("_predict_covariance",))
+    reported, _ = harness.advance_method(
+        state, z, model, specs["restricted_gain"], config, _memory=memory
+    )
+    assert calls == [("restricted_gain_update", DegenerateResidual), ("project", None)]
+    assert stages == []
+    assert reported.covariance is partner.covariance
+    assert np.linalg.norm(config.constraint.matrix @ reported.mean - config.constraint.rhs) < 1e-9

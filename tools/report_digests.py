@@ -37,7 +37,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +49,7 @@ sys.path[:0] = [str(_SRC), str(ROOT / "perfbench")]
 
 from eqkf import harness  # noqa: E402
 import workloads  # noqa: E402
+from revision_src import extracted_src  # noqa: E402
 
 FORMATS = ("csv", "structured")
 SEEDS = (1, 2, 3)
@@ -98,13 +98,9 @@ def digests() -> dict[str, str]:
 def _digests_at(rev: str) -> dict[str, str]:
     """The digests of REV's ``src/``, printed by this script in a child process;
     a failing command (an unknown REV) shows its own stderr."""
-    with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", rev, "src"], stdout=subprocess.PIPE, check=True
-        ).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+    with extracted_src(rev) as src:
         child = subprocess.run(
-            [sys.executable, __file__, "--src", str(Path(tmp) / "src")],
+            [sys.executable, __file__, "--src", str(src)],
             stdout=subprocess.PIPE, text=True, check=True,
         )
     return json.loads(child.stdout)
