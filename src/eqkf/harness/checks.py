@@ -6,12 +6,20 @@ stability, Monte-Carlo consistency, ...) and returns a :class:`CheckResult`
 with the measured worst-case numbers.  The test suite runs these at full
 instance counts; ``eqkf check`` runs a reduced battery via
 :func:`run_default_checks`.
+
+Each seed's random constrained instance, its Joseph update and its four hard
+updates are built once per process (:func:`_instance`, :func:`_hard_updates`,
+at most one entry per seed of ``oracle.SEEDS``) and read by every check that
+uses them.  A check's ``elapsed`` therefore includes building any instance it
+is the first to read.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +46,61 @@ class CheckResult:
         return f"{status} {self.name} ({self.elapsed:.2f}s): {self.detail}"
 
 
+def _timed(name: str):
+    """Make a check body that returns ``(passed, detail)`` return a timed
+    :class:`CheckResult` named ``name``; the body carries the check's public
+    signature, its ``-> CheckResult`` included."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            started = time.perf_counter()
+            passed, detail = body(*args, **kwargs)
+            return CheckResult(name, passed, detail, time.perf_counter() - started)
+
+        return check
+
+    return wrap
+
+
+def _worst_deviation(per_seed, instances: int, tol: float) -> tuple[bool, str]:
+    """Fold the deviations that ``per_seed(seed)`` yields over the first
+    ``instances`` seeds into their worst, judged against ``tol``."""
+    worst = 0.0
+    for seed in oracle.SEEDS[:instances]:
+        for deviation in per_seed(seed):
+            worst = max(worst, deviation)
+    return worst <= tol, f"instances={instances}, worst deviation {worst:.2e} (tol {tol:.0e})"
+
+
+@functools.cache
+def _instance(seed: int):
+    """``random_constrained_instance(seed)`` and its Joseph update:
+    ``(pred, model, z, c, posterior, innovation)``.  Every array is read-only."""
+    pred, model, z, c = oracle.random_constrained_instance(seed)
+    return (pred, model, z, c, *kalman.update_joseph(pred, z, model))
+
+
+class _HardUpdates(NamedTuple):
+    augmented: constrained.ConstrainedUpdateResult
+    fusion: constrained.ConstrainedUpdateResult
+    projection: constrained.ConstrainedUpdateResult
+    restricted: constrained.ConstrainedUpdateResult
+
+
+@functools.cache
+def _hard_updates(seed: int) -> _HardUpdates:
+    """The four hard updates of :func:`_instance` ``(seed)``; ``projection`` is
+    the posterior-inverse projection of its Joseph update."""
+    pred, model, z, c, est_u, _ = _instance(seed)
+    return _HardUpdates(
+        constrained.augmented_update(pred, z, model, c),
+        constrained.fusion_constrained_update(pred, z, model, c),
+        constrained.project(est_u, c),
+        constrained.restricted_gain_update(pred, z, model, c)[1],
+    )
+
+
 def _rel(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -45,6 +108,12 @@ def _rel(a, b) -> float:
     return float(np.linalg.norm(a - b)) / scale
 
 
+def _rel_estimates(first: StateEstimate, second: StateEstimate) -> float:
+    """The larger of :func:`_rel` over the two estimates' means and covariances."""
+    return max(_rel(first.mean, second.mean), _rel(first.covariance, second.covariance))
+
+
+@_timed("four_way_equivalence")
 def check_equivalence(
     instances: int = 1000,
     mean_tol: float = 1e-7,
@@ -58,16 +127,10 @@ def check_equivalence(
     restricted-gain update must coincide with the identity-weight
     projection of the unconstrained update.
     """
-    started = time.perf_counter()
     worst_mean = worst_cov = worst_pair = 0.0
     for seed in oracle.SEEDS[:instances]:
-        pred, model, z, c = oracle.random_constrained_instance(seed)
-        est_u, _ = kalman.update_joseph(pred, z, model)
-        results = [
-            constrained.augmented_update(pred, z, model, c),
-            constrained.fusion_constrained_update(pred, z, model, c),
-            constrained.project(est_u, c),
-        ]
+        pred, _, _, c, est_u, _ = _instance(seed)
+        *results, restr = _hard_updates(seed)
         for i, first in enumerate(results):
             for second in results[i + 1 :]:
                 worst_mean = max(worst_mean, _rel(first.estimate.mean, second.estimate.mean))
@@ -75,22 +138,16 @@ def check_equivalence(
                     worst_cov, _rel(first.estimate.covariance, second.estimate.covariance)
                 )
         ident = constrained.project(est_u, c, ProjectionSpec(weight=np.eye(pred.dim)))
-        _, restr = constrained.restricted_gain_update(pred, z, model, c)
-        worst_pair = max(
-            worst_pair,
-            _rel(restr.estimate.mean, ident.estimate.mean),
-            _rel(restr.estimate.covariance, ident.estimate.covariance),
-        )
-    elapsed = time.perf_counter() - started
+        worst_pair = max(worst_pair, _rel_estimates(restr.estimate, ident.estimate))
     passed = worst_mean <= mean_tol and worst_cov <= cov_tol and worst_pair <= pair_tol
-    detail = (
+    return passed, (
         f"instances={instances}, mean dev {worst_mean:.2e} (tol {mean_tol:.0e}), "
         f"covariance dev {worst_cov:.2e} (tol {cov_tol:.0e}), "
         f"restricted vs identity projection {worst_pair:.2e} (tol {pair_tol:.0e})"
     )
-    return CheckResult("four_way_equivalence", passed, detail, elapsed)
 
 
+@_timed("feasibility_nullspace")
 def check_feasibility(
     instances: int = 1000,
     mean_tol: float = 1e-9,
@@ -101,19 +158,11 @@ def check_feasibility(
     For every hard method, ``norm(A mean - b) <= mean_tol * (1 + norm(b))``
     and ``norm(A Pc) <= null_tol * norm(Pc)`` (Frobenius norms).
     """
-    started = time.perf_counter()
     worst_mean = worst_null = 0.0
     for seed in oracle.SEEDS[:instances]:
-        pred, model, z, c = oracle.random_constrained_instance(seed)
-        est_u, _ = kalman.update_joseph(pred, z, model)
-        results = [
-            constrained.augmented_update(pred, z, model, c),
-            constrained.fusion_constrained_update(pred, z, model, c),
-            constrained.project(est_u, c),
-            constrained.restricted_gain_update(pred, z, model, c)[1],
-        ]
+        c = _instance(seed)[3]
         rhs_scale = 1.0 + float(np.linalg.norm(c.rhs))
-        for result in results:
+        for result in _hard_updates(seed):
             mean = result.estimate.mean
             cov = result.estimate.covariance
             worst_mean = max(
@@ -124,15 +173,14 @@ def check_feasibility(
                 worst_null,
                 float(np.linalg.norm(c.matrix @ cov)) / float(np.linalg.norm(cov)),
             )
-    elapsed = time.perf_counter() - started
     passed = worst_mean <= mean_tol and worst_null <= null_tol
-    detail = (
+    return passed, (
         f"instances={instances}, mean residual {worst_mean:.2e} (tol {mean_tol:.0e}), "
         f"covariance null-space {worst_null:.2e} (tol {null_tol:.0e})"
     )
-    return CheckResult("feasibility_nullspace", passed, detail, elapsed)
 
 
+@_timed("covariance_shrinkage")
 def check_shrinkage(instances: int = 1000, tol: float = 1e-9) -> CheckResult:
     """Conditioning on the constraint never inflates the covariance.
 
@@ -140,22 +188,15 @@ def check_shrinkage(instances: int = 1000, tol: float = 1e-9) -> CheckResult:
     ``Pc`` comes from the posterior-inverse projection.  The bound is
     stated per instance as ``min_eig >= -tol * trace(P_post)``.
     """
-    started = time.perf_counter()
     worst_ratio = np.inf
     for seed in oracle.SEEDS[:instances]:
-        pred, model, z, c = oracle.random_constrained_instance(seed)
-        est_u, _ = kalman.update_joseph(pred, z, model)
-        result = constrained.constrain_posterior(est_u, c)
-        gap = est_u.covariance - result.estimate.covariance
-        ratio = min_eigenvalue(gap) / float(np.trace(est_u.covariance))
-        worst_ratio = min(worst_ratio, ratio)
-    elapsed = time.perf_counter() - started
-    passed = worst_ratio >= -tol
-    detail = (
+        est_u = _instance(seed)[4]
+        gap = est_u.covariance - _hard_updates(seed).projection.estimate.covariance
+        worst_ratio = min(worst_ratio, min_eigenvalue(gap) / float(np.trace(est_u.covariance)))
+    return worst_ratio >= -tol, (
         f"instances={instances}, worst min-eig/trace of P_post - Pc is "
         f"{worst_ratio:.2e} (bound -{tol:.0e})"
     )
-    return CheckResult("covariance_shrinkage", passed, detail, elapsed)
 
 
 def _well_conditioned(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -165,6 +206,7 @@ def _well_conditioned(rng: np.random.Generator, n: int) -> np.ndarray:
     return u @ np.diag(rng.uniform(0.5, 2.0, n)) @ v.T
 
 
+@_timed("kron_vec_trace_identities")
 def check_identities(instances: int = 1000, tol: float = 1e-9) -> CheckResult:
     """Kronecker, vec, and trace identities on random matrices.
 
@@ -173,83 +215,54 @@ def check_identities(instances: int = 1000, tol: float = 1e-9) -> CheckResult:
     factors are covariances); they are exercised here with symmetrized
     draws, alongside their general transposed forms on arbitrary draws.
     """
-    started = time.perf_counter()
-    worst = 0.0
-    for seed in oracle.SEEDS[:instances]:
-        rng = np.random.default_rng((seed, 2))
-        m, n, p, s = (int(d) for d in rng.integers(2, 5, size=4))
-        a = rng.standard_normal((m, n))
-        a2 = rng.standard_normal((m, n))
-        b = rng.standard_normal((n, p))
-        cmat = rng.standard_normal((p, s))
-
-        worst = max(worst, _rel(matops.kron(a, b).T, matops.kron(a.T, b.T)))
-        c2 = rng.standard_normal((n, p))
-        b2 = rng.standard_normal((s, m))
-        d2 = rng.standard_normal((m, n))
-        worst = max(
-            worst,
-            _rel(
-                matops.kron(a, b2) @ matops.kron(c2, d2),
-                matops.kron(a @ c2, b2 @ d2),
-            ),
-        )
-        ai = _well_conditioned(rng, m)
-        bi = _well_conditioned(rng, n)
-        worst = max(
-            worst,
-            _rel(
-                np.linalg.inv(matops.kron(ai, bi)),
-                matops.kron(np.linalg.inv(ai), np.linalg.inv(bi)),
-            ),
-        )
-        worst = max(worst, _rel(matops.vec(a + a2), matops.vec(a) + matops.vec(a2)))
-        worst = max(
-            worst, _rel(matops.vec(a @ b), matops.kron(b.T, np.eye(m)) @ matops.vec(a))
-        )
-        worst = max(
-            worst, _rel(matops.vec(a @ b @ cmat), matops.kron(cmat.T, a) @ matops.vec(b))
-        )
-        ba = rng.standard_normal((n, m))
-        worst = max(
-            worst, abs(np.trace(a @ ba) - matops.vec(ba.T) @ matops.vec(a))
-        )
-
-        # triple-product traces: square factors, symmetric where required
-        sq_a = rng.standard_normal((n, n))
-        sq_b = rng.standard_normal((n, n))
-        sq_c = rng.standard_normal((n, n))
-        sym_a = 0.5 * (sq_a + sq_a.T)
-        sym_b = 0.5 * (sq_b + sq_b.T)
-        sym_c = 0.5 * (sq_c + sq_c.T)
-        eye_n = np.eye(n)
-        target = np.trace(sq_a @ sym_b @ sq_c)
-        worst = max(
-            worst,
-            abs(target - matops.vec(sym_b) @ matops.kron(eye_n, sq_c) @ matops.vec(sq_a)),
-        )
-        target = np.trace(sym_a @ sq_b @ sq_c)
-        worst = max(
-            worst,
-            abs(target - matops.vec(sym_a) @ matops.kron(eye_n, sq_b) @ matops.vec(sq_c)),
-        )
-        target = np.trace(sym_a @ sq_b @ sym_c)
-        worst = max(
-            worst,
-            abs(target - matops.vec(sym_a) @ matops.kron(sym_c, eye_n) @ matops.vec(sq_b)),
-        )
-        # general forms carry an explicit transpose on the vectorized factor
-        target = np.trace(sq_a @ sq_b @ sq_c)
-        worst = max(
-            worst,
-            abs(target - matops.vec(sq_b.T) @ matops.kron(eye_n, sq_c) @ matops.vec(sq_a)),
-        )
-    elapsed = time.perf_counter() - started
-    passed = worst <= tol
-    detail = f"instances={instances}, worst deviation {worst:.2e} (tol {tol:.0e})"
-    return CheckResult("kron_vec_trace_identities", passed, detail, elapsed)
+    return _worst_deviation(_identity_deviations, instances, tol)
 
 
+def _identity_deviations(seed: int):
+    rng = np.random.default_rng((seed, 2))
+    m, n, p, s = (int(d) for d in rng.integers(2, 5, size=4))
+    a = rng.standard_normal((m, n))
+    a2 = rng.standard_normal((m, n))
+    b = rng.standard_normal((n, p))
+    cmat = rng.standard_normal((p, s))
+
+    yield _rel(matops.kron(a, b).T, matops.kron(a.T, b.T))
+    c2 = rng.standard_normal((n, p))
+    b2 = rng.standard_normal((s, m))
+    d2 = rng.standard_normal((m, n))
+    yield _rel(matops.kron(a, b2) @ matops.kron(c2, d2), matops.kron(a @ c2, b2 @ d2))
+    ai = _well_conditioned(rng, m)
+    bi = _well_conditioned(rng, n)
+    yield _rel(
+        np.linalg.inv(matops.kron(ai, bi)),
+        matops.kron(np.linalg.inv(ai), np.linalg.inv(bi)),
+    )
+    yield _rel(matops.vec(a + a2), matops.vec(a) + matops.vec(a2))
+    yield _rel(matops.vec(a @ b), matops.kron(b.T, np.eye(m)) @ matops.vec(a))
+    yield _rel(matops.vec(a @ b @ cmat), matops.kron(cmat.T, a) @ matops.vec(b))
+    ba = rng.standard_normal((n, m))
+    yield abs(np.trace(a @ ba) - matops.vec(ba.T) @ matops.vec(a))
+
+    # triple-product traces: square factors, symmetric where required
+    sq_a = rng.standard_normal((n, n))
+    sq_b = rng.standard_normal((n, n))
+    sq_c = rng.standard_normal((n, n))
+    sym_a = 0.5 * (sq_a + sq_a.T)
+    sym_b = 0.5 * (sq_b + sq_b.T)
+    sym_c = 0.5 * (sq_c + sq_c.T)
+    eye_n = np.eye(n)
+    target = np.trace(sq_a @ sym_b @ sq_c)
+    yield abs(target - matops.vec(sym_b) @ matops.kron(eye_n, sq_c) @ matops.vec(sq_a))
+    target = np.trace(sym_a @ sq_b @ sq_c)
+    yield abs(target - matops.vec(sym_a) @ matops.kron(eye_n, sq_b) @ matops.vec(sq_c))
+    target = np.trace(sym_a @ sq_b @ sym_c)
+    yield abs(target - matops.vec(sym_a) @ matops.kron(sym_c, eye_n) @ matops.vec(sq_b))
+    # general forms carry an explicit transpose on the vectorized factor
+    target = np.trace(sq_a @ sq_b @ sq_c)
+    yield abs(target - matops.vec(sq_b.T) @ matops.kron(eye_n, sq_c) @ matops.vec(sq_a))
+
+
+@_timed("saddle_block_inverse")
 def check_block_inverse(instances: int = 1000, tol: float = 1e-9) -> CheckResult:
     """Analytic saddle-point inverses match dense inverses.
 
@@ -257,41 +270,32 @@ def check_block_inverse(instances: int = 1000, tol: float = 1e-9) -> CheckResult
     measurement-plus-constraint residual covariance
     ``[[S, H P A'], [A P H', A P A']]``.
     """
-    started = time.perf_counter()
-    worst = 0.0
-    for seed in oracle.SEEDS[:instances]:
-        rng = np.random.default_rng((seed, 3))
-        k = int(rng.integers(2, 6))
-        q = int(rng.integers(1, 4))
-        ga = rng.standard_normal((k, k))
-        gc = rng.standard_normal((q, q))
-        blocks = SaddlePointBlocks(
-            a_block=ga @ ga.T + 0.5 * np.eye(k),
-            b_block=rng.standard_normal((q, k)),
-            c_block=gc @ gc.T + 0.5 * np.eye(q),
-        )
-        assembled = blocks.assemble()
-        worst = max(
-            worst,
-            _rel(matops.saddle_inverse(blocks).assemble(), np.linalg.inv(assembled)),
-        )
-
-        pred, model, z, c = oracle.random_constrained_instance(seed)
-        innov = kalman.innovate(pred, z, model)
-        p = pred.covariance
-        h = model.observation
-        a = c.matrix
-        stacked = np.block(
-            [[innov.residual_cov, h @ p @ a.T], [a @ p @ h.T, a @ p @ a.T]]
-        )
-        inv_blocks = constrained.block_s_inverse(p, model, c, innov)
-        worst = max(worst, _rel(inv_blocks.assemble(), np.linalg.inv(stacked)))
-    elapsed = time.perf_counter() - started
-    passed = worst <= tol
-    detail = f"instances={instances}, worst deviation {worst:.2e} (tol {tol:.0e})"
-    return CheckResult("saddle_block_inverse", passed, detail, elapsed)
+    return _worst_deviation(_block_inverse_deviations, instances, tol)
 
 
+def _block_inverse_deviations(seed: int):
+    rng = np.random.default_rng((seed, 3))
+    k = int(rng.integers(2, 6))
+    q = int(rng.integers(1, 4))
+    ga = rng.standard_normal((k, k))
+    gc = rng.standard_normal((q, q))
+    blocks = SaddlePointBlocks(
+        a_block=ga @ ga.T + 0.5 * np.eye(k),
+        b_block=rng.standard_normal((q, k)),
+        c_block=gc @ gc.T + 0.5 * np.eye(q),
+    )
+    yield _rel(matops.saddle_inverse(blocks).assemble(), np.linalg.inv(blocks.assemble()))
+
+    pred, model, _, c, _, innov = _instance(seed)
+    p = pred.covariance
+    h = model.observation
+    a = c.matrix
+    stacked = np.block([[innov.residual_cov, h @ p @ a.T], [a @ p @ h.T, a @ p @ a.T]])
+    inv_blocks = constrained.block_s_inverse(p, model, c, innov)
+    yield _rel(inv_blocks.assemble(), np.linalg.inv(stacked))
+
+
+@_timed("posterior_identity_chains")
 def check_posterior_chains(instances: int = 1000, tol: float = 1e-9) -> CheckResult:
     """Posterior-covariance rewriting chains used by the reductions.
 
@@ -301,47 +305,44 @@ def check_posterior_chains(instances: int = 1000, tol: float = 1e-9) -> CheckRes
     S^-1`` to ``K' A' (A P_post A')^-1 A K``, and the posterior chain
     ``P - P H' K' = (I - K H) P = P_post``.
     """
-    started = time.perf_counter()
-    worst = 0.0
-    for seed in oracle.SEEDS[:instances]:
-        pred, model, z, c = oracle.random_constrained_instance(seed)
-        est_u, innov = kalman.update_joseph(pred, z, model)
-        p = pred.covariance
-        h = model.observation
-        a = c.matrix
-        gain = innov.gain
-        n = pred.dim
-        s_inv = np.linalg.inv(innov.residual_cov)
-        p_post = est_u.covariance
-
-        chain = [
-            a @ p @ a.T - a @ p @ h.T @ s_inv @ h @ p @ a.T,
-            a @ p @ a.T - a @ gain @ h @ p @ a.T,
-            a @ (np.eye(n) - gain @ h) @ p @ a.T,
-            a @ p_post @ a.T,
-        ]
-        for i in range(len(chain) - 1):
-            worst = max(worst, _rel(chain[i], chain[i + 1]))
-
-        gram_inv = np.linalg.inv(a @ p_post @ a.T)
-        lhs = s_inv @ h @ p @ a.T @ gram_inv @ a @ p @ h.T @ s_inv
-        rhs = gain.T @ a.T @ gram_inv @ a @ gain
-        worst = max(worst, _rel(lhs, rhs))
-
-        chain = [
-            p - p @ h.T @ gain.T,
-            p @ (np.eye(n) - h.T @ gain.T),
-            (np.eye(n) - gain @ h) @ p,
-            p_post,
-        ]
-        for i in range(len(chain) - 1):
-            worst = max(worst, _rel(chain[i], chain[i + 1]))
-    elapsed = time.perf_counter() - started
-    passed = worst <= tol
-    detail = f"instances={instances}, worst deviation {worst:.2e} (tol {tol:.0e})"
-    return CheckResult("posterior_identity_chains", passed, detail, elapsed)
+    return _worst_deviation(_posterior_chain_deviations, instances, tol)
 
 
+def _posterior_chain_deviations(seed: int):
+    pred, model, _, c, est_u, innov = _instance(seed)
+    p = pred.covariance
+    h = model.observation
+    a = c.matrix
+    gain = innov.gain
+    n = pred.dim
+    s_inv = np.linalg.inv(innov.residual_cov)
+    p_post = est_u.covariance
+
+    chain = [
+        a @ p @ a.T - a @ p @ h.T @ s_inv @ h @ p @ a.T,
+        a @ p @ a.T - a @ gain @ h @ p @ a.T,
+        a @ (np.eye(n) - gain @ h) @ p @ a.T,
+        a @ p_post @ a.T,
+    ]
+    for i in range(len(chain) - 1):
+        yield _rel(chain[i], chain[i + 1])
+
+    gram_inv = np.linalg.inv(a @ p_post @ a.T)
+    lhs = s_inv @ h @ p @ a.T @ gram_inv @ a @ p @ h.T @ s_inv
+    rhs = gain.T @ a.T @ gram_inv @ a @ gain
+    yield _rel(lhs, rhs)
+
+    chain = [
+        p - p @ h.T @ gain.T,
+        p @ (np.eye(n) - h.T @ gain.T),
+        (np.eye(n) - gain @ h) @ p,
+        p_post,
+    ]
+    for i in range(len(chain) - 1):
+        yield _rel(chain[i], chain[i + 1])
+
+
+@_timed("gain_correction_oracle")
 def check_lagrange(instances: int = 1000, tol: float = 1e-9) -> CheckResult:
     """Closed-form optimality solutions match dense solves.
 
@@ -349,47 +350,41 @@ def check_lagrange(instances: int = 1000, tol: float = 1e-9) -> CheckResult:
     assembly; the weighted projection is cross-checked against a dense
     KKT solve with a random positive definite weight.
     """
-    started = time.perf_counter()
-    worst = 0.0
-    for seed in oracle.SEEDS[:instances]:
-        pred, model, z, c = oracle.random_constrained_instance(seed)
-        est_u, innov = kalman.update_joseph(pred, z, model)
-        residual = c.matrix @ est_u.mean - c.rhs
-        correction, multipliers = constrained.solve_lagrange_system(innov, c, residual)
-        dense_corr, dense_mult = oracle.dense_lagrange_solve(innov, c, residual)
-        worst = max(worst, _rel(correction, dense_corr), _rel(multipliers, dense_mult))
-
-        rng = np.random.default_rng((seed, 4))
-        gw = rng.standard_normal((pred.dim, pred.dim))
-        weight = gw @ gw.T + 0.5 * np.eye(pred.dim)
-        projected = constrained.project(est_u, c, ProjectionSpec(weight=weight))
-        dense_mean = oracle.dense_kkt_project(
-            oracle.KktSystem(weight=weight, constraint=c, target=est_u.mean)
-        )
-        worst = max(worst, _rel(projected.estimate.mean, dense_mean))
-    elapsed = time.perf_counter() - started
-    passed = worst <= tol
-    detail = f"instances={instances}, worst deviation {worst:.2e} (tol {tol:.0e})"
-    return CheckResult("gain_correction_oracle", passed, detail, elapsed)
+    return _worst_deviation(_lagrange_deviations, instances, tol)
 
 
+def _lagrange_deviations(seed: int):
+    pred, _, _, c, est_u, innov = _instance(seed)
+    residual = c.matrix @ est_u.mean - c.rhs
+    correction, multipliers = constrained.solve_lagrange_system(innov, c, residual)
+    dense_corr, dense_mult = oracle.dense_lagrange_solve(innov, c, residual)
+    yield _rel(correction, dense_corr)
+    yield _rel(multipliers, dense_mult)
+
+    rng = np.random.default_rng((seed, 4))
+    gw = rng.standard_normal((pred.dim, pred.dim))
+    weight = gw @ gw.T + 0.5 * np.eye(pred.dim)
+    projected = constrained.project(est_u, c, ProjectionSpec(weight=weight))
+    dense_mean = oracle.dense_kkt_project(
+        oracle.KktSystem(weight=weight, constraint=c, target=est_u.mean)
+    )
+    yield _rel(projected.estimate.mean, dense_mean)
+
+
+@_timed("fusion_joseph_identity")
 def check_fusion_identity(instances: int = 1000, tol: float = 1e-8) -> CheckResult:
     """The stacked weighted-least-squares update equals the Joseph update."""
-    started = time.perf_counter()
-    worst = 0.0
-    for seed in oracle.SEEDS[:instances]:
-        pred, model, z = oracle.random_kalman_instance(seed)
-        est_j, _ = kalman.update_joseph(pred, z, model)
-        est_f = kalman.update_fusion(pred, z, model)
-        worst = max(
-            worst, _rel(est_j.mean, est_f.mean), _rel(est_j.covariance, est_f.covariance)
-        )
-    elapsed = time.perf_counter() - started
-    passed = worst <= tol
-    detail = f"instances={instances}, worst deviation {worst:.2e} (tol {tol:.0e})"
-    return CheckResult("fusion_joseph_identity", passed, detail, elapsed)
+    return _worst_deviation(_fusion_deviations, instances, tol)
 
 
+def _fusion_deviations(seed: int):
+    pred, model, z = oracle.random_kalman_instance(seed)
+    est_j, _ = kalman.update_joseph(pred, z, model)
+    est_f = kalman.update_fusion(pred, z, model)
+    yield _rel_estimates(est_j, est_f)
+
+
+@_timed("long_run_stability")
 def check_stability(
     steps: int = 10_000,
     asym_tol: float = 1e-12,
@@ -408,7 +403,6 @@ def check_stability(
     reported but carries no pass bar.  Eigenvalues of the naive (possibly
     asymmetric) matrices are taken from the symmetric part.
     """
-    started = time.perf_counter()
     model = SystemModel(
         transition=np.eye(2),
         process_noise=0.01 * np.eye(2),
@@ -464,17 +458,16 @@ def check_stability(
                 naive_note = f"; naive recursion failed at step {k + 1} ({exc})"
                 p_naive = None
 
-    elapsed = time.perf_counter() - started
     passed = worst_asym <= asym_tol and worst_eig >= -eig_tol
-    detail = (
+    return passed, (
         f"steps={steps}, shipped forms: asymmetry {worst_asym:.2e} (tol {asym_tol:.0e}), "
         f"min-eig/trace {worst_eig:.2e} (bound -{eig_tol:.0e}); "
         f"naive control: asymmetry {naive_asym:.2e}, min-eig/trace {naive_eig:.2e}"
         f"{naive_note}"
     )
-    return CheckResult("long_run_stability", passed, detail, elapsed)
 
 
+@_timed("soft_constraint_limits")
 def check_soft_limits(
     instances: int = 400,
     grid: tuple[float, ...] = (0.0, 1e-3, 1.0, 1e3, 1e12),
@@ -488,27 +481,15 @@ def check_soft_limits(
     variance grid the average constraint residual of a full scenario run
     must be non-decreasing.
     """
-    started = time.perf_counter()
     worst_zero = worst_big = 0.0
     for seed in oracle.SEEDS[:instances]:
-        pred, model, z, c = oracle.random_constrained_instance(seed)
+        pred, model, z, c, est_u, _ = _instance(seed)
         q = c.constraint_dim
-        hard = constrained.augmented_update(pred, z, model, c)
+        hard = _hard_updates(seed).augmented
         soft0 = constrained.soft_augmented_update(pred, z, model, c, np.zeros((q, q)))
-        worst_zero = max(
-            worst_zero,
-            _rel(hard.estimate.mean, soft0.estimate.mean),
-            _rel(hard.estimate.covariance, soft0.estimate.covariance),
-        )
-        est_u, _ = kalman.update_joseph(pred, z, model)
-        soft_inf = constrained.soft_augmented_update(
-            pred, z, model, c, 1e12 * np.eye(q)
-        )
-        worst_big = max(
-            worst_big,
-            _rel(est_u.mean, soft_inf.estimate.mean),
-            _rel(est_u.covariance, soft_inf.estimate.covariance),
-        )
+        worst_zero = max(worst_zero, _rel_estimates(hard.estimate, soft0.estimate))
+        soft_inf = constrained.soft_augmented_update(pred, z, model, c, 1e12 * np.eye(q))
+        worst_big = max(worst_big, _rel_estimates(est_u, soft_inf.estimate))
 
     monotone = True
     grids: list[str] = []
@@ -534,16 +515,15 @@ def check_soft_limits(
                 monotone = False
         grids.append(name + ": " + ", ".join(f"{v:.3e}" for v in averages))
 
-    elapsed = time.perf_counter() - started
     passed = worst_zero <= zero_tol and worst_big <= big_tol and monotone
-    detail = (
+    return passed, (
         f"instances={instances}, zero-noise vs hard {worst_zero:.2e} (tol {zero_tol:.0e}), "
         f"1e12-noise vs unconstrained {worst_big:.2e} (tol {big_tol:.0e}); "
         f"residual grid {'monotone' if monotone else 'NOT monotone'} ({'; '.join(grids)})"
     )
-    return CheckResult("soft_constraint_limits", passed, detail, elapsed)
 
 
+@_timed("nonlinear_tracking")
 def check_nonlinear_tracking(min_fraction: float = 0.95) -> CheckResult:
     """Relinearized constraining helps on the bundled unit-circle scenario.
 
@@ -551,7 +531,6 @@ def check_nonlinear_tracking(min_fraction: float = 0.95) -> CheckResult:
     the full run: the constraint residual at the reported mean must be
     smaller in at least ``min_fraction`` of the steps and in RMS.
     """
-    started = time.perf_counter()
     config = load_bundled_scenario("circle")
     report = run_scenario(config)
     by_method: dict[str, list[float]] = {"unconstrained": [], "projection": []}
@@ -563,17 +542,15 @@ def check_nonlinear_tracking(min_fraction: float = 0.95) -> CheckResult:
     fraction = float(np.mean(res_c < res_u))
     rms_u = float(np.sqrt(np.mean(res_u**2)))
     rms_c = float(np.sqrt(np.mean(res_c**2)))
-    elapsed = time.perf_counter() - started
-    passed = fraction >= min_fraction and rms_c < rms_u
-    detail = (
+    return fraction >= min_fraction and rms_c < rms_u, (
         f"steps={config.steps}, residual smaller in {100 * fraction:.1f}% of steps "
         f"(need {100 * min_fraction:.0f}%), residual RMS {rms_c:.3e} vs {rms_u:.3e}; "
         f"state-error RMSE {report.summary.rmse['projection']:.3e} vs "
         f"{report.summary.rmse['unconstrained']:.3e}"
     )
-    return CheckResult("nonlinear_tracking", passed, detail, elapsed)
 
 
+@_timed("feedback_benefit")
 def check_feedback_benefit() -> CheckResult:
     """Feeding constrained estimates back does not worsen residuals.
 
@@ -585,7 +562,6 @@ def check_feedback_benefit() -> CheckResult:
     linearization or soft pull; hard linear methods land on the
     constraint either way and compare at rounding level.
     """
-    started = time.perf_counter()
     lines: list[str] = []
     passed = True
     for name in ("line_2d", "soft_line_2d", "circle"):
@@ -608,11 +584,10 @@ def check_feedback_benefit() -> CheckResult:
             ok = rms["on"] <= rms["off"] + max(1e-12, 1e-6 * rms["off"])
             passed = passed and ok
             lines.append(f"{name}/{label}: {rms['on']:.3e} vs {rms['off']:.3e}")
-    elapsed = time.perf_counter() - started
-    detail = "residual RMS feedback-on vs off: " + "; ".join(lines)
-    return CheckResult("feedback_benefit", passed, detail, elapsed)
+    return passed, "residual RMS feedback-on vs off: " + "; ".join(lines)
 
 
+@_timed("monte_carlo_consistency")
 def check_monte_carlo(
     trials: int = 100_000,
     dev_tol: float = 0.05,
@@ -631,7 +606,6 @@ def check_monte_carlo(
     runs.  Both bundled scenarios use a linear model and, where
     constrained, a linear constraint, as that oracle requires.
     """
-    started = time.perf_counter()
     scalar = oracle.empirical_covariance_check(
         load_bundled_scenario("mc_scalar"), "unconstrained", trials, seed=5
     )
@@ -643,31 +617,27 @@ def check_monte_carlo(
     assert planar.constraint_row_rms is not None
     assert planar_u.constraint_row_rms is not None
     row_ok = planar.constraint_row_rms <= row_tol * planar_u.constraint_row_rms
-    elapsed = time.perf_counter() - started
     passed = (
         scalar.max_relative_deviation <= dev_tol
         and planar.max_relative_deviation <= dev_tol
         and row_ok
     )
-    detail = (
+    return passed, (
         f"trials={trials}, scalar deviation {scalar.max_relative_deviation:.2%}, "
         f"planar deviation {planar.max_relative_deviation:.2%} (tol {dev_tol:.0%}); "
         f"constraint-row error {planar.constraint_row_rms:.2e} vs unconstrained "
         f"{planar_u.constraint_row_rms:.2e} (ratio bound {row_tol:.0e})"
     )
-    return CheckResult("monte_carlo_consistency", passed, detail, elapsed)
 
 
+@_timed("report_determinism")
 def check_determinism() -> CheckResult:
     """Identical configuration and seed reproduce identical reports."""
-    started = time.perf_counter()
     config = load_bundled_scenario("line_2d")
     first = emit_report(run_scenario(config), "csv")
     second = emit_report(run_scenario(config), "csv")
     passed = first == second
-    elapsed = time.perf_counter() - started
-    detail = f"two runs, {len(first)} bytes each, {'identical' if passed else 'DIFFER'}"
-    return CheckResult("report_determinism", passed, detail, elapsed)
+    return passed, f"two runs, {len(first)} bytes each, {'identical' if passed else 'DIFFER'}"
 
 
 def run_default_checks(fast: bool = True) -> list[CheckResult]:

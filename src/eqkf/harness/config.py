@@ -470,6 +470,8 @@ def config_from_document(doc: Any) -> ScenarioConfig:
     steps = _require(doc, "steps")
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
         raise ParseError("field 'steps': expected a non-negative integer")
+    if steps >= np.iinfo(np.intp).max:
+        raise ParseError(f"field 'steps': {steps} is beyond the largest array length")
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ParseError("field 'seed': expected a non-negative integer")

@@ -24,6 +24,7 @@ from eqkf import (
     fusion_constrained_update,
     kalman,
     matops,
+    oracle,
     predict,
     project,
     restricted_gain_update,
@@ -43,6 +44,7 @@ from eqkf.harness import (
     METHOD_NAMES,
     bundled_scenario_names,
     bundled_scenario_text,
+    checks,
     cli,
     config_from_document,
     load_bundled_scenario,
@@ -1045,6 +1047,8 @@ class TestCli:
                 ),
                 "invalid document",
             ),
+            # beyond numpy's index range: rejected before any allocation
+            (line_2d_doc(steps=10**20), "field 'steps'"),
         ],
         ids=["initial_covariance", "indefinite_weight", "asymmetric_weight",
              "asymmetric_soft_noise", "negative_seed", "string_indices",
@@ -1052,7 +1056,7 @@ class TestCli:
              "small_asymmetric_weight", "ill_conditioned_weight",
              "infinite_truth", "nan_truth", "infinite_sphere_rhs", "nan_sphere_center",
              "infinite_product_rhs", "infinite_soft_noise", "nan_soft_noise",
-             "huge_integer_truth", "long_integer_truth"],
+             "huge_integer_truth", "long_integer_truth", "huge_steps"],
     )
     def test_validation_failure_exits_with_parse_code(self, tmp_path, doc, message):
         path = tmp_path / "invalid.json"
@@ -1129,6 +1133,19 @@ class TestCli:
         doc = json.loads(proc.stdout)
         assert doc["rng"] == RNG_ALGORITHM
 
+    def test_check_runs_the_fast_battery(self, capsys):
+        assert cli.main(["check"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("PASS ") for line in lines) == 14
+        assert lines[-1] == "14/14 checks passed"
+
+    def test_a_failing_check_exits_with_check_code(self, monkeypatch, capsys):
+        failing = checks.CheckResult("broken", False, "deviation 1 (tol 0)", 0.0)
+        monkeypatch.setattr(checks, "run_default_checks", lambda fast: [failing])
+        assert cli.main(["check"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [failing.line(), "0/1 checks passed"]
+
     def test_output_files_are_byte_identical_across_runs(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(planar_constrained_doc()), encoding="utf-8")
@@ -1162,3 +1179,38 @@ def test_filter_steps_look_up_no_lapack_routine(monkeypatch):
     fusion_constrained_update(pred, sim.measurements[0], model, config.constraint)
     one_step = dataclasses.replace(config, steps=1)
     empirical_covariance_check(one_step, "augmented", 1000, seed=0)
+
+
+class TestCheckInstances:
+    INSTANCE_CHECKS = (
+        checks.check_equivalence, checks.check_feasibility, checks.check_shrinkage,
+        checks.check_block_inverse, checks.check_posterior_chains, checks.check_lagrange,
+        checks.check_soft_limits,
+    )
+    COUNTED = (
+        (oracle, "random_constrained_instance"),
+        (kalman, "update_joseph"),
+        (constrained, "augmented_update"),
+        (constrained, "fusion_constrained_update"),
+        (constrained, "restricted_gain_update"),
+    )
+
+    def test_the_battery_builds_and_updates_each_seed_once(self, monkeypatch):
+        checks._instance.cache_clear()
+        checks._hard_updates.cache_clear()
+        calls = dict.fromkeys((name for _, name in self.COUNTED), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in self.COUNTED:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        cold = [check(instances=20) for check in self.INSTANCE_CHECKS]
+        assert all(result.passed for result in cold)
+        assert calls == dict.fromkeys(calls, 20)
+        warm = [check(instances=20) for check in self.INSTANCE_CHECKS]
+        assert [r.detail for r in warm] == [r.detail for r in cold]
+        assert calls == dict.fromkeys(calls, 20)

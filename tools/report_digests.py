@@ -1,6 +1,6 @@
 """Print the sha256 of every report in the byte-identity set, as JSON.
 
-The set is 61 reports.  58 come from scenario runs, each run emitted as CSV
+The set is 75 reports.  58 come from scenario runs, each run emitted as CSV
 and as structured JSON:
 
 * every bundled scenario, with ``feedback`` on and off (24 reports);
@@ -14,6 +14,10 @@ The other 3 are the ``empirical_covariance_check`` reports of
 ``perfbench/workloads.MC_RUNS`` at ``MC_TRIALS`` trials, with the oracle
 seeds of the ``mc_sweep`` workload at seed 1: the bytes of the reported and
 sample covariances and the ``repr`` of each statistic.
+
+The last 14 are the ``detail`` lines of the fast verification battery
+(``eqkf check``), keyed ``check/<name>``: every figure it prints except the
+elapsed time.
 
 Run from anywhere; ``eqkf`` is imported from this checkout's ``src/``::
 
@@ -48,6 +52,7 @@ _SRC = sys.argv[sys.argv.index("--src") + 1] if "--src" in sys.argv[:-1] else RO
 sys.path[:0] = [str(_SRC), str(ROOT / "perfbench")]
 
 from eqkf import harness  # noqa: E402
+from eqkf.harness import checks  # noqa: E402
 import workloads  # noqa: E402
 from revision_src import extracted_src  # noqa: E402
 
@@ -92,6 +97,8 @@ def digests() -> dict[str, str]:
                 + repr(stats).encode())
         label = f"oracle/mc_sweep/{index}-{docs[index]['name']}-{method}"
         out[label] = hashlib.sha256(data).hexdigest()
+    for result in checks.run_default_checks(fast=True):
+        out[f"check/{result.name}"] = hashlib.sha256(result.detail.encode()).hexdigest()
     return out
 
 
