@@ -56,7 +56,7 @@ def _timed(name: str):
         def check(*args, **kwargs) -> CheckResult:
             started = time.perf_counter()
             passed, detail = body(*args, **kwargs)
-            return CheckResult(name, passed, detail, time.perf_counter() - started)
+            return CheckResult(name, bool(passed), detail, time.perf_counter() - started)
 
         return check
 
@@ -65,11 +65,12 @@ def _timed(name: str):
 
 def _worst_deviation(per_seed, instances: int, tol: float) -> tuple[bool, str]:
     """Fold the deviations that ``per_seed(seed)`` yields over the first
-    ``instances`` seeds into their worst, judged against ``tol``."""
+    ``instances`` seeds into their worst, judged against ``tol``.  Like every
+    fold here it uses ``np.maximum`` (or ``np.minimum``), which keeps a NaN."""
     worst = 0.0
     for seed in oracle.SEEDS[:instances]:
         for deviation in per_seed(seed):
-            worst = max(worst, deviation)
+            worst = np.maximum(worst, deviation)
     return worst <= tol, f"instances={instances}, worst deviation {worst:.2e} (tol {tol:.0e})"
 
 
@@ -133,12 +134,11 @@ def check_equivalence(
         *results, restr = _hard_updates(seed)
         for i, first in enumerate(results):
             for second in results[i + 1 :]:
-                worst_mean = max(worst_mean, _rel(first.estimate.mean, second.estimate.mean))
-                worst_cov = max(
-                    worst_cov, _rel(first.estimate.covariance, second.estimate.covariance)
-                )
+                a, b = first.estimate, second.estimate
+                worst_mean = np.maximum(worst_mean, _rel(a.mean, b.mean))
+                worst_cov = np.maximum(worst_cov, _rel(a.covariance, b.covariance))
         ident = constrained.project(est_u, c, ProjectionSpec(weight=np.eye(pred.dim)))
-        worst_pair = max(worst_pair, _rel_estimates(restr.estimate, ident.estimate))
+        worst_pair = np.maximum(worst_pair, _rel_estimates(restr.estimate, ident.estimate))
     passed = worst_mean <= mean_tol and worst_cov <= cov_tol and worst_pair <= pair_tol
     return passed, (
         f"instances={instances}, mean dev {worst_mean:.2e} (tol {mean_tol:.0e}), "
@@ -165,11 +165,11 @@ def check_feasibility(
         for result in _hard_updates(seed):
             mean = result.estimate.mean
             cov = result.estimate.covariance
-            worst_mean = max(
+            worst_mean = np.maximum(
                 worst_mean,
                 float(np.linalg.norm(c.matrix @ mean - c.rhs)) / rhs_scale,
             )
-            worst_null = max(
+            worst_null = np.maximum(
                 worst_null,
                 float(np.linalg.norm(c.matrix @ cov)) / float(np.linalg.norm(cov)),
             )
@@ -192,7 +192,8 @@ def check_shrinkage(instances: int = 1000, tol: float = 1e-9) -> CheckResult:
     for seed in oracle.SEEDS[:instances]:
         est_u = _instance(seed)[4]
         gap = est_u.covariance - _hard_updates(seed).projection.estimate.covariance
-        worst_ratio = min(worst_ratio, min_eigenvalue(gap) / float(np.trace(est_u.covariance)))
+        ratio = min_eigenvalue(gap) / float(np.trace(est_u.covariance))
+        worst_ratio = np.minimum(worst_ratio, ratio)
     return worst_ratio >= -tol, (
         f"instances={instances}, worst min-eig/trace of P_post - Pc is "
         f"{worst_ratio:.2e} (bound -{tol:.0e})"
@@ -430,8 +431,8 @@ def check_stability(
         result = constrained.augmented_update(pred, z, model, c)
         for cov in (pred.covariance, result.estimate.covariance):
             scale = float(np.abs(cov).max())
-            worst_asym = max(worst_asym, float(np.abs(cov - cov.T).max()) / scale)
-            worst_eig = min(worst_eig, min_eigenvalue(cov) / float(np.trace(cov)))
+            worst_asym = np.maximum(worst_asym, float(np.abs(cov - cov.T).max()) / scale)
+            worst_eig = np.minimum(worst_eig, min_eigenvalue(cov) / float(np.trace(cov)))
         state = result.estimate
 
         if p_naive is not None:
@@ -487,9 +488,9 @@ def check_soft_limits(
         q = c.constraint_dim
         hard = _hard_updates(seed).augmented
         soft0 = constrained.soft_augmented_update(pred, z, model, c, np.zeros((q, q)))
-        worst_zero = max(worst_zero, _rel_estimates(hard.estimate, soft0.estimate))
+        worst_zero = np.maximum(worst_zero, _rel_estimates(hard.estimate, soft0.estimate))
         soft_inf = constrained.soft_augmented_update(pred, z, model, c, 1e12 * np.eye(q))
-        worst_big = max(worst_big, _rel_estimates(est_u, soft_inf.estimate))
+        worst_big = np.maximum(worst_big, _rel_estimates(est_u, soft_inf.estimate))
 
     monotone = True
     grids: list[str] = []
@@ -511,7 +512,7 @@ def check_soft_limits(
             total = sum(rec.constraint_residual for rec in report.records)
             averages.append(total / config.steps)
         for lo, hi in zip(averages, averages[1:]):
-            if lo > hi * (1.0 + 1e-9) + 1e-15:
+            if not lo <= hi * (1.0 + 1e-9) + 1e-15:
                 monotone = False
         grids.append(name + ": " + ", ".join(f"{v:.3e}" for v in averages))
 

@@ -252,8 +252,8 @@ def _csv_text(report: RunReport) -> str:
     lines = [",".join(columns)]
     for rec in sorted(report.records, key=lambda r: (r.step, r.method)):
         cells = [str(rec.step), rec.method]
-        cells += [_format_value(v) for v in rec.truth]
-        cells += [_format_value(v) for v in rec.mean]
+        cells += map(repr, rec.truth.tolist())
+        cells += map(repr, rec.mean.tolist())
         cells += [
             _format_value(rec.err_norm),
             _format_value(rec.constraint_residual),
@@ -272,8 +272,8 @@ def _structured_text(report: RunReport) -> str:
             {
                 "step": rec.step,
                 "method": rec.method,
-                "truth": list(map(float, rec.truth)),
-                "mean": list(map(float, rec.mean)),
+                "truth": rec.truth.tolist(),
+                "mean": rec.mean.tolist(),
                 "err_norm": rec.err_norm,
                 "constraint_residual": rec.constraint_residual,
                 "cov_min_eig": rec.cov_min_eig,

@@ -10,19 +10,23 @@ never mutates its inputs.  Four groups of helpers live here:
 * Covariance hygiene (``symmetrize``, ``min_eigenvalue``, ``solve_spd``,
   ``psd_factor``) used to keep error covariances symmetric positive
   semidefinite over long filter runs.
-* The per-step kernels' LAPACK calls on handles bound once at import,
-  among them the fusion saddle matrix's Bunch-Kaufman solver (``_saddle_solver``)
-  and the ``?syevr`` call that finds only the smallest eigenvalue (``_min_eig``).
+* The per-step kernels' LAPACK calls on handles bound once at import from
+  scipy's compiled wrappers, among them the fusion saddle matrix's
+  Bunch-Kaufman solver (``_saddle_solver``) and the ``?syevr`` call that
+  finds only the smallest eigenvalue (``_min_eig``).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import cache
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotSquare, SingularBlock, SingularCovariance
 
@@ -187,18 +191,31 @@ def solve_spd(m, rhs, name: str = "matrix", error=SingularBlock) -> np.ndarray:
     return _cholesky_solve(sym, b, name, error)
 
 
+def _flapack():
+    """scipy's compiled LAPACK wrappers (``scipy/linalg/_flapack``), loaded from
+    their file: ``find_spec`` locates scipy without running any of its code."""
+    scipy = importlib.util.find_spec("scipy")
+    path = os.path.join(os.path.dirname(scipy.origin) if scipy else "scipy", "linalg",
+                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"eqkf needs scipy's LAPACK wrappers, and {path} is missing")
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # The LAPACK routines the per-step kernels call directly, bound once here:
 # ?potrf, ?potrs and ?trtrs behind scipy's cho_factor, cho_solve and
 # solve_triangular; ?geqrf and ?orgqr behind np.linalg.qr (:func:`_qr`);
 # ?sytrf, ?sytrf_lwork, ?sycon and ?sytrs, the Bunch-Kaufman
 # factorization, condition estimate and solve of :func:`_saddle_solver`;
-# and ?syevr, the smallest eigenvalue of :func:`_min_eig`.
+# and ?syevr, the smallest eigenvalue of :func:`_min_eig`.  These are the objects
+# get_lapack_funcs(..., dtype=np.float64) returns, without importing scipy.linalg.
 (
     _POTRF, _POTRS, _TRTRS, _GEQRF, _ORGQR, _SYTRF, _SYTRF_LWORK, _SYCON, _SYTRS, _SYEVR
-) = scipy.linalg.get_lapack_funcs(
-    ("potrf", "potrs", "trtrs", "geqrf", "orgqr", "sytrf", "sytrf_lwork", "sycon", "sytrs",
-     "syevr"), dtype=np.float64,
-)
+) = attrgetter("dpotrf", "dpotrs", "dtrtrs", "dgeqrf", "dorgqr", "dsytrf", "dsytrf_lwork",
+               "dsycon", "dsytrs", "dsyevr")(_flapack())
 
 
 def _cholesky_solve(m, rhs, name: str, error) -> np.ndarray:

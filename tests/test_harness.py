@@ -1214,3 +1214,15 @@ class TestCheckInstances:
         warm = [check(instances=20) for check in self.INSTANCE_CHECKS]
         assert [r.detail for r in warm] == [r.detail for r in cold]
         assert calls == dict.fromkeys(calls, 20)
+
+    def test_a_nan_deviation_fails_its_check(self, monkeypatch):
+        # max(0.0, nan) is 0.0: a fold through max or min would pass a NaN
+        passed, detail = checks._worst_deviation(lambda seed: [float("nan")], 1, 1e-9)
+        assert not passed and "worst deviation nan" in detail
+        monkeypatch.setattr(checks, "_rel", lambda a, b: float("nan"))
+        result = checks.check_equivalence(instances=2)
+        assert result.passed is False
+        assert "mean dev nan" in result.detail and "identity projection nan" in result.detail
+        monkeypatch.setattr(checks, "min_eigenvalue", lambda p: float("nan"))
+        result = checks.check_shrinkage(instances=2)
+        assert result.passed is False and "P_post - Pc is nan" in result.detail

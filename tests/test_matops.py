@@ -1,6 +1,10 @@
 """Kronecker/vec calculus, the saddle-point block inverse, and the symmetric
 matrix helpers."""
 
+import importlib.machinery
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +14,7 @@ from eqkf.errors import NotSquare, SingularBlock
 from eqkf.matops import (
     SaddlePointBlocks,
     _cholesky_solve,
+    _flapack,
     _identity,
     _qr,
     _triangular_solve,
@@ -359,3 +364,63 @@ def test_shared_identity_is_read_only():
 def test_kernel_cholesky_solve_raises_the_given_error():
     with pytest.raises(SingularBlock, match="S is not positive definite"):
         _cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2), "S", SingularBlock)
+
+
+# Run in a fresh interpreter: ``import eqkf`` must leave scipy.linalg and
+# scipy._lib unimported, and each handle matops binds must give the output
+# of scipy's own handle bit for bit, whichever of the two is imported first.
+_BINDING_PROBE = """
+import sys
+import numpy as np
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg
+import eqkf.harness.cli
+from eqkf import matops
+if sys.argv[1] == "eqkf-first":
+    assert not {"scipy.linalg", "scipy._lib"} & set(sys.modules), sorted(sys.modules)
+    import scipy.linalg
+
+rng = np.random.default_rng(5)
+g = rng.standard_normal((6, 6))
+spd = g @ g.T + 6 * np.eye(6)
+sym = g + g.T
+rhs = rng.standard_normal((6, 2))
+ref = {name: scipy.linalg.get_lapack_funcs((name,), dtype=np.float64)[0] for name in (
+    "potrf", "potrs", "trtrs", "geqrf", "orgqr", "sytrf", "sytrf_lwork", "sycon", "sytrs",
+    "syevr")}
+chol = ref["potrf"](spd, lower=1, clean=0)[0]
+qr, tau = ref["geqrf"](g)[:2]
+ldu, ipiv = ref["sytrf"](sym)[:2]
+calls = {
+    "potrf": lambda f: f(spd, lower=1, clean=0)[:2],
+    "potrs": lambda f: f(chol, rhs, lower=1)[:2],
+    "trtrs": lambda f: f(np.triu(g), rhs)[:2],
+    "geqrf": lambda f: f(g)[:2],
+    "orgqr": lambda f: f(qr, tau)[:1],
+    "sytrf": lambda f: f(sym)[:2],
+    "sytrf_lwork": lambda f: f(6)[:1],
+    "sycon": lambda f: f(ldu, ipiv, 10.0)[:1],
+    "sytrs": lambda f: f(ldu, ipiv, rhs)[:1],
+    "syevr": lambda f: (f(sym, compute_v=0, range="I", il=1, iu=1)[0][:1],),
+}
+for name, call in calls.items():
+    bound, own = ([np.asarray(x).tobytes() for x in call(f)]
+                  for f in (getattr(matops, "_" + name.upper()), ref[name]))
+    assert bound == own, name
+print("bound", len(calls))
+"""
+
+
+@pytest.mark.parametrize("order", ["eqkf-first", "scipy-first"])
+def test_lapack_handles_are_bound_without_importing_scipy_linalg(order):
+    done = subprocess.run(
+        [sys.executable, "-c", _BINDING_PROBE, order], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["bound", "10"]
+
+
+def test_missing_lapack_wrappers_raise_an_import_error_naming_the_file(monkeypatch):
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent.so"])
+    with pytest.raises(ImportError, match=r"linalg.+_flapack\.absent\.so is missing"):
+        _flapack()

@@ -11,10 +11,13 @@ first swaps from one pair to the next, so both see the same host state.
 An operation of ``track_small`` or ``track_wide`` is, per document, the
 truth simulation, ``run_scenario`` (timed as filtering) and both report
 emissions (timed as emission).  An operation of ``mc_sweep`` is the
-workload's oracle runs, all filtering.
+workload's oracle runs, all filtering.  With each operation, a fresh
+interpreter on the same side times its set-up as ``perfbench/setup_probe.py``
+does: from its first line through importing ``eqkf`` and ``workloads.load``
+on the workload's documents, less generating the documents.
 
 Prints one JSON object: per side (``rev`` and ``checkout``), the median and
-quartiles of filtering and emission time per operation, and per figure the
+quartiles of filtering, emission and set-up time, and per figure the
 median over pairs of the checkout/rev ratio (below 1 means this checkout is
 faster)::
 
@@ -37,7 +40,7 @@ from revision_src import extracted_src
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("track_small", "track_wide", "mc_sweep")
-FIGURES = ("filter_s", "emit_s")
+FIGURES = ("filter_s", "emit_s", "setup_s")
 BLAS_THREADS = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
@@ -72,6 +75,37 @@ def _worker(src: str, workload: str, seed: int) -> None:
         print(json.dumps(operation()), flush=True)
 
 
+# The set-up probe: argv is the side's src, perfbench, the workload and the seed.
+_SETUP_PROBE = """
+import time
+started = time.perf_counter()
+import sys
+sys.path[:0] = sys.argv[1:3]
+import eqkf
+imported = time.perf_counter() - started
+import workloads
+docs = workloads.documents(sys.argv[3], int(sys.argv[4]))
+started = time.perf_counter()
+workloads.load(docs)
+print(repr(imported + time.perf_counter() - started), eqkf.__file__)
+"""
+
+
+def _setup_seconds(src: Path, workload: str, seed: int) -> float:
+    """Set-up time of ``workload`` in a fresh interpreter importing ``src``'s eqkf."""
+    done = subprocess.run(
+        [sys.executable, "-c", _SETUP_PROBE, str(src), str(ROOT / "perfbench"), workload,
+         str(seed)],
+        capture_output=True, text=True, env={**os.environ, **BLAS_THREADS},
+    )
+    if done.returncode != 0:
+        sys.exit(f"paired_timing: the set-up probe on {src} failed: {done.stderr.strip()}")
+    seconds, imported_from = done.stdout.rstrip("\n").split(" ", 1)
+    if not Path(imported_from).resolve().is_relative_to(src.resolve()):
+        sys.exit(f"paired_timing: the set-up probe imported eqkf from {imported_from}, not {src}")
+    return float(seconds)
+
+
 def _start(src: Path, workload: str, seed: int) -> subprocess.Popen:
     worker = subprocess.Popen(
         [sys.executable, __file__, "--worker", str(src), "--workload", workload,
@@ -100,14 +134,15 @@ def _spread(values: list[float]) -> dict[str, float]:
 
 def paired_times(rev_src: Path, workload: str, seed: int, reps: int) -> dict:
     """The per-side spreads and the median paired ratios of ``reps`` pairs."""
-    sides = {"rev": _start(rev_src, workload, seed),
-             "checkout": _start(ROOT / "src", workload, seed)}
+    srcs = {"rev": rev_src, "checkout": ROOT / "src"}
+    sides = {side: _start(src, workload, seed) for side, src in srcs.items()}
     times: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
     try:
         for rep in range(reps):
             order = ("rev", "checkout") if rep % 2 == 0 else ("checkout", "rev")
             for side in order:
                 times[side].append(_run(sides[side]))
+                times[side][-1]["setup_s"] = _setup_seconds(srcs[side], workload, seed)
     finally:
         for worker in sides.values():
             worker.stdin.close()
