@@ -33,9 +33,11 @@ Every hard update except fusion (which factors its own saddle matrix)
 is a least-distance correction through the Gram matrix
 ``G = A W^-1 A'``, and all of them share one factorization of it,
 :func:`_gram_factorization`: a QR decomposition of ``(A L)'`` with
-``W^-1 = L L'``, guarded by ``matops.CONDITION_LIMIT``, with ``L`` from
-:func:`_covariance_factor` or, for an explicit weight, from its
-:class:`ProjectionSpec`.  Each correction moves the mean along ``U``
+``W^-1 = L L'``, guarded by ``matops.CONDITION_LIMIT``.  ``L`` is
+:func:`_covariance_factor` of the posterior for the ``POSTERIOR_INVERSE``
+weight, the identity ``matops._identity(n)`` for ``IDENTITY``, and the
+factor an explicit weight's :class:`ProjectionSpec` holds; nothing factored
+is stored on the constraint.  Each correction moves the mean along ``U``
 (:func:`_along`); its covariance, from :func:`_project_stage` for all of
 them, is the congruence ``(I - U A) P (I - U A)'``, which keeps
 hard-constrained (rank ``n - q``) covariances symmetric positive
@@ -57,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -66,6 +67,7 @@ from . import kalman, matops
 from .errors import (
     DegenerateResidual,
     DimensionMismatch,
+    FilterError,
     IndefiniteCovariance,
     RankDeficientJacobian,
     SingularAugmentedInnovation,
@@ -139,12 +141,6 @@ class EqualityConstraint:
         e = self.matrix @ as_vector(x, "x") - self.rhs
         return math.sqrt(e @ e)
 
-    @cached_property
-    def _euclidean_gram(self) -> tuple[np.ndarray, np.ndarray]:
-        """The identity weight's ``(U, (A A')^-1)``, factored once per constraint."""
-        factors = _gram_factorization(np.eye(self.state_dim), self.matrix)
-        return frozen_array(factors[0]), frozen_array(factors[1])
-
 
 @dataclass(frozen=True)
 class NonlinearConstraint:
@@ -168,9 +164,12 @@ class NonlinearConstraint:
         return self.rhs.size
 
     def residual_norm(self, x) -> float:
-        """Euclidean norm of ``func(x) - rhs``."""
-        value = as_vector(self.func(np.asarray(x, dtype=float)), "constraint value")
-        e = value - self.rhs
+        """Euclidean norm of ``func(x) - rhs``; ``inf`` where ``func(x)`` is not
+        finite, as where the norm itself overflows."""
+        value = np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
+        if not np.isfinite(value).all():
+            return math.inf
+        e = as_vector(value, "constraint value") - self.rhs
         return math.sqrt(e @ e)
 
 
@@ -432,13 +431,11 @@ def augmented_update(
 def _project_stage(cov, c: EqualityConstraint, spec: ProjectionSpec):
     """Covariance stage of :func:`project` and of each update equal to one:
     ``(U, G^-1)`` for ``spec``'s weight, and ``(I - U A) cov (I - U A)'``."""
-    factor = spec._factor
-    if factor is None and spec.weight == IDENTITY:
-        gram = c._euclidean_gram
-    else:
-        factor = _covariance_factor(cov) if factor is None else factor
-        gram = _gram_factorization(factor, c.matrix)
-    pi = matops._identity(cov.shape[0]) - gram[0] @ c.matrix
+    n, factor = cov.shape[0], spec._factor
+    if factor is None:
+        factor = matops._identity(n) if spec.weight == IDENTITY else _covariance_factor(cov)
+    gram = _gram_factorization(factor, c.matrix)
+    pi = matops._identity(n) - gram[0] @ c.matrix
     p = pi @ cov @ pi.T
     return gram, 0.5 * (p + p.T)
 
@@ -476,14 +473,22 @@ def _innovation_weight(s, residual) -> tuple[np.ndarray, np.ndarray]:
     return s_inv_nu, np.sum(residual * s_inv_nu, axis=-1)
 
 
-def _gain_correction(c: EqualityConstraint, target, s_inv_nu, quad):
+def _degenerate(quad):
+    """Whether each innovation's ``v' S^-1 v`` is at or below
+    ``DEGENERATE_RESIDUAL_TOL`` or not finite, too small or too large to carry
+    a gain correction."""
+    return ~np.isfinite(quad) | (quad <= DEGENERATE_RESIDUAL_TOL)
+
+
+def _gain_correction(gram, target, s_inv_nu, quad):
     """The ``(correction, multipliers)`` of :func:`solve_lagrange_system` for
-    ``target = b - A x_post`` and one innovation's ``S^-1 v`` and ``v' S^-1 v``."""
-    if quad <= DEGENERATE_RESIDUAL_TOL:
+    the identity weight's ``gram = (U, (A A')^-1)``, ``target = b - A x_post``
+    and one innovation's ``S^-1 v`` and ``v' S^-1 v``."""
+    if _degenerate(quad):
         raise DegenerateResidual(
-            f"innovation quadratic form {quad:.3e} is below tolerance"
+            f"innovation quadratic form {quad:.3e} is below tolerance or not finite"
         )
-    ups, gram_inv = c._euclidean_gram
+    ups, gram_inv = gram
     correction = np.outer(ups @ target, s_inv_nu / quad).reshape(-1, order="F")
     return correction, -2.0 * (gram_inv @ target) / quad
 
@@ -521,7 +526,8 @@ def solve_lagrange_system(
             f"{c.constraint_dim} constraint rows"
         )
     weight = _innovation_weight(innov.residual_cov, innov.residual)
-    return _gain_correction(c, -residual, *weight)
+    gram = _gram_factorization(matops._identity(c.state_dim), c.matrix)
+    return _gain_correction(gram, -residual, *weight)
 
 
 def _restricted_gain_mean(stage, mean, z, model: SystemModel, c: EqualityConstraint):
@@ -539,8 +545,8 @@ def _restricted_gain_mean(stage, mean, z, model: SystemModel, c: EqualityConstra
         return ((plain, post),) * 2, (gain, None, None)
     (ups, _), cov = projected
     s_inv_nu, quad = _innovation_weight(s, residual)
-    degenerate = quad <= DEGENERATE_RESIDUAL_TOL
-    w = s_inv_nu / np.where(degenerate, 1.0, quad)[..., None]
+    degenerate = _degenerate(quad)
+    w = s_inv_nu / np.where(degenerate, np.inf, quad)[..., None]
     defect = c.rhs - plain @ c.matrix.T
     corrected = plain + np.sum(w * residual, axis=-1)[..., None] * (defect @ ups.T)
     mean = np.where(degenerate[..., None], _along(ups, c, plain), corrected)
@@ -573,7 +579,8 @@ def restricted_gain_update(
     correction, multipliers = np.zeros(gain.size), np.zeros(0)
     if c.constraint_dim:
         target = c.rhs - c.matrix @ unconstrained[0]
-        correction, multipliers = _gain_correction(c, target, s_inv_nu, quad)
+        # the stage's (U, (A A')^-1), factored for the identity weight
+        correction, multipliers = _gain_correction(stage[3][0], target, s_inv_nu, quad)
     n, m = gain.shape
     solution = RestrictedGainSolution(gain + unvec(correction, n, m), correction, multipliers)
     return solution, _result(RESTRICTED_GAIN, c, mean, cov, pred.step)
@@ -646,16 +653,19 @@ def linearize(nc: NonlinearConstraint, x_ref) -> EqualityConstraint:
     Returns the linear constraint ``J x = rhs + J x_ref - func(x_ref)``
     with ``J`` the Jacobian at ``x_ref``.  Raises
     ``RankDeficientJacobian`` when ``J`` loses row rank at the reference
-    point.
+    point, and ``FilterError`` when ``J`` or the value there is not finite.
     """
     x = as_vector(x_ref, "x_ref")
-    jac = as_matrix(nc.jacobian(x), "jacobian")
+    try:
+        jac = as_matrix(nc.jacobian(x), "jacobian")
+        value = as_vector(nc.func(x), "constraint value")
+    except ValueError as exc:
+        raise FilterError(f"cannot linearize the constraint at x_ref: {exc}") from exc
     q = nc.constraint_dim
     if jac.shape != (q, x.size):
         raise DimensionMismatch(
             f"jacobian shape {jac.shape} does not match ({q}, {x.size})"
         )
-    value = as_vector(nc.func(x), "constraint value")
     if value.size != q:
         raise DimensionMismatch(
             f"constraint value length {value.size} does not match rhs length {q}"

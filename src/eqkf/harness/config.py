@@ -144,10 +144,10 @@ def _projection_mean(stage, mean, z, model, lin):
 def _restricted_gain_mean(stage, mean, z, model, lin):
     pred_cov, stage = stage
     estimates, (_, _, quad) = constrained._restricted_gain_mean(stage, mean, z, model, lin)
-    if mean.ndim == 2 or quad is None or quad > constrained.DEGENERATE_RESIDUAL_TOL:
+    if mean.ndim == 2 or quad is None or not constrained._degenerate(quad):
         return estimates
-    # A stack of means keeps the kernel's per-row fallback.  One estimate with
-    # a vanishing innovation goes through the public functions instead, so the
+    # A stack of means keeps the kernel's per-row fallback.  One estimate whose
+    # v' S^-1 v vanishes or overflows goes through the public functions, so the
     # fallback shows at the public boundary (the benchmark's tracer counts it):
     # restricted_gain_update raises DegenerateResidual, and the identity-weight
     # projection reaches the same corrected mean.

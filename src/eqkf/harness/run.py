@@ -163,13 +163,15 @@ def _relative_divergence(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max()) / scale
 
 
+@np.errstate(over="ignore")
 def run_scenario(
     config: ScenarioConfig, sim: SimulationResult | None = None
 ) -> RunReport:
     """Run every configured method over one simulated trajectory.
 
     Numerical failures are re-raised as ``ScenarioStepError`` carrying the
-    one-based step index and method label.
+    one-based step index and method label.  A figure of a record that
+    overflows, such as the error norm of a huge mean, reads ``inf``.
     """
     if sim is None:
         sim = simulate_truth(config)

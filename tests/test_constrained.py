@@ -69,6 +69,18 @@ class TestEqualityConstraint:
         assert c.constraint_dim == 0
         assert c.residual_norm([1.0, 2.0, 3.0]) == 0.0
 
+    def test_updates_store_nothing_on_the_constraint(self):
+        # every weight is factored inside the projection stage; the frozen
+        # constraint holds its two fields and nothing computed from them
+        for seed in range(5):
+            pred, model, z, c = random_constrained_instance(seed)
+            post, _ = update_joseph(pred, z, model)
+            _hard_results(pred, z, model, c)
+            project(post, c, ProjectionSpec(IDENTITY))
+            innov = innovate(pred, z, model)
+            solve_lagrange_system(innov, c, c.matrix @ post.mean - c.rhs)
+            assert set(vars(c)) == {"matrix", "rhs"}
+
 
 class TestConstrainPosterior:
     def test_weighted_pull_onto_line(self):
@@ -309,6 +321,45 @@ class TestRestrictedGain:
         pred, _, model, c = worked_planar_instance()
         with pytest.raises(DegenerateResidual):
             restricted_gain_update(pred, Measurement([0.0], 1), model, c)
+
+    def test_a_positive_quadratic_form_below_tolerance_is_degenerate(self):
+        pred, model, z, c = random_constrained_instance(3)
+        innov = innovate(pred, z, model)
+        quad = innov.residual @ np.linalg.solve(innov.residual_cov, innov.residual)
+        h = model.observation
+        scaled = h @ pred.mean + innov.residual * np.sqrt(1e-13 / quad)
+        with pytest.raises(DegenerateResidual):
+            restricted_gain_update(pred, Measurement(scaled, 1), model, c)
+
+    def test_an_overflowing_quadratic_form_is_degenerate(self):
+        # v' S^-1 v overflows to inf, so w = S^-1 v / quad would vanish and
+        # with it the correction that puts the mean on the constraint
+        pred, model, z, c = random_constrained_instance(3)
+        huge = StateEstimate(pred.mean * 1e300, pred.covariance, pred.step)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DegenerateResidual, match="not finite"):
+                restricted_gain_update(huge, z, model, c)
+            innov = innovate(huge, z, model)
+            post, _ = update_joseph(huge, z, model)
+            with pytest.raises(DegenerateResidual):
+                solve_lagrange_system(innov, c, c.matrix @ post.mean - c.rhs)
+            projected = project(post, c, ProjectionSpec(IDENTITY)).estimate.mean
+        assert np.abs(c.matrix @ projected - c.rhs).max() <= 1e-15 * np.abs(projected).max()
+
+    def test_a_stacked_row_with_an_overflowing_form_takes_the_projection(self):
+        pred, model, z, c = random_constrained_instance(3)
+        means = np.stack([pred.mean, pred.mean * 1e300])
+        zs = np.stack([z.value, z.value])
+        stage = constrained._joseph_stage(pred.covariance, model, c, constrained._IDENTITY_SPEC)
+        with np.errstate(over="ignore"):
+            ((mean, _), (plain, _)), (_, _, quad) = constrained._restricted_gain_mean(
+                stage, means, zs, model, c
+            )
+        assert np.isfinite(quad[0]) and np.isinf(quad[1])
+        _, single = restricted_gain_update(pred, z, model, c)
+        assert_allclose(mean[0], single.estimate.mean, rtol=1e-12, atol=1e-12)
+        ups = stage[3][0][0]
+        assert_allclose(mean[1], constrained._along(ups, c, plain[1]), rtol=1e-12)
 
     @IDENTITY_WEIGHTS
     def test_equals_identity_weight_projection(self, identity_weight):
@@ -620,6 +671,19 @@ class TestLinearize:
         )
         with pytest.raises(RankDeficientJacobian):
             linearize(tall, [1.0, -1.0])
+
+    def test_an_overflowing_value_is_a_filter_error_and_an_infinite_residual(self):
+        nc = NonlinearConstraint(
+            func=lambda x: np.array([x[0] ** 2 + x[1] ** 2]),
+            jacobian=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
+            rhs=[1.0],
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(FilterError, match="constraint value has non-finite"):
+                linearize(nc, [1e200, 1e200])
+            with pytest.raises(FilterError, match="jacobian has non-finite"):
+                linearize(nc, [1e308, 1.0])
+            assert nc.residual_norm([1e200, 1e200]) == np.inf
 
 
 class TestSoftConstraint:

@@ -341,6 +341,13 @@ class TestRunScenario:
         assert divergence["fusion|projection"] <= 1e-6
         assert divergence["restricted_gain|projection_identity"] <= 1e-7
 
+    @pytest.mark.parametrize("feedback", [True, False], ids=["feedback-on", "feedback-off"])
+    def test_every_bundled_record_has_an_exactly_symmetric_covariance(self, feedback):
+        for name in bundled_scenario_names():
+            config = dataclasses.replace(load_bundled_scenario(name), feedback=feedback)
+            records = run_scenario(config).records
+            assert records and all(rec.cov_asym == 0.0 for rec in records), name
+
     def test_numerical_failure_reports_step_and_method(self):
         # a full-rank hard constraint zeroes the covariance; with no
         # process noise the second step's constraint Gram matrix is
@@ -1145,6 +1152,44 @@ class TestCli:
         assert cli.main(["check"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines == [failing.line(), "0/1 checks passed"]
+
+    def test_an_overflowing_restricted_gain_stays_on_the_constraint(self, tmp_path, capsys):
+        # v' S^-1 v overflows, which takes the identity projection's mean
+        doc = line_2d_doc(steps=40)
+        doc["initial_estimate"]["mean"] = [1e300, 1e300]
+        path, out = tmp_path / "huge.json", tmp_path / "huge-report.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", str(path), "--format", "structured", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        records = json.loads(out.read_text(encoding="utf-8"))["records"]
+        means = {}
+        for rec in records:
+            means.setdefault(rec["method"], []).append(rec["mean"])
+        assert len(means["restricted_gain"]) == 40
+        assert means["restricted_gain"] == means["projection_identity"]
+        assert any(rec["err_norm"] == np.inf for rec in records)
+
+    @pytest.mark.parametrize("methods", [None, ["projection"], ["unconstrained"]],
+                             ids=["bundled", "projection", "unconstrained"])
+    def test_an_overflowing_relinearization_exits_with_run_code(self, tmp_path, capsys,
+                                                                methods):
+        doc = json.loads(bundled_scenario_text("circle"))
+        doc.update(steps=5, initial_estimate=dict(doc["initial_estimate"], mean=[1e200, 1e200]))
+        if methods is not None:
+            doc["methods"] = methods
+        path, out = tmp_path / "huge.json", tmp_path / "huge-report.csv"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main(["run", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if methods == ["unconstrained"]:
+            # nothing relinearizes; the record's residual overflows to inf
+            assert code == 0 and err == ""
+            rows = out.read_text(encoding="utf-8").splitlines()[1:]
+            assert [row.split(",")[-3] for row in rows] == ["inf"] * 5
+        else:
+            assert code == 3
+            assert "step 1, method projection: cannot linearize" in err
 
     def test_output_files_are_byte_identical_across_runs(self, tmp_path):
         path = tmp_path / "scenario.json"

@@ -296,6 +296,22 @@ def test_posterior_never_exceeds_prior():
         assert min_eigenvalue(gap) >= -1e-9 * np.trace(pred.covariance)
 
 
+def test_joseph_covariance_is_exactly_symmetric():
+    for seed in range(50):
+        pred, model, z = random_kalman_instance(seed)
+        est, _ = update_joseph(pred, z, model)
+        assert est.cov_asym == 0.0, seed
+
+
+def test_prediction_covariance_is_exactly_symmetric():
+    for seed in range(50):
+        est, model, _ = random_kalman_instance(seed)
+        rng = np.random.default_rng((seed, 2))
+        transition = rng.standard_normal((est.dim, est.dim))
+        moved = dataclasses.replace(model, transition=transition)
+        assert predict(est, moved).cov_asym == 0.0, seed
+
+
 def test_symmetry_survives_long_recursions():
     rng = np.random.default_rng(61)
     n = 4
