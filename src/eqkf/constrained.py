@@ -45,14 +45,14 @@ semidefinite over long runs.  A posterior the ``StateEstimate`` checks
 reject raises ``IndefiniteCovariance`` (``kalman._estimate``, and
 :func:`_check_posterior` for one that no estimate carries).
 
-Each update's arithmetic is a private kernel on plain arrays in two
-stages, which the public function composes after checking its inputs.
-The covariance stage (``_*_stage``) reads only the covariance, the model,
-the constraint rows and the weight, and returns the posterior covariances
-and the blocks the mean needs: the gain and ``U``; augmentation and the
-restricted gain run the stage of the projection they equal.  The mean stage
-(``_*_mean``, :func:`_along`) applies them to one mean ``(n,)`` or a stack
-``(T, n)`` of means sharing one covariance.
+Each update's arithmetic is a private kernel in two stages on plain arrays,
+the constraint as its rows ``a`` and ``b`` (a constraint's ``_rows``), which
+the public function composes after checking its inputs.  The covariance stage
+(``_*_stage``) reads only the covariance, the model, ``a`` and the weight, and
+returns the posterior covariances and the blocks the mean needs: the gain and
+``U``; augmentation and the restricted gain run the stage of the projection
+they equal.  The mean stage (``_*_mean``, :func:`_along`) applies them with
+``a`` and ``b`` to one mean ``(n,)`` or a stack ``(T, n)`` sharing one covariance.
 """
 
 from __future__ import annotations
@@ -134,12 +134,17 @@ class EqualityConstraint:
     def constraint_dim(self) -> int:
         return self.matrix.shape[0]
 
+    def _rows(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The rows ``(A, b)`` the kernels take, the same at every ``x``."""
+        return self.matrix, self.rhs
+
     def residual_norm(self, x) -> float:
-        """Euclidean norm of ``matrix @ x - rhs``."""
-        if self.constraint_dim == 0:
-            return 0.0
+        """Euclidean norm of ``matrix @ x - rhs``, ``inf`` where it overflows."""
         e = self.matrix @ as_vector(x, "x") - self.rhs
         return math.sqrt(e @ e)
+
+    # The run loop, which already reads an overflow as inf, calls the bare norm.
+    _residual, residual_norm = residual_norm, np.errstate(over="ignore")(residual_norm)
 
 
 @dataclass(frozen=True)
@@ -163,6 +168,23 @@ class NonlinearConstraint:
     def constraint_dim(self) -> int:
         return self.rhs.size
 
+    def _rows(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of :func:`linearize` about ``x``, with every check of it but
+        the rank test, which the kernels' guards make."""
+        try:
+            x = as_vector(x, "x_ref")
+            jac = as_matrix(self.jacobian(x), "jacobian")
+            value = as_vector(self.func(x), "constraint value")
+        except ValueError as exc:
+            raise FilterError(f"cannot linearize the constraint at x_ref: {exc}") from exc
+        q = self.constraint_dim
+        if jac.shape != (q, x.size) or value.size != q:
+            raise DimensionMismatch(
+                f"jacobian shape {jac.shape} or value length {value.size} does not fit "
+                f"{q} constraint rows over {x.size} states"
+            )
+        return jac, self.rhs + jac @ x - value
+
     def residual_norm(self, x) -> float:
         """Euclidean norm of ``func(x) - rhs``; ``inf`` where ``func(x)`` is not
         finite, as where the norm itself overflows."""
@@ -171,6 +193,8 @@ class NonlinearConstraint:
             return math.inf
         e = as_vector(value, "constraint value") - self.rhs
         return math.sqrt(e @ e)
+
+    _residual, residual_norm = residual_norm, np.errstate(over="ignore")(residual_norm)
 
 
 @dataclass(frozen=True)
@@ -268,7 +292,7 @@ def _check_posterior(cov, label: str) -> None:
 def _result(method: str, c: EqualityConstraint, mean, cov, step: int):
     """The result of a constrained update, its estimate built by ``kalman._estimate``."""
     est = kalman._estimate(mean, cov, step, f"{method} posterior")
-    return ConstrainedUpdateResult(est, method, c.residual_norm(mean))
+    return ConstrainedUpdateResult(est, method, c._residual(mean))
 
 
 def _gram_factorization(
@@ -310,9 +334,9 @@ def _covariance_factor(cov: np.ndarray) -> np.ndarray:
         return matops.psd_factor(sym)
 
 
-def _along(ups, c: EqualityConstraint, mean) -> np.ndarray:
-    """Mean stage of a projection along ``U``: each row's ``mean - U (A mean - b)``."""
-    return mean - (mean @ c.matrix.T - c.rhs) @ ups.T
+def _along(ups, a, b, mean) -> np.ndarray:
+    """Mean stage of a projection along ``U``: each row's ``mean - U (a mean - b)``."""
+    return mean - (mean @ a.T - b) @ ups.T
 
 
 def constrain_posterior(est: StateEstimate, c: EqualityConstraint) -> ConstrainedUpdateResult:
@@ -368,29 +392,29 @@ def block_s_inverse(
     return SaddleInverseBlocks(0.5 * (upper_left + upper_left.T), -akt_ginv, -g_inv @ ak, g_inv)
 
 
-def _joseph_stage(cov, model: SystemModel, c: EqualityConstraint | None, spec: ProjectionSpec):
+def _joseph_stage(cov, model: SystemModel, a, spec: ProjectionSpec):
     """Covariance stage of each gain update that projects: ``kalman._joseph``'s
     ``S``, ``K`` and ``P_post``, and the :func:`_project_stage` of ``P_post``
-    with ``spec``'s weight (None without rows)."""
+    onto the rows ``a`` with ``spec``'s weight (None without rows)."""
     s, gain, post = kalman._joseph(cov, model.observation, model.measurement_noise)
-    if c is None or c.constraint_dim == 0:
+    if a is None or not len(a):
         return s, gain, post, None
-    return s, gain, post, _project_stage(post, c, spec)
+    return s, gain, post, _project_stage(post, a, spec)
 
 
-def _augmented_stage(cov, model: SystemModel, c: EqualityConstraint | None):
+def _augmented_stage(cov, model: SystemModel, a):
     """Covariance stage of :func:`augmented_update`: :func:`_joseph_stage` with
     the ``POSTERIOR_INVERSE`` weight, which is the projection's stage."""
     try:
-        return _joseph_stage(cov, model, c, _POSTERIOR_INVERSE_SPEC)
+        return _joseph_stage(cov, model, a, _POSTERIOR_INVERSE_SPEC)
     except (SingularInnovationCovariance, SingularConstraintGram) as exc:
-        if c is None or c.constraint_dim == 0:
+        if a is None or not len(a):
             raise
         message = f"stacked residual covariance is singular: {exc}"
         raise SingularAugmentedInnovation(message) from exc
 
 
-def _augmented_mean(stage, mean, z, model: SystemModel, c: EqualityConstraint):
+def _augmented_mean(stage, mean, z, model: SystemModel, a, b):
     """Mean stage of :func:`augmented_update`: the constrained and the
     unconstrained ``(mean, cov)``, each row's ``[v; b - A x]`` times the
     stacked gain ``[K - U (A K), U]`` that :func:`block_s_inverse` gives."""
@@ -399,11 +423,11 @@ def _augmented_mean(stage, mean, z, model: SystemModel, c: EqualityConstraint):
     if projected is None:
         return ((plain, post),) * 2
     (ups, _), cov = projected
-    a = c.matrix
-    mean = mean + residual @ (gain - ups @ (a @ gain)).T + (c.rhs - mean @ a.T) @ ups.T
+    mean = mean + residual @ (gain - ups @ (a @ gain)).T + (b - mean @ a.T) @ ups.T
     return (mean, cov), (plain, post)
 
 
+@np.errstate(over="ignore")
 def augmented_update(
     pred: StateEstimate,
     z: Measurement,
@@ -422,24 +446,25 @@ def augmented_update(
     """
     _check_state_dims(pred.dim, c)
     kalman._check_update_dims(pred, z, model)
-    stage = _augmented_stage(pred.covariance, model, c)
-    (mean, cov), unconstrained = _augmented_mean(stage, pred.mean, z.value, model, c)
-    _check_posterior(unconstrained[1], "unconstrained")
+    stage = _augmented_stage(pred.covariance, model, c.matrix)
+    (mean, cov), plain = _augmented_mean(stage, pred.mean, z.value, model, c.matrix, c.rhs)
+    _check_posterior(plain[1], "unconstrained")
     return _result(AUGMENTED, c, mean, cov, pred.step)
 
 
-def _project_stage(cov, c: EqualityConstraint, spec: ProjectionSpec):
-    """Covariance stage of :func:`project` and of each update equal to one:
-    ``(U, G^-1)`` for ``spec``'s weight, and ``(I - U A) cov (I - U A)'``."""
+def _project_stage(cov, a, spec: ProjectionSpec):
+    """Covariance stage of :func:`project` and of each update equal to one, on
+    the rows ``a``: ``(U, G^-1)`` for ``spec``'s weight, and ``(I - U A) cov (I - U A)'``."""
     n, factor = cov.shape[0], spec._factor
     if factor is None:
         factor = matops._identity(n) if spec.weight == IDENTITY else _covariance_factor(cov)
-    gram = _gram_factorization(factor, c.matrix)
-    pi = matops._identity(n) - gram[0] @ c.matrix
+    gram = _gram_factorization(factor, a)
+    pi = matops._identity(n) - gram[0] @ a
     p = pi @ cov @ pi.T
     return gram, 0.5 * (p + p.T)
 
 
+@np.errstate(over="ignore")
 def project(
     est: StateEstimate,
     c: EqualityConstraint,
@@ -461,8 +486,8 @@ def project(
         )
     if c.constraint_dim == 0:
         return ConstrainedUpdateResult(est, PROJECTION, 0.0)
-    (ups, _), cov = _project_stage(est.covariance, c, spec)
-    return _result(PROJECTION, c, _along(ups, c, est.mean), cov, est.step)
+    (ups, _), cov = _project_stage(est.covariance, c.matrix, spec)
+    return _result(PROJECTION, c, _along(ups, c.matrix, c.rhs, est.mean), cov, est.step)
 
 
 def _innovation_weight(s, residual) -> tuple[np.ndarray, np.ndarray]:
@@ -493,6 +518,7 @@ def _gain_correction(gram, target, s_inv_nu, quad):
     return correction, -2.0 * (gram_inv @ target) / quad
 
 
+@np.errstate(over="ignore")
 def solve_lagrange_system(
     innov: InnovationStats,
     c: EqualityConstraint,
@@ -530,7 +556,7 @@ def solve_lagrange_system(
     return _gain_correction(gram, -residual, *weight)
 
 
-def _restricted_gain_mean(stage, mean, z, model: SystemModel, c: EqualityConstraint):
+def _restricted_gain_mean(stage, mean, z, model: SystemModel, a, b):
     """Mean stage of :func:`restricted_gain_update` (whose covariance stage is
     :func:`_joseph_stage` with the ``IDENTITY`` weight): the constrained and the
     unconstrained ``(mean, cov)``, then the unconstrained gain ``K`` with each
@@ -547,12 +573,13 @@ def _restricted_gain_mean(stage, mean, z, model: SystemModel, c: EqualityConstra
     s_inv_nu, quad = _innovation_weight(s, residual)
     degenerate = _degenerate(quad)
     w = s_inv_nu / np.where(degenerate, np.inf, quad)[..., None]
-    defect = c.rhs - plain @ c.matrix.T
+    defect = b - plain @ a.T
     corrected = plain + np.sum(w * residual, axis=-1)[..., None] * (defect @ ups.T)
-    mean = np.where(degenerate[..., None], _along(ups, c, plain), corrected)
+    mean = np.where(degenerate[..., None], _along(ups, a, b, plain), corrected)
     return ((mean, cov), (plain, post)), (gain, s_inv_nu, quad)
 
 
+@np.errstate(over="ignore")
 def restricted_gain_update(
     pred: StateEstimate,
     z: Measurement,
@@ -571,9 +598,9 @@ def restricted_gain_update(
     """
     _check_state_dims(pred.dim, c)
     kalman._check_update_dims(pred, z, model)
-    stage = _joseph_stage(pred.covariance, model, c, _IDENTITY_SPEC)
+    stage = _joseph_stage(pred.covariance, model, c.matrix, _IDENTITY_SPEC)
     ((mean, cov), unconstrained), (gain, s_inv_nu, quad) = _restricted_gain_mean(
-        stage, pred.mean, z.value, model, c
+        stage, pred.mean, z.value, model, c.matrix, c.rhs
     )
     _check_posterior(unconstrained[1], "unconstrained")
     correction, multipliers = np.zeros(gain.size), np.zeros(0)
@@ -586,6 +613,7 @@ def restricted_gain_update(
     return solution, _result(RESTRICTED_GAIN, c, mean, cov, pred.step)
 
 
+@np.errstate(over="ignore")
 def fusion_constrained_update(
     pred: StateEstimate,
     z: Measurement,
@@ -644,49 +672,34 @@ def joseph_constrained_cov(post_cov, c: EqualityConstraint) -> np.ndarray:
     positive semidefinite by construction, which makes it the stable
     choice inside long recursions.
     """
-    return _project_stage(_square_posterior(post_cov, c), c, _POSTERIOR_INVERSE_SPEC)[1]
+    return _project_stage(_square_posterior(post_cov, c), c.matrix, _POSTERIOR_INVERSE_SPEC)[1]
 
 
 def linearize(nc: NonlinearConstraint, x_ref) -> EqualityConstraint:
     """First-order reduction of ``func(x) = rhs`` about ``x_ref``.
 
-    Returns the linear constraint ``J x = rhs + J x_ref - func(x_ref)``
-    with ``J`` the Jacobian at ``x_ref``.  Raises
-    ``RankDeficientJacobian`` when ``J`` loses row rank at the reference
-    point, and ``FilterError`` when ``J`` or the value there is not finite.
+    Returns the linear constraint ``J x = rhs + J x_ref - func(x_ref)`` with
+    ``J`` the Jacobian at ``x_ref``.  Raises ``RankDeficientJacobian`` when
+    ``J`` loses row rank there, and ``FilterError`` when ``x_ref``, ``J`` or
+    the value there is not finite.
     """
-    x = as_vector(x_ref, "x_ref")
     try:
-        jac = as_matrix(nc.jacobian(x), "jacobian")
-        value = as_vector(nc.func(x), "constraint value")
-    except ValueError as exc:
-        raise FilterError(f"cannot linearize the constraint at x_ref: {exc}") from exc
-    q = nc.constraint_dim
-    if jac.shape != (q, x.size):
-        raise DimensionMismatch(
-            f"jacobian shape {jac.shape} does not match ({q}, {x.size})"
-        )
-    if value.size != q:
-        raise DimensionMismatch(
-            f"constraint value length {value.size} does not match rhs length {q}"
-        )
-    try:
-        return EqualityConstraint(jac, nc.rhs + jac @ x - value)
+        return EqualityConstraint(*nc._rows(x_ref))
     except ValueError as exc:
         raise RankDeficientJacobian(
             f"constraint Jacobian lost row rank at the linearization point: {exc}"
         ) from exc
 
 
-def _soft_stage(cov, model: SystemModel, c: EqualityConstraint, noise):
+def _soft_stage(cov, model: SystemModel, a, noise):
     """Covariance stage of :func:`soft_augmented_update`: the stacked
     observation ``[H; A]`` and the gain and Joseph covariance of it with noise
     ``blkdiag(R, sym(noise))``, each stack written into one array."""
     m = model.measurement_dim
-    k = m + c.constraint_dim
+    k = m + a.shape[0]
     stacked_obs = np.empty((k, model.state_dim))
     stacked_obs[:m] = model.observation
-    stacked_obs[m:] = c.matrix
+    stacked_obs[m:] = a
     stacked_noise = np.zeros((k, k))
     stacked_noise[:m, :m] = model.measurement_noise
     stacked_noise[m:, m:] = 0.5 * (noise + noise.T)
@@ -699,17 +712,18 @@ def _soft_stage(cov, model: SystemModel, c: EqualityConstraint, noise):
     return stacked_obs, gain, post
 
 
-def _soft_mean(stage, mean, z, model: SystemModel, c: EqualityConstraint):
+def _soft_mean(stage, mean, z, model: SystemModel, a, b):
     """Mean stage of :func:`soft_augmented_update`: the ``(mean, cov)`` of the
     gain update with each row's ``[z, b]``, written into one array, and None."""
     stacked_obs, gain, post = stage
     m = model.measurement_dim
     stacked_z = np.empty((*z.shape[:-1], stacked_obs.shape[0]))
     stacked_z[..., :m] = z
-    stacked_z[..., m:] = c.rhs
+    stacked_z[..., m:] = b
     return (kalman._correct(mean, stacked_z, stacked_obs, gain)[1], post), None
 
 
+@np.errstate(over="ignore")
 def soft_augmented_update(
     pred: StateEstimate,
     z: Measurement,
@@ -736,6 +750,6 @@ def soft_augmented_update(
         )
     kalman._check_covariance(noise, "constraint_noise")
     kalman._check_update_dims(pred, z, model)
-    stage = _soft_stage(pred.covariance, model, c, noise)
-    (mean, cov), _ = _soft_mean(stage, pred.mean, z.value, model, c)
+    stage = _soft_stage(pred.covariance, model, c.matrix, noise)
+    (mean, cov), _ = _soft_mean(stage, pred.mean, z.value, model, c.matrix, c.rhs)
     return _result(SOFT_AUGMENTED, c, mean, cov, pred.step)

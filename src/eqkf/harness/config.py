@@ -63,7 +63,6 @@ from ..constrained import (
     EqualityConstraint,
     NonlinearConstraint,
     ProjectionSpec,
-    linearize,
 )
 from ..errors import DegenerateResidual, ParseError, SingularWeight, ValidationError
 from ..kalman import Measurement, StateEstimate, SystemModel
@@ -104,15 +103,15 @@ class MethodSpec:
 
 class Method(NamedTuple):
     """A row of :data:`METHODS`, an update in two stages.  The covariance stage
-    ``covariance(cov, model, lin, spec, config)`` reads no mean: ``lin`` is the
-    constraint linearized about the predicted means, None if not
-    ``needs_constraint`` (so the unconstrained row is augmentation with no
-    rows).  The mean stage ``mean(stage, mean, z, model, lin)`` applies it and
-    returns the estimate and the unconstrained update if ``forms_unconstrained``
-    (else None), as ``(mean, cov)``.  Tags in one ``group`` have equal means in
-    exact arithmetic; the group names the projection weight.  ``shares`` names
-    the tag whose covariance stage the row's is, which ``run_scenario`` then
-    computes once per step for both."""
+    ``covariance(cov, model, a, spec, config)`` reads no mean: ``a`` and ``b``
+    are the arrays of the constraint rows ``a x = b`` about the predicted means,
+    None if not ``needs_constraint`` (so the unconstrained row is augmentation
+    with no rows).  The mean stage ``mean(stage, mean, z, model, a, b)`` applies
+    it and returns the estimate and the unconstrained update if
+    ``forms_unconstrained`` (else None), as ``(mean, cov)``.  Tags in one
+    ``group`` have equal means in exact arithmetic; the group names the
+    projection weight.  ``shares`` names the tag whose covariance stage the
+    row's is, which ``run_scenario`` then computes once per step for both."""
 
     covariance: Callable[..., tuple]
     mean: Callable[..., tuple[tuple, tuple | None]]
@@ -123,27 +122,27 @@ class Method(NamedTuple):
 
 
 # A gain row's stage is (P, constrained._joseph_stage); the detour below reads P.
-def _augmented_stage(cov, model, lin, spec, config):
-    return cov, constrained._augmented_stage(cov, model, lin)
+def _augmented_stage(cov, model, a, spec, config):
+    return cov, constrained._augmented_stage(cov, model, a)
 
 
-def _augmented_mean(stage, mean, z, model, lin):
-    return constrained._augmented_mean(stage[1], mean, z, model, lin)
+def _augmented_mean(stage, mean, z, model, a, b):
+    return constrained._augmented_mean(stage[1], mean, z, model, a, b)
 
 
-def _projection_stage(cov, model, lin, spec, config):
-    return cov, constrained._joseph_stage(cov, model, lin, spec._projection)
+def _projection_stage(cov, model, a, spec, config):
+    return cov, constrained._joseph_stage(cov, model, a, spec._projection)
 
 
-def _projection_mean(stage, mean, z, model, lin):
+def _projection_mean(stage, mean, z, model, a, b):
     _, (_, gain, post, ((ups, _), cov)) = stage
     plain = kalman._correct(mean, z, model.observation, gain)[1]
-    return (constrained._along(ups, lin, plain), cov), (plain, post)
+    return (constrained._along(ups, a, b, plain), cov), (plain, post)
 
 
-def _restricted_gain_mean(stage, mean, z, model, lin):
+def _restricted_gain_mean(stage, mean, z, model, a, b):
     pred_cov, stage = stage
-    estimates, (_, _, quad) = constrained._restricted_gain_mean(stage, mean, z, model, lin)
+    estimates, (_, _, quad) = constrained._restricted_gain_mean(stage, mean, z, model, a, b)
     if mean.ndim == 2 or quad is None or not constrained._degenerate(quad):
         return estimates
     # A stack of means keeps the kernel's per-row fallback.  One estimate whose
@@ -151,16 +150,16 @@ def _restricted_gain_mean(stage, mean, z, model, lin):
     # fallback shows at the public boundary (the benchmark's tracer counts it):
     # restricted_gain_update raises DegenerateResidual, and the identity-weight
     # projection reaches the same corrected mean.
-    pred, z = StateEstimate(mean, pred_cov), Measurement(z)
+    pred, z, c = StateEstimate(mean, pred_cov), Measurement(z), EqualityConstraint(a, b)
     with contextlib.suppress(DegenerateResidual):
-        constrained.restricted_gain_update(pred, z, model, lin)
+        constrained.restricted_gain_update(pred, z, model, c)
     unconstrained, _ = kalman.update_joseph(pred, z, model)
-    est = constrained.project(unconstrained, lin, constrained._IDENTITY_SPEC).estimate
+    est = constrained.project(unconstrained, c, constrained._IDENTITY_SPEC).estimate
     return (est.mean, est.covariance), (unconstrained.mean, unconstrained.covariance)
 
 
-def _soft_stage(cov, model, lin, spec, config):
-    return constrained._soft_stage(cov, model, lin, config.soft_noise)
+def _soft_stage(cov, model, a, spec, config):
+    return constrained._soft_stage(cov, model, a, config.soft_noise)
 
 
 # Every method, keyed by its document tag, which is also its report label.
@@ -169,16 +168,15 @@ METHODS = {
     "unconstrained": Method(_augmented_stage, _augmented_mean, needs_constraint=False),
     "augmented": Method(_augmented_stage, _augmented_mean, POSTERIOR_INVERSE, shares="projection"),
     "fusion": Method(
-        lambda cov, model, lin, *_: kalman._fusion_stage(cov, model, lin.matrix),
-        lambda stage, mean, z, model, lin:
-            (kalman._fusion_solve(stage, mean, z, lin.rhs), None),
+        lambda cov, model, a, *_: kalman._fusion_stage(cov, model, a),
+        lambda stage, mean, z, model, a, b: (kalman._fusion_solve(stage, mean, z, b), None),
         POSTERIOR_INVERSE,
         forms_unconstrained=False,
     ),
     "projection": Method(_projection_stage, _projection_mean, POSTERIOR_INVERSE),
     "restricted_gain": Method(
-        lambda cov, model, lin, *_:
-            (cov, constrained._joseph_stage(cov, model, lin, constrained._IDENTITY_SPEC)),
+        lambda cov, model, a, *_:
+            (cov, constrained._joseph_stage(cov, model, a, constrained._IDENTITY_SPEC)),
         _restricted_gain_mean,
         IDENTITY,
         shares="projection_identity",
@@ -250,22 +248,9 @@ class ScenarioConfig:
     def state_dim(self) -> int:
         return self.initial_truth.size
 
-    def linear_constraint_at(self, x_ref) -> EqualityConstraint:
-        """The constraint in linear form, relinearized at ``x_ref`` if needed.
-
-        Raises ``ValidationError`` when the scenario has no constraint.
-        """
-        if self.constraint is None:
-            raise ValidationError("constraint: a constrained method needs one")
-        if isinstance(self.constraint, EqualityConstraint):
-            return self.constraint
-        return linearize(self.constraint, x_ref)
-
     def true_residual(self, x) -> float:
         """Norm of the (possibly nonlinear) constraint residual at ``x``."""
-        if self.constraint is None:
-            return 0.0
-        return self.constraint.residual_norm(x)
+        return 0.0 if self.constraint is None else self.constraint._residual(x)
 
     def to_document(self) -> dict:
         """Canonical JSON-compatible echo of this configuration."""
@@ -439,9 +424,7 @@ def _build_constraint(
         matrix = _as_array_2d(_require_in(doc, "matrix", "constraint"), "constraint.matrix")
         rhs = _as_array_1d(_require_in(doc, "rhs", "constraint"), "constraint.rhs")
         try:
-            constraint: EqualityConstraint | NonlinearConstraint = EqualityConstraint(
-                matrix, rhs
-            )
+            constraint = EqualityConstraint(matrix, rhs)
         except ValueError as exc:
             raise ValidationError(f"constraint: {exc}") from exc
         if constraint.state_dim != n:

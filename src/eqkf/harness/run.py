@@ -9,14 +9,14 @@ structured JSON document whose config section round-trips through
 :func:`eqkf.harness.config.load_config`.
 
 Each step of each method runs the covariance stage of its
-:data:`~eqkf.harness.config.METHODS` row, which reads no mean, then the
-mean stage.  With one model and a linear constraint (or none)
-:func:`run_scenario` keeps a memory per covariance stage, keyed by stage
-(``Method.shares``), and reuses a stage for its partner row within a step
-and, as the covariance recursion soon repeats bit for bit, for a byte-equal
-input covariance across steps; the mean stage then runs alone and the
-reports do not change.  A time-varying model or a relinearized constraint
-never reuses a stage.
+:data:`~eqkf.harness.config.METHODS` row, which reads no mean, then the mean
+stage, on the arrays of the constraint's ``_rows`` (relinearized, if need be,
+with no ``EqualityConstraint`` built).  With one model and a linear constraint
+(or none) :func:`run_scenario` keeps a memory per covariance stage, keyed by
+stage (``Method.shares``), and reuses a stage for its partner row within a
+step and, as the recursion soon repeats bit for bit, for a byte-equal input
+covariance across steps; the mean stage then runs alone and the reports do not
+change.  A time-varying model or a relinearized constraint never reuses one.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .. import kalman
 from ..constrained import NonlinearConstraint
-from ..errors import FilterError, ScenarioStepError, UnsupportedFormat
+from ..errors import FilterError, ScenarioStepError, UnsupportedFormat, ValidationError
 from ..kalman import Measurement, StateEstimate, SystemModel
 from .config import METHODS, MethodSpec, ScenarioConfig
 from .simulate import SimulationResult, simulate_truth
@@ -89,19 +89,21 @@ def _step(mean, cov, z, model: SystemModel, spec: MethodSpec, config: ScenarioCo
     covariances.  A stack needs a linear constraint."""
     method, plain = METHODS[spec.name], METHODS["unconstrained"]
     mean = mean @ model.transition.T
-    lin = config.linear_constraint_at(mean) if method.needs_constraint else None
+    if method.needs_constraint and config.constraint is None:
+        raise ValidationError("constraint: a constrained method needs one")
+    rows = config.constraint._rows(mean) if method.needs_constraint else (None, None)
     if stage is None:
         cov = kalman._predict_covariance(cov, model)
         separate = not (config.feedback or method.forms_unconstrained)
         stage = (
-            method.covariance(cov, model, lin, spec, config),
+            method.covariance(cov, model, rows[0], spec, config),
             plain.covariance(cov, model, None, spec, config) if separate else None,
         )
-    reported, unconstrained = method.mean(stage[0], mean, z, model, lin)
+    reported, unconstrained = method.mean(stage[0], mean, z, model, *rows)
     if config.feedback:
         return reported, reported, stage
     if unconstrained is None:
-        unconstrained, _ = plain.mean(stage[1], mean, z, model, None)
+        unconstrained, _ = plain.mean(stage[1], mean, z, model, None, None)
     return reported, unconstrained, stage
 
 

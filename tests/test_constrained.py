@@ -336,30 +336,33 @@ class TestRestrictedGain:
         # with it the correction that puts the mean on the constraint
         pred, model, z, c = random_constrained_instance(3)
         huge = StateEstimate(pred.mean * 1e300, pred.covariance, pred.step)
+        with pytest.raises(DegenerateResidual, match="not finite"):
+            restricted_gain_update(huge, z, model, c)
+        innov = innovate(huge, z, model)
+        post, _ = update_joseph(huge, z, model)
         with np.errstate(over="ignore"):
-            with pytest.raises(DegenerateResidual, match="not finite"):
-                restricted_gain_update(huge, z, model, c)
-            innov = innovate(huge, z, model)
-            post, _ = update_joseph(huge, z, model)
-            with pytest.raises(DegenerateResidual):
-                solve_lagrange_system(innov, c, c.matrix @ post.mean - c.rhs)
-            projected = project(post, c, ProjectionSpec(IDENTITY)).estimate.mean
+            posterior_residual = c.matrix @ post.mean - c.rhs
+        with pytest.raises(DegenerateResidual):
+            solve_lagrange_system(innov, c, posterior_residual)
+        projected = project(post, c, ProjectionSpec(IDENTITY)).estimate.mean
         assert np.abs(c.matrix @ projected - c.rhs).max() <= 1e-15 * np.abs(projected).max()
 
     def test_a_stacked_row_with_an_overflowing_form_takes_the_projection(self):
         pred, model, z, c = random_constrained_instance(3)
         means = np.stack([pred.mean, pred.mean * 1e300])
         zs = np.stack([z.value, z.value])
-        stage = constrained._joseph_stage(pred.covariance, model, c, constrained._IDENTITY_SPEC)
+        stage = constrained._joseph_stage(
+            pred.covariance, model, c.matrix, constrained._IDENTITY_SPEC
+        )
         with np.errstate(over="ignore"):
             ((mean, _), (plain, _)), (_, _, quad) = constrained._restricted_gain_mean(
-                stage, means, zs, model, c
+                stage, means, zs, model, c.matrix, c.rhs
             )
         assert np.isfinite(quad[0]) and np.isinf(quad[1])
         _, single = restricted_gain_update(pred, z, model, c)
         assert_allclose(mean[0], single.estimate.mean, rtol=1e-12, atol=1e-12)
         ups = stage[3][0][0]
-        assert_allclose(mean[1], constrained._along(ups, c, plain[1]), rtol=1e-12)
+        assert_allclose(mean[1], constrained._along(ups, c.matrix, c.rhs, plain[1]), rtol=1e-12)
 
     @IDENTITY_WEIGHTS
     def test_equals_identity_weight_projection(self, identity_weight):
@@ -524,7 +527,7 @@ class TestInPlaceAssembly:
             stacked_noise = scipy.linalg.block_diag(
                 model.measurement_noise, 0.5 * (noise + noise.T)
             )
-            stage = constrained._soft_stage(cov, model, c, noise)
+            stage = constrained._soft_stage(cov, model, c.matrix, noise)
             _, gain, post = kalman._joseph(cov, obs, stacked_noise)
             assert np.array_equal(stage[0], obs)
             assert np.array_equal(stage[1], gain)
@@ -535,7 +538,7 @@ class TestInPlaceAssembly:
                 stacked_z = np.concatenate([zs, rhs], axis=-1)
                 mean = np.zeros(zs.shape[:-1] + (c.state_dim,))
                 expected = kalman._correct(mean, stacked_z, obs, stage[1])[1]
-                (got, _), _ = constrained._soft_mean(stage, mean, zs, model, c)
+                (got, _), _ = constrained._soft_mean(stage, mean, zs, model, c.matrix, c.rhs)
                 assert np.array_equal(got, expected)
 
     def test_gram_factorization_equals_the_numpy_qr_form(self):
@@ -671,6 +674,26 @@ class TestLinearize:
         )
         with pytest.raises(RankDeficientJacobian):
             linearize(tall, [1.0, -1.0])
+
+    def test_a_non_finite_reference_point_is_a_filter_error(self):
+        nc = NonlinearConstraint(
+            func=lambda x: np.array([x[0] * x[1]]),
+            jacobian=lambda x: np.array([[x[1], x[0]]]),
+            rhs=[1.0],
+        )
+        with pytest.raises(FilterError, match="cannot linearize.*x_ref has non-finite"):
+            linearize(nc, [np.inf, 1.0])
+
+    @pytest.mark.parametrize("jacobian, func", [
+        (lambda x: np.array([[1.0, 0.0, 0.0]]), lambda x: np.array([x[0]])),
+        (lambda x: np.array([[1.0, 0.0]]), lambda x: np.array([x[0], x[1]])),
+    ], ids=["jacobian-columns", "value-length"])
+    def test_a_misshapen_jacobian_or_value_is_a_dimension_mismatch(self, jacobian, func):
+        nc = NonlinearConstraint(func=func, jacobian=jacobian, rhs=[1.0])
+        with pytest.raises(DimensionMismatch):
+            linearize(nc, [1.0, 2.0])
+        with pytest.raises(DimensionMismatch):
+            nc._rows(np.array([1.0, 2.0]))
 
     def test_an_overflowing_value_is_a_filter_error_and_an_infinite_residual(self):
         nc = NonlinearConstraint(
@@ -833,6 +856,38 @@ def test_ill_scaled_update_returns_or_raises_a_filter_error(seed, method):
     except FilterError:
         return
     assert np.isfinite(result.estimate.covariance).all()
+
+
+# Each public function on an overflowing input: its constraint residual, which
+# reads inf, or the FilterError it raises.
+OVERFLOWING_CALLS = {
+    "residual_norm": (lambda pred, z, model, c: c.residual_norm(pred.mean), None),
+    "project": (lambda pred, z, model, c: project(
+        update_joseph(pred, z, model)[0], c).constraint_residual, None),
+    "augmented_update": (lambda pred, z, model, c: augmented_update(
+        pred, z, model, c).constraint_residual, None),
+    "fusion_constrained_update": (lambda pred, z, model, c: fusion_constrained_update(
+        pred, z, model, c).constraint_residual, None),
+    "soft_augmented_update": (lambda pred, z, model, c: soft_augmented_update(
+        pred, z, model, c, np.eye(c.constraint_dim)).constraint_residual, None),
+    "restricted_gain_update": (restricted_gain_update, DegenerateResidual),
+    "solve_lagrange_system": (lambda pred, z, model, c: solve_lagrange_system(
+        innovate(pred, z, model), c, np.ones(c.constraint_dim)), DegenerateResidual),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_CALLS))
+def test_an_overflowing_input_reads_inf_or_raises_a_filter_error(name):
+    # The suite turns warnings into errors, so an overflow inside the call
+    # that surfaced as a RuntimeWarning would fail here.
+    pred, model, z, c = random_constrained_instance(3)
+    huge = StateEstimate(pred.mean * 1e300, pred.covariance, pred.step)
+    call, error = OVERFLOWING_CALLS[name]
+    if error is None:
+        assert call(huge, z, model, c) == np.inf
+    else:
+        with pytest.raises(error):
+            call(huge, z, model, c)
 
 
 # Scaled-probe inputs, with the smallest `dropped` eigenvalues of P zeroed

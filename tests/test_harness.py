@@ -5,6 +5,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +37,9 @@ from eqkf.errors import (
     IndefiniteCovariance,
     ParseError,
     ScenarioStepError,
+    SingularAugmentedInnovation,
+    SingularConstraintGram,
+    SingularCovariance,
     SingularInnovationCovariance,
     UnsupportedFormat,
     ValidationError,
@@ -860,9 +864,9 @@ class TestSharedStage:
 def _run_row(spec, pred, z, model, c, config=None):
     """The two stages of the ``METHODS`` row of ``spec`` on one prediction."""
     row = METHODS[spec.name]
-    c = c if row.needs_constraint else None
-    stage = row.covariance(pred.covariance, model, c, spec, config)
-    return row.mean(stage, pred.mean, z.value, model, c)
+    a, b = (c.matrix, c.rhs) if row.needs_constraint else (None, None)
+    stage = row.covariance(pred.covariance, model, a, spec, config)
+    return row.mean(stage, pred.mean, z.value, model, a, b)
 
 
 def _line_2d_and_random_instances(update):
@@ -876,10 +880,98 @@ def _line_2d_and_random_instances(update):
     for k, z in enumerate(sim.measurements):
         model = config.model_at(k)
         pred = predict(state, model)
-        c = config.linear_constraint_at(pred.mean)
+        c = config.constraint
         instances.append((pred, model, z, c))
         state = update(pred, z, model, c).estimate
     return instances + [random_constrained_instance(seed) for seed in range(50)]
+
+
+class TestRelinearizedRows:
+    """A constrained row gets its rows ``A x = b`` as arrays from the
+    constraint's ``_rows``; a relinearized constraint builds no
+    ``EqualityConstraint`` and tests no rank, so the kernels' guards judge the
+    rows."""
+
+    @staticmethod
+    def _circle_doc(**overrides):
+        doc = json.loads(bundled_scenario_text("circle"))
+        doc.update({"methods": list(METHODS), "soft_noise": [[0.01]], **overrides})
+        return doc
+
+    @pytest.mark.parametrize("feedback", [True, False], ids=["feedback-on", "feedback-off"])
+    def test_a_relinearized_run_builds_no_constraint_value_type(self, feedback, monkeypatch):
+        config = config_from_document(self._circle_doc(feedback=feedback))
+        sim = simulate_truth(config)
+        counts = {"__post_init__": 0, "matrix_rank": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        init, rank = EqualityConstraint.__post_init__, np.linalg.matrix_rank
+        monkeypatch.setattr(EqualityConstraint, "__post_init__", counted("__post_init__", init))
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted("matrix_rank", rank))
+        run_scenario(config, sim)
+        assert counts == {"__post_init__": 0, "matrix_rank": 0}
+        # the public linearization still builds one and tests its rank
+        constrained.linearize(config.constraint, config.initial_truth)
+        assert counts == {"__post_init__": 1, "matrix_rank": 1}
+
+    @pytest.mark.parametrize("tag, error", [
+        ("augmented", SingularAugmentedInnovation),
+        ("fusion", SingularCovariance),
+        ("projection", SingularConstraintGram),
+        ("projection_identity", SingularConstraintGram),
+        ("restricted_gain", SingularConstraintGram),
+    ])
+    def test_a_vanishing_jacobian_stops_a_hard_row_at_its_kernel_guard(
+        self, tag, error, tmp_path, capsys
+    ):
+        # the circle's Jacobian [2 x, 2 y] is zero at the predicted mean [0, 0]
+        doc = self._circle_doc(steps=3, methods=["unconstrained", tag])
+        doc["initial_estimate"]["mean"] = [0.0, 0.0]
+        with pytest.raises(ScenarioStepError) as info:
+            run_scenario(config_from_document(doc))
+        assert (info.value.step, info.value.method, type(info.value.cause)) == (1, tag, error)
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "zero.csv")]) == 3
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    def test_a_vanishing_jacobian_leaves_the_soft_row_unconstrained(self, tmp_path, capsys):
+        # the zero row's pseudo-measurement has noise 0.01, so the stacked
+        # innovation covariance stays positive definite and the row adds nothing
+        doc = self._circle_doc(steps=3, methods=["unconstrained", "soft_augmented"])
+        doc["initial_estimate"]["mean"] = [0.0, 0.0]
+        path, out = tmp_path / "zero.json", tmp_path / "zero-report.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["run", str(path), "--format", "structured", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        records = json.loads(out.read_text(encoding="utf-8"))["records"]
+        assert len(records) == 6
+        first = {rec["method"]: rec for rec in records if rec["step"] == 1}
+        assert dict(first["soft_augmented"], method=None) == dict(
+            first["unconstrained"], method=None
+        )
+
+    def test_an_overflowing_prediction_cannot_be_linearized(self, tmp_path, capsys):
+        # F = 2 I takes the mean [1e308, 1e308] past the largest float, so the
+        # point the rows are taken about is not finite
+        doc = self._circle_doc(steps=3, methods=["projection"])
+        doc["model"]["transition"] = [[2.0, 0.0], [0.0, 2.0]]
+        doc["initial_estimate"]["mean"] = [1e308, 1e308]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "huge.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: step 1, method projection: cannot linearize the constraint "
+                       "at x_ref: x_ref has non-finite entries\n")
 
 
 class TestReports:

@@ -67,18 +67,18 @@ FAULTS = [
     ("kalman.py", "    saddle[n:nm, n:nm] = model.measurement_noise\n",
      "    saddle[n:nm, n:nm] = 0.5 * model.measurement_noise\n",
      "_fusion_stage halves R in the saddle matrix"),
-    ("constrained.py", "    return mean - (mean @ c.matrix.T - c.rhs) @ ups.T\n",
-     "    return mean - (mean @ c.matrix.T + c.rhs) @ ups.T\n",
+    ("constrained.py", "    return mean - (mean @ a.T - b) @ ups.T\n",
+     "    return mean - (mean @ a.T + b) @ ups.T\n",
      "_along moves by A x + b, not A x - b"),
     ("constrained.py", "    stacked_noise[m:, m:] = 0.5 * (noise + noise.T)\n",
      "    stacked_noise[m:, m:] = 2.0 * noise\n",
      "_soft_stage doubles the constraint noise"),
     ("constrained.py",
-     "    mean = mean + residual @ (gain - ups @ (a @ gain)).T + (c.rhs - mean @ a.T) @ ups.T\n",
-     "    mean = mean + residual @ gain.T + (c.rhs - mean @ a.T) @ ups.T\n",
+     "    mean = mean + residual @ (gain - ups @ (a @ gain)).T + (b - mean @ a.T) @ ups.T\n",
+     "    mean = mean + residual @ gain.T + (b - mean @ a.T) @ ups.T\n",
      "_augmented_mean drops the -U (A K) block of the stacked gain"),
-    ("constrained.py", "    defect = c.rhs - plain @ c.matrix.T\n",
-     "    defect = plain @ c.matrix.T - c.rhs\n",
+    ("constrained.py", "    defect = b - plain @ a.T\n",
+     "    defect = plain @ a.T - b\n",
      "_restricted_gain_mean flips the sign of the feasibility defect"),
     # One or more per guard.
     ("kalman.py", "_EIG_RTOL = 1e-9\n", "_EIG_RTOL = 1e-3\n",
@@ -96,6 +96,12 @@ FAULTS = [
     ("constrained.py", "        if not np.isfinite(cond) or cond > matops.CONDITION_LIMIT:\n",
      "        if not np.isfinite(cond):\n",
      "ProjectionSpec drops its weight condition test"),
+    ("constrained.py", '            value = as_vector(self.func(x), "constraint value")\n',
+     "            value = np.asarray(self.func(x), dtype=float).reshape(-1)\n",
+     "NonlinearConstraint._rows lets a non-finite constraint value through"),
+    ("harness/run.py", "    if method.needs_constraint and config.constraint is None:\n",
+     "    if False:\n",
+     "_step drops its ValidationError for a constrained row without a constraint"),
 ]
 
 # why -> the reason no result can show the fault.
