@@ -82,7 +82,6 @@ from .matops import (
     as_vector,
     frozen_array,
     symmetrize,
-    unvec,
 )
 
 # Method tags carried by ConstrainedUpdateResult.
@@ -608,8 +607,8 @@ def restricted_gain_update(
         target = c.rhs - c.matrix @ unconstrained[0]
         # the stage's (U, (A A')^-1), factored for the identity weight
         correction, multipliers = _gain_correction(stage[3][0], target, s_inv_nu, quad)
-    n, m = gain.shape
-    solution = RestrictedGainSolution(gain + unvec(correction, n, m), correction, multipliers)
+    gain = gain + correction.reshape(gain.shape, order="F")
+    solution = RestrictedGainSolution(gain, correction, multipliers)
     return solution, _result(RESTRICTED_GAIN, c, mean, cov, pred.step)
 
 

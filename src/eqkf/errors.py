@@ -21,7 +21,9 @@ class NotSquare(FilterError):
 
 
 class SingularBlock(FilterError):
-    """A block of a saddle-point matrix failed its invertibility test."""
+    """A matrix required to be symmetric positive definite failed its Cholesky
+    factorization (the default error of ``matops.spd_cholesky`` and
+    ``matops.solve_spd``)."""
 
 
 class SingularInnovationCovariance(FilterError):

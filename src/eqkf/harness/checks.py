@@ -23,10 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .. import constrained, kalman, matops, oracle
+from .. import constrained, kalman, oracle
 from ..constrained import EqualityConstraint, ProjectionSpec
 from ..kalman import Measurement, StateEstimate, SystemModel
-from ..matops import SaddlePointBlocks, min_eigenvalue
+from ..matops import min_eigenvalue
 from .config import METHODS, MethodSpec, load_bundled_scenario
 from .run import emit_report, run_scenario
 from .simulate import simulate_truth
@@ -209,7 +209,8 @@ def _well_conditioned(rng: np.random.Generator, n: int) -> np.ndarray:
 
 @_timed("kron_vec_trace_identities")
 def check_identities(instances: int = 1000, tol: float = 1e-9) -> CheckResult:
-    """Kronecker, vec, and trace identities on random matrices.
+    """Kronecker, vec, and trace identities on random matrices, with
+    ``np.kron`` and ``vec(x)`` as the column-stacking ``x.ravel("F")``.
 
     The trace-of-triple-product rearrangements require the vectorized
     factor to be symmetric, which holds wherever they are used (the
@@ -227,22 +228,22 @@ def _identity_deviations(seed: int):
     b = rng.standard_normal((n, p))
     cmat = rng.standard_normal((p, s))
 
-    yield _rel(matops.kron(a, b).T, matops.kron(a.T, b.T))
+    yield _rel(np.kron(a, b).T, np.kron(a.T, b.T))
     c2 = rng.standard_normal((n, p))
     b2 = rng.standard_normal((s, m))
     d2 = rng.standard_normal((m, n))
-    yield _rel(matops.kron(a, b2) @ matops.kron(c2, d2), matops.kron(a @ c2, b2 @ d2))
+    yield _rel(np.kron(a, b2) @ np.kron(c2, d2), np.kron(a @ c2, b2 @ d2))
     ai = _well_conditioned(rng, m)
     bi = _well_conditioned(rng, n)
     yield _rel(
-        np.linalg.inv(matops.kron(ai, bi)),
-        matops.kron(np.linalg.inv(ai), np.linalg.inv(bi)),
+        np.linalg.inv(np.kron(ai, bi)),
+        np.kron(np.linalg.inv(ai), np.linalg.inv(bi)),
     )
-    yield _rel(matops.vec(a + a2), matops.vec(a) + matops.vec(a2))
-    yield _rel(matops.vec(a @ b), matops.kron(b.T, np.eye(m)) @ matops.vec(a))
-    yield _rel(matops.vec(a @ b @ cmat), matops.kron(cmat.T, a) @ matops.vec(b))
+    yield _rel((a + a2).ravel("F"), a.ravel("F") + a2.ravel("F"))
+    yield _rel((a @ b).ravel("F"), np.kron(b.T, np.eye(m)) @ a.ravel("F"))
+    yield _rel((a @ b @ cmat).ravel("F"), np.kron(cmat.T, a) @ b.ravel("F"))
     ba = rng.standard_normal((n, m))
-    yield abs(np.trace(a @ ba) - matops.vec(ba.T) @ matops.vec(a))
+    yield abs(np.trace(a @ ba) - ba.T.ravel("F") @ a.ravel("F"))
 
     # triple-product traces: square factors, symmetric where required
     sq_a = rng.standard_normal((n, n))
@@ -253,40 +254,26 @@ def _identity_deviations(seed: int):
     sym_c = 0.5 * (sq_c + sq_c.T)
     eye_n = np.eye(n)
     target = np.trace(sq_a @ sym_b @ sq_c)
-    yield abs(target - matops.vec(sym_b) @ matops.kron(eye_n, sq_c) @ matops.vec(sq_a))
+    yield abs(target - sym_b.ravel("F") @ np.kron(eye_n, sq_c) @ sq_a.ravel("F"))
     target = np.trace(sym_a @ sq_b @ sq_c)
-    yield abs(target - matops.vec(sym_a) @ matops.kron(eye_n, sq_b) @ matops.vec(sq_c))
+    yield abs(target - sym_a.ravel("F") @ np.kron(eye_n, sq_b) @ sq_c.ravel("F"))
     target = np.trace(sym_a @ sq_b @ sym_c)
-    yield abs(target - matops.vec(sym_a) @ matops.kron(sym_c, eye_n) @ matops.vec(sq_b))
+    yield abs(target - sym_a.ravel("F") @ np.kron(sym_c, eye_n) @ sq_b.ravel("F"))
     # general forms carry an explicit transpose on the vectorized factor
     target = np.trace(sq_a @ sq_b @ sq_c)
-    yield abs(target - matops.vec(sq_b.T) @ matops.kron(eye_n, sq_c) @ matops.vec(sq_a))
+    yield abs(target - sq_b.T.ravel("F") @ np.kron(eye_n, sq_c) @ sq_a.ravel("F"))
 
 
 @_timed("saddle_block_inverse")
 def check_block_inverse(instances: int = 1000, tol: float = 1e-9) -> CheckResult:
-    """Analytic saddle-point inverses match dense inverses.
-
-    Covers the generic block formula and its application to the stacked
-    measurement-plus-constraint residual covariance
-    ``[[S, H P A'], [A P H', A P A']]``.
+    """The analytic block inverse of the stacked measurement-plus-constraint
+    residual covariance ``[[S, H P A'], [A P H', A P A']]``
+    (``constrained.block_s_inverse``) matches its dense inverse.
     """
     return _worst_deviation(_block_inverse_deviations, instances, tol)
 
 
 def _block_inverse_deviations(seed: int):
-    rng = np.random.default_rng((seed, 3))
-    k = int(rng.integers(2, 6))
-    q = int(rng.integers(1, 4))
-    ga = rng.standard_normal((k, k))
-    gc = rng.standard_normal((q, q))
-    blocks = SaddlePointBlocks(
-        a_block=ga @ ga.T + 0.5 * np.eye(k),
-        b_block=rng.standard_normal((q, k)),
-        c_block=gc @ gc.T + 0.5 * np.eye(q),
-    )
-    yield _rel(matops.saddle_inverse(blocks).assemble(), np.linalg.inv(blocks.assemble()))
-
     pred, model, _, c, _, innov = _instance(seed)
     p = pred.covariance
     h = model.observation

@@ -19,7 +19,11 @@ kernels on arrays in two stages: a covariance stage that reads no mean
 and a mean stage (:func:`_correct`, :func:`_fusion_solve`) that applies it
 to one mean or a ``(T, n)`` stack of means in rows.  :func:`_estimate`
 builds an estimate from a kernel's arrays; one that fails the
-``StateEstimate`` checks raises ``IndefiniteCovariance``.
+``StateEstimate`` checks raises ``IndefiniteCovariance``, naming the mean or
+the covariance when it is the non-finite array.  The public functions run
+under ``np.errstate(over="ignore", invalid="ignore")``, so an input that
+overflows raises the typed error of its non-finite result, not a
+``RuntimeWarning``.
 """
 
 from __future__ import annotations
@@ -135,8 +139,10 @@ def _estimate(mean, cov, step: int, what: str, earlier=None) -> StateEstimate:
     estimate pins a larger work array, and both arrays become read-only."""
     cov, health = (cov, None) if earlier is None else (earlier.covariance, earlier._health)
     try:
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("non-finite entries")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean has non-finite entries")
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance has non-finite entries")
         health = health or _check_covariance(cov, "covariance")
     except ValueError as exc:
         raise IndefiniteCovariance(f"{what}: {exc}") from exc
@@ -256,6 +262,7 @@ def _predict_covariance(cov, model: SystemModel) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def predict(est: StateEstimate, model: SystemModel) -> StateEstimate:
     """Propagate one step: mean ``F x``, covariance ``F P F' + Q`` (symmetrized).
 
@@ -302,6 +309,7 @@ def _innovation_stats(residual, s, gain) -> InnovationStats:
         raise SingularInnovationCovariance(f"innovation covariance: {exc}") from exc
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def innovate(pred: StateEstimate, z: Measurement, model: SystemModel) -> InnovationStats:
     """Residual ``z - H x``, covariance ``H P H' + R``, gain ``P H' S^-1``.
 
@@ -315,6 +323,7 @@ def innovate(pred: StateEstimate, z: Measurement, model: SystemModel) -> Innovat
     return _innovation_stats(_correct(pred.mean, z.value, h, gain)[0], s, gain)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def update_joseph(
     pred: StateEstimate, z: Measurement, model: SystemModel
 ) -> tuple[StateEstimate, InnovationStats]:
@@ -381,6 +390,7 @@ def _fusion_solve(stage, mean, z, b) -> tuple[np.ndarray, np.ndarray]:
     return fused[k:].T.reshape(mean.shape), -0.5 * (post + post.T)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def update_fusion(pred: StateEstimate, z: Measurement, model: SystemModel) -> StateEstimate:
     """Weighted least-squares update.
 

@@ -1,12 +1,10 @@
 """Dense linear-algebra utilities shared by the filter implementations.
 
 Everything here operates on plain row-major float64 ``numpy`` arrays and
-never mutates its inputs.  Four groups of helpers live here:
+never mutates its inputs.  Two groups of helpers live here, beside the
+array coercions and ``SaddleInverseBlocks``, the value type that
+``constrained.block_s_inverse`` returns:
 
-* Kronecker/vectorization calculus (``kron``, ``vec``, ``unvec``) used to
-  pose matrix-valued least-squares problems as ordinary linear systems.
-* Saddle-point block algebra (``SaddlePointBlocks``, ``saddle_inverse``)
-  for two-by-two block matrices of the form ``[[A, B'], [B, -C]]``.
 * Covariance hygiene (``symmetrize``, ``min_eigenvalue``, ``solve_spd``,
   ``psd_factor``) used to keep error covariances symmetric positive
   semidefinite over long filter runs.
@@ -67,34 +65,6 @@ def frozen_array(a) -> np.ndarray:
     return arr
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product: block matrix with (i, j) block ``a[i, j] * b``."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
-
-
-def vec(a) -> np.ndarray:
-    """Stack the columns of ``a`` into one vector, first column on top.
-
-    A 1-D input is returned unchanged (a vector is its own vectorization).
-    """
-    arr = np.asarray(a, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("vec input has non-finite entries")
-    if arr.ndim == 1:
-        return arr.copy()
-    if arr.ndim != 2:
-        raise ValueError(f"vec input must be at most 2-D, got {arr.ndim} dimensions")
-    return arr.reshape(-1, order="F")
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`: reshape a stacked vector back into a matrix."""
-    arr = as_vector(v, "unvec input")
-    if arr.size != rows * cols:
-        raise ValueError(f"cannot reshape length {arr.size} into {rows}x{cols}")
-    return arr.reshape((rows, cols), order="F")
-
-
 def symmetrize(p) -> np.ndarray:
     """Average a square matrix with its transpose."""
     m = as_matrix(p, "matrix")
@@ -151,22 +121,6 @@ def pseudo_inverse(m, tol: float | None = None) -> np.ndarray:
     if a.size == 0:
         return np.zeros(a.shape[::-1])
     return np.linalg.pinv(a, rcond=tol)
-
-
-def invert_checked(m, name: str = "matrix", error=SingularBlock) -> np.ndarray:
-    """Dense inverse guarded by an SVD condition estimate.
-
-    Raises ``error`` when the condition estimate exceeds ``CONDITION_LIMIT``.
-    """
-    a = as_matrix(m, name)
-    if a.shape[0] != a.shape[1]:
-        raise NotSquare(f"{name} must be square, got shape {a.shape}")
-    if a.size == 0:
-        return a.copy()
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise error(f"{name} is numerically singular (condition estimate {cond:.3e})")
-    return np.linalg.inv(a)
 
 
 def spd_cholesky(m, name: str = "matrix", error=SingularBlock) -> np.ndarray:
@@ -285,46 +239,12 @@ def _triangular_solve(t, rhs, lower: bool = False) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SaddlePointBlocks:
-    """Blocks of the saddle-point matrix ``[[a, b'], [b, -c]]``.
-
-    ``a_block`` is square, ``c_block`` is square, and ``b_block`` couples
-    them; ``assemble`` returns the dense matrix the blocks describe.
-    """
-
-    a_block: np.ndarray
-    b_block: np.ndarray
-    c_block: np.ndarray
-
-    def __post_init__(self):
-        a = as_matrix(self.a_block, "a_block")
-        b = as_matrix(self.b_block, "b_block")
-        c = as_matrix(self.c_block, "c_block")
-        if a.shape[0] != a.shape[1]:
-            raise NotSquare(f"a_block must be square, got shape {a.shape}")
-        if c.shape[0] != c.shape[1]:
-            raise NotSquare(f"c_block must be square, got shape {c.shape}")
-        if b.shape != (c.shape[0], a.shape[0]):
-            raise ValueError(
-                f"b_block must have shape {(c.shape[0], a.shape[0])}, got {b.shape}"
-            )
-        object.__setattr__(self, "a_block", frozen_array(a))
-        object.__setattr__(self, "b_block", frozen_array(b))
-        object.__setattr__(self, "c_block", frozen_array(c))
-
-    def assemble(self) -> np.ndarray:
-        return np.block(
-            [[self.a_block, self.b_block.T], [self.b_block, -self.c_block]]
-        )
-
-
-@dataclass(frozen=True)
 class SaddleInverseBlocks:
-    """Blocks of the inverse of an assembled saddle-point matrix.
+    """Blocks of the inverse of a two-by-two block matrix.
 
-    When the originating blocks are symmetric, ``upper_left`` and
+    When the inverted matrix is symmetric, ``upper_left`` and
     ``lower_right`` are symmetric and ``lower_left`` equals
-    ``upper_right`` transposed; that is a property of the inputs, not a
+    ``upper_right`` transposed; that is a property of the input, not a
     construction requirement.
     """
 
@@ -352,23 +272,3 @@ class SaddleInverseBlocks:
             [[self.upper_left, self.upper_right], [self.lower_left, self.lower_right]]
         )
 
-
-def saddle_inverse(blocks: SaddlePointBlocks) -> SaddleInverseBlocks:
-    """Analytic block inverse of ``[[A, B'], [B, -C]]``.
-
-    Uses the Schur complement ``J = -(C + B A^-1 B')``; both ``A`` and
-    ``J`` must pass the condition-estimate invertibility test, otherwise
-    ``SingularBlock`` is raised.
-    """
-    a_inv = invert_checked(blocks.a_block, "leading block")
-    b = blocks.b_block
-    schur = -(blocks.c_block + b @ a_inv @ b.T)
-    j_inv = invert_checked(schur, "Schur complement")
-    ainv_bt = a_inv @ b.T
-    b_ainv = b @ a_inv
-    return SaddleInverseBlocks(
-        upper_left=a_inv + ainv_bt @ j_inv @ b_ainv,
-        upper_right=-ainv_bt @ j_inv,
-        lower_left=-j_inv @ b_ainv,
-        lower_right=j_inv,
-    )

@@ -50,9 +50,10 @@ def test_constraining_shrinks_the_covariance():
 
 
 def test_matrix_identity_suites():
-    """Kronecker/vec/trace identities, both posterior identity chains, the
-    block inverse against a dense inverse, and the closed-form gain
-    correction against a dense solve."""
+    """Kronecker/vec/trace identities on ``np.kron`` and a column-stacking
+    reshape, both posterior identity chains, the stacked residual
+    covariance's block inverse against a dense inverse, and the closed-form
+    gain correction against a dense solve."""
     _report(check_identities(instances=1000, tol=1e-9))
     _report(check_posterior_chains(instances=1000, tol=1e-9))
     _report(check_block_inverse(instances=1000, tol=1e-9))

@@ -41,11 +41,12 @@ from eqkf.errors import (
     IndefiniteCovariance,
     RankDeficientJacobian,
     SingularAugmentedInnovation,
+    SingularConstraintGram,
     SingularCovariance,
     SingularInnovationCovariance,
     SingularWeight,
 )
-from eqkf.matops import min_eigenvalue, pseudo_inverse, unvec
+from eqkf.matops import min_eigenvalue, pseudo_inverse
 from eqkf.oracle import dense_lagrange_solve, random_constrained_instance
 
 from helpers import estimate, line_constraint, rel, worked_planar_instance
@@ -228,6 +229,54 @@ class TestBlockSInverse:
         m = model.measurement_dim + c.constraint_dim
         assert rel(blocks.assemble() @ stacked, np.eye(m)) < 1e-9
 
+    def test_blocks_of_the_symmetric_stack_are_transpose_paired(self):
+        for seed in range(30):
+            pred, model, z, c = random_constrained_instance(seed)
+            innov = innovate(pred, z, model)
+            blocks = block_s_inverse(pred.covariance, model, c, innov)
+            assert rel(blocks.upper_left, blocks.upper_left.T) < 1e-12
+            assert rel(blocks.lower_right, blocks.lower_right.T) < 1e-12
+            assert rel(blocks.lower_left, blocks.upper_right.T) < 1e-12
+
+    def test_lower_right_inverts_the_posterior_constraint_gram(self):
+        # the Schur complement of S in the stack is A P_post A'
+        for seed in range(30):
+            pred, model, z, c = random_constrained_instance(seed)
+            innov = innovate(pred, z, model)
+            blocks = block_s_inverse(pred.covariance, model, c, innov)
+            post, _ = update_joseph(pred, z, model)
+            gram = c.matrix @ post.covariance @ c.matrix.T
+            assert rel(blocks.lower_right, np.linalg.inv(gram)) < 1e-9
+
+    def test_upper_left_inverts_the_schur_complement_of_the_constraint_block(self):
+        for seed in range(30):
+            pred, model, z, c = random_constrained_instance(seed)
+            innov = innovate(pred, z, model)
+            blocks = block_s_inverse(pred.covariance, model, c, innov)
+            p, h, a = pred.covariance, model.observation, c.matrix
+            cross = h @ p @ a.T
+            schur = innov.residual_cov - cross @ np.linalg.solve(a @ p @ a.T, cross.T)
+            assert rel(blocks.upper_left, np.linalg.inv(schur)) < 1e-9
+
+    def test_a_constraint_the_measurement_pins_exactly_raises(self):
+        # H = A = [1, 0] with R = 0: the stack [[1, 1], [1, 1]] is singular
+        pred = estimate([0.0, 0.0], np.eye(2), step=1)
+        model = SystemModel(np.eye(2), np.zeros((2, 2)), [[1.0, 0.0]], [[0.0]])
+        c = EqualityConstraint([[1.0, 0.0]], [0.0])
+        innov = innovate(pred, Measurement([1.0], 1), model)
+        with pytest.raises(SingularConstraintGram):
+            block_s_inverse(pred.covariance, model, c, innov)
+
+    def test_rejects_shapes_that_do_not_match_the_model(self):
+        pred, model, z, c = random_constrained_instance(3)
+        innov = innovate(pred, z, model)
+        n = model.state_dim
+        with pytest.raises(DimensionMismatch):
+            block_s_inverse(np.eye(n + 1), model, c, innov)
+        wide = EqualityConstraint(np.hstack([c.matrix, np.ones((c.constraint_dim, 1))]), c.rhs)
+        with pytest.raises(DimensionMismatch):
+            block_s_inverse(pred.covariance, model, wide, innov)
+
 
 # The identity weight, as an explicit matrix and as the marker.
 IDENTITY_WEIGHTS = pytest.mark.parametrize(
@@ -307,7 +356,7 @@ class TestRestrictedGain:
         solution, result = restricted_gain_update(pred, z, model, c)
         assert_allclose(solution.gain, [[0.25], [-0.25]])
         assert_allclose(result.estimate.mean, [0.5, -0.5])
-        assert_allclose(unvec(solution.correction, 2, 1), [[-0.25], [-0.25]])
+        assert_allclose(solution.correction.reshape(2, 1, order="F"), [[-0.25], [-0.25]])
         assert_allclose(solution.multipliers, [0.5])
 
     def test_feasible_posterior_keeps_the_optimal_gain(self):
@@ -385,6 +434,34 @@ class TestRestrictedGain:
             scale = 1.0 + np.linalg.norm(c.rhs)
             assert c.residual_norm(result.estimate.mean) <= 1e-9 * scale
 
+    def test_the_returned_gain_lands_the_mean_on_the_constraint(self):
+        # with m >= 2 measured rows, unstacking the correction in the wrong
+        # order gives a gain that misses the mean by up to 3.0 relative
+        several = 0
+        for seed in range(200):
+            pred, model, z, c = random_constrained_instance(seed)
+            if model.measurement_dim < 2:
+                continue
+            several += 1
+            solution, result = restricted_gain_update(pred, z, model, c)
+            mean = pred.mean + solution.gain @ innovate(pred, z, model).residual
+            scale = 1.0 + np.abs(result.estimate.mean).max()
+            assert np.abs(mean - result.estimate.mean).max() <= 1e-12 * scale
+            assert np.abs(c.matrix @ mean - c.rhs).max() <= 1e-12 * (1.0 + np.abs(c.rhs).max())
+        assert several >= 100
+
+    def test_the_gain_change_is_the_column_major_unstacked_correction(self):
+        several = 0
+        for seed in range(60):
+            pred, model, z, c = random_constrained_instance(seed)
+            if model.measurement_dim < 2:
+                continue
+            several += 1
+            solution, _ = restricted_gain_update(pred, z, model, c)
+            change = solution.gain - innovate(pred, z, model).gain
+            assert_allclose(change.ravel("F"), solution.correction, rtol=0, atol=1e-12)
+        assert several >= 20
+
 
 class TestLagrangeSystem:
     def test_zero_residual_gives_zero_solution(self):
@@ -400,7 +477,7 @@ class TestLagrangeSystem:
         post, _ = update_joseph(pred, z, model)
         residual = c.matrix @ post.mean - c.rhs
         correction, _ = solve_lagrange_system(innov, c, residual)
-        assert_allclose(unvec(correction, 2, 1), [[-0.25], [-0.25]])
+        assert_allclose(correction.reshape(2, 1, order="F"), [[-0.25], [-0.25]])
 
     def test_matches_dense_solve(self):
         for seed in range(30):

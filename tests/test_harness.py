@@ -1352,6 +1352,23 @@ class TestCheckInstances:
         assert [r.detail for r in warm] == [r.detail for r in cold]
         assert calls == dict.fromkeys(calls, 20)
 
+    def test_the_block_inverse_check_fails_on_a_wrong_block(self, monkeypatch):
+        exact = constrained.block_s_inverse
+
+        def off(*args):
+            blocks = exact(*args)
+            return dataclasses.replace(blocks, lower_right=1.001 * blocks.lower_right)
+
+        monkeypatch.setattr(constrained, "block_s_inverse", off)
+        result = checks.check_block_inverse(instances=5)
+        assert result.passed is False
+
+    def test_the_identity_check_fails_on_swapped_kronecker_factors(self, monkeypatch):
+        exact = np.kron
+        monkeypatch.setattr(np, "kron", lambda a, b: exact(b, a))
+        result = checks.check_identities(instances=5)
+        assert result.passed is False
+
     def test_a_nan_deviation_fails_its_check(self, monkeypatch):
         # max(0.0, nan) is 0.0: a fold through max or min would pass a NaN
         passed, detail = checks._worst_deviation(lambda seed: [float("nan")], 1, 1e-9)

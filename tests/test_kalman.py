@@ -19,10 +19,14 @@ from eqkf import (
     update_fusion,
     update_joseph,
 )
-from eqkf.errors import DimensionMismatch, SingularInnovationCovariance
+from eqkf.errors import (
+    DimensionMismatch,
+    IndefiniteCovariance,
+    SingularInnovationCovariance,
+)
 from eqkf import kalman, matops
 from eqkf.matops import min_eigenvalue
-from eqkf.oracle import random_kalman_instance
+from eqkf.oracle import random_constrained_instance, random_kalman_instance
 
 from helpers import estimate, rel
 
@@ -326,3 +330,33 @@ def test_symmetry_survives_long_recursions():
         p = state.covariance
         worst = max(worst, np.abs(p - p.T).max() / max(np.abs(p).max(), 1e-300))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("call, mean_scale, f_scale, h_scale, error, message", [
+    pytest.param(lambda pred, z, model: predict(pred, model), 1e300, 1e10, 1.0,
+                 IndefiniteCovariance, "prediction: mean has non-finite entries",
+                 id="predict"),
+    pytest.param(innovate, 1e300, 1.0, 1e10,
+                 SingularInnovationCovariance, "residual has non-finite entries",
+                 id="innovate"),
+    pytest.param(update_joseph, 1e300, 1.0, 1e10,
+                 SingularInnovationCovariance, "residual has non-finite entries",
+                 id="update_joseph"),
+    pytest.param(update_fusion, 1e300, 1.0, 1e10,
+                 IndefiniteCovariance, "posterior: mean has non-finite entries",
+                 id="update_fusion"),
+    pytest.param(update_fusion, 1e308, 1.0, 1.0,
+                 IndefiniteCovariance, "posterior: mean has non-finite entries",
+                 id="update_fusion-refinement"),
+])
+def test_an_overflowing_input_raises_a_typed_error_and_no_warning(
+    call, mean_scale, f_scale, h_scale, error, message
+):
+    # The suite turns warnings into errors, so an overflow inside the call
+    # that surfaced as a RuntimeWarning would fail here.
+    pred, model, z, _ = random_constrained_instance(3)
+    huge = StateEstimate(pred.mean * mean_scale, pred.covariance, pred.step)
+    scaled = dataclasses.replace(model, transition=f_scale * model.transition,
+                                 observation=h_scale * model.observation)
+    with pytest.raises(error, match=message):
+        call(huge, z, scaled)

@@ -21,10 +21,9 @@ from eqkf import (
     update_joseph,
 )
 from eqkf import kalman
-from eqkf.errors import DegenerateResidual, IndefiniteCovariance, SingularKkt
+from eqkf.errors import DegenerateResidual, DimensionMismatch, IndefiniteCovariance, SingularKkt
 from eqkf.harness import config_from_document, load_bundled_scenario, run
 from eqkf.harness.run import advance_method
-from eqkf.matops import kron, unvec, vec
 from eqkf.oracle import (
     SEEDS,
     KktSystem,
@@ -85,7 +84,7 @@ class TestDenseLagrangeSolve:
         post, _ = update_joseph(pred, z, model)
         residual = c.matrix @ post.mean - c.rhs
         correction, _ = dense_lagrange_solve(innov, c, residual)
-        assert_allclose(unvec(correction, 2, 1), [[-0.25], [-0.25]])
+        assert_allclose(correction.reshape(2, 1, order="F"), [[-0.25], [-0.25]])
 
     def test_solution_satisfies_the_assembled_system(self):
         for seed in range(20):
@@ -100,11 +99,11 @@ class TestDenseLagrangeSolve:
             nu = innov.residual.reshape(m, 1)
             # reassemble the optimality system independently of the oracle
             top = np.hstack([
-                2.0 * kron(innov.residual_cov, np.eye(n)),
-                kron(nu, c.matrix.T),
+                2.0 * np.kron(innov.residual_cov, np.eye(n)),
+                np.kron(nu, c.matrix.T),
             ])
             bottom = np.hstack([
-                kron(nu.T, c.matrix),
+                np.kron(nu.T, c.matrix),
                 np.zeros((c.constraint_dim, c.constraint_dim)),
             ])
             system = np.vstack([top, bottom])
@@ -112,6 +111,38 @@ class TestDenseLagrangeSolve:
             rhs = np.concatenate([np.zeros(m * n), -residual])
             gap = np.linalg.norm(system @ solution - rhs)
             assert gap <= 1e-10 * max(1.0, np.linalg.norm(rhs))
+
+    def test_the_column_major_gain_change_lands_the_mean_on_the_constraint(self):
+        # the multiplier rows read (v' kron A) vec(dK) = A dK v, so the
+        # correction is vec(dK) stacked by columns
+        several = 0
+        for seed in range(60):
+            pred, model, z, c = random_constrained_instance(seed)
+            if model.measurement_dim < 2:
+                continue
+            several += 1
+            innov = innovate(pred, z, model)
+            post, _ = update_joseph(pred, z, model)
+            residual = c.matrix @ post.mean - c.rhs
+            correction, _ = dense_lagrange_solve(innov, c, residual)
+            change = correction.reshape(pred.dim, innov.residual.size, order="F")
+            mean = post.mean + change @ innov.residual
+            assert np.abs(c.matrix @ mean - c.rhs).max() <= 1e-9 * (1.0 + np.abs(c.rhs).max())
+        assert several >= 20
+
+    def test_no_constraint_rows_give_a_zero_correction_and_no_multipliers(self):
+        pred, model, z, _ = random_constrained_instance(5)
+        innov = innovate(pred, z, model)
+        free = EqualityConstraint(np.zeros((0, pred.dim)), np.zeros(0))
+        correction, multipliers = dense_lagrange_solve(innov, free, np.zeros(0))
+        assert_allclose(correction, np.zeros(pred.dim * innov.residual.size))
+        assert multipliers.shape == (0,)
+
+    def test_rejects_a_residual_of_the_wrong_length(self):
+        pred, z, model, c = worked_planar_instance()
+        innov = innovate(pred, z, model)
+        with pytest.raises(DimensionMismatch):
+            dense_lagrange_solve(innov, c, np.zeros(2))
 
 
 class TestInstanceGenerators:

@@ -51,8 +51,7 @@ FAULTS = [
      "EqualityConstraint.residual_norm ignores b"),
     ("constrained.py", "    p = pi @ cov @ pi.T\n", "    p = pi @ cov\n",
      "_project_stage takes the one-sided (I - U A) P for the congruence"),
-    ("kalman.py", "        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):\n",
-     "        if not np.isfinite(cov).all():\n",
+    ("kalman.py", "        if not np.isfinite(mean).all():\n", "        if False:\n",
      "_estimate lets a non-finite mean through"),
     ("constrained.py", "    return correction, -2.0 * (gram_inv @ target) / quad\n",
      "    return correction, 2.0 * (gram_inv @ target) / quad\n",
@@ -80,6 +79,9 @@ FAULTS = [
     ("constrained.py", "    defect = b - plain @ a.T\n",
      "    defect = plain @ a.T - b\n",
      "_restricted_gain_mean flips the sign of the feasibility defect"),
+    ("constrained.py", '    gain = gain + correction.reshape(gain.shape, order="F")\n',
+     "    gain = gain + correction.reshape(gain.shape)\n",
+     "restricted_gain_update unstacks the gain correction row by row"),
     # One or more per guard.
     ("kalman.py", "_EIG_RTOL = 1e-9\n", "_EIG_RTOL = 1e-3\n",
      "_check_covariance's eigenvalue allowance is 1e6 times looser"),
