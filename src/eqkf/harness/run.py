@@ -21,9 +21,9 @@ change.  A time-varying model or a relinearized constraint never reuses one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
 import numpy as np
@@ -245,6 +245,57 @@ def _format_value(v: float) -> str:
     return repr(float(v))
 
 
+# json's spelling of the non-finite floats, which ``repr`` writes otherwise.
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
+    at the indentation ``pad`` of its first line."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_SPELLING.get(text, text)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # A list of finite floats is one join; any other goes item by item.
+        sep = ",\n" + inner
+        try:
+            items = sep.join(map(float.__repr__, value))
+            floats = math.isfinite(sum(value))
+        except TypeError:
+            floats = False
+        if not floats:
+            items = sep.join(_json_text(v, inner) for v in value)
+        return f"[\n{inner}{items}\n{pad}]"
+    if isinstance(value, dict):
+        items = ",\n".join(
+            f"{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+            for k, v in sorted(value.items())
+        )
+        return f"{{\n{items}\n{pad}}}" if value else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _record_cells(report: RunReport):
+    """Each record, by step then method, with the ``repr`` cells of its truth
+    and mean; the records of a step share its truth array and its cells."""
+    truth, truth_cells = None, []
+    for rec in sorted(report.records, key=lambda r: (r.step, r.method)):
+        if rec.truth is not truth:
+            truth, truth_cells = rec.truth, list(map(repr, rec.truth.tolist()))
+        yield rec, truth_cells, list(map(repr, rec.mean.tolist()))
+
+
 def _csv_text(report: RunReport) -> str:
     n = report.config.state_dim
     columns = (
@@ -254,40 +305,46 @@ def _csv_text(report: RunReport) -> str:
         + ["err_norm", "constraint_residual", "cov_min_eig", "cov_asym"]
     )
     lines = [",".join(columns)]
-    for rec in sorted(report.records, key=lambda r: (r.step, r.method)):
-        cells = [str(rec.step), rec.method]
-        cells += map(repr, rec.truth.tolist())
-        cells += map(repr, rec.mean.tolist())
-        cells += [
-            _format_value(rec.err_norm),
-            _format_value(rec.constraint_residual),
-            _format_value(rec.cov_min_eig),
-            _format_value(rec.cov_asym),
-        ]
-        lines.append(",".join(cells))
+    for rec, truth, mean in _record_cells(report):
+        figures = rec.err_norm, rec.constraint_residual, rec.cov_min_eig, rec.cov_asym
+        lines.append(",".join([str(rec.step), rec.method, *truth, *mean,
+                               *map(_format_value, figures)]))
     return "\n".join(lines) + "\n"
 
 
+# One record of the structured report, as json.dumps(..., indent=2) writes it.
+_RECORD = """    {{
+      "constraint_residual": {},
+      "cov_asym": {},
+      "cov_min_eig": {},
+      "err_norm": {},
+      "mean": {},
+      "method": {},
+      "step": {},
+      "truth": {}
+    }}"""
+
+
+def _json_cells(cells: list[str]) -> str:
+    """A record's truth or mean from its ``repr`` cells."""
+    items = ",\n        ".join(map(_JSON_SPELLING.get, cells, cells))
+    return f"[\n        {items}\n      ]" if cells else "[]"
+
+
 def _structured_text(report: RunReport) -> str:
-    doc = {
-        "config": report.config.to_document(),
-        "rng": RNG_ALGORITHM,
-        "records": [
-            {
-                "step": rec.step,
-                "method": rec.method,
-                "truth": rec.truth.tolist(),
-                "mean": rec.mean.tolist(),
-                "err_norm": rec.err_norm,
-                "constraint_residual": rec.constraint_residual,
-                "cov_min_eig": rec.cov_min_eig,
-                "cov_asym": rec.cov_asym,
-            }
-            for rec in sorted(report.records, key=lambda r: (r.step, r.method))
-        ],
-        "summary": report.summary.to_document(),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    records = ",\n".join(
+        _RECORD.format(
+            _json_text(rec.constraint_residual), _json_text(rec.cov_asym),
+            _json_text(rec.cov_min_eig), _json_text(rec.err_norm), _json_cells(mean),
+            _json_text(rec.method), _json_text(rec.step), _json_cells(truth),
+        )
+        for rec, truth, mean in _record_cells(report)
+    )
+    records = f"[\n{records}\n  ]" if records else "[]"
+    config = _json_text(report.config.to_document(), "  ")
+    summary = _json_text(report.summary.to_document(), "  ")
+    return (f'{{\n  "config": {config},\n  "records": {records},\n'
+            f'  "rng": {_json_text(RNG_ALGORITHM)},\n  "summary": {summary}\n}}\n')
 
 
 def emit_report(report: RunReport, format: str = "csv") -> str:
@@ -296,9 +353,9 @@ def emit_report(report: RunReport, format: str = "csv") -> str:
     ``csv`` produces one row per (step, method) with the exact column
     order ``step, method, t0.., m0.., err_norm, constraint_residual,
     cov_min_eig, cov_asym``; an empty run yields just the header.
-    ``structured`` produces a JSON document embedding the configuration
-    echo, the generator algorithm identifier, all records, and the
-    summary.  Anything else raises ``UnsupportedFormat``.
+    ``structured`` produces ``json.dumps(doc, indent=2, sort_keys=True)``
+    and a newline, byte for byte, for the configuration echo, generator id,
+    records and summary.  Anything else raises ``UnsupportedFormat``.
     """
     if format == "csv":
         return _csv_text(report)

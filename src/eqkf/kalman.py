@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    FilterError,
     IndefiniteCovariance,
     SingularInnovationCovariance,
 )
@@ -303,6 +304,8 @@ def _correct(mean, z, h, gain) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _innovation_stats(residual, s, gain) -> InnovationStats:
+    if not np.isfinite(residual).all():
+        raise FilterError("innovation: residual z - H x has non-finite entries")
     try:
         return InnovationStats(residual, s, gain)
     except ValueError as exc:
@@ -315,7 +318,7 @@ def innovate(pred: StateEstimate, z: Measurement, model: SystemModel) -> Innovat
 
     The innovation covariance is inverted through a Cholesky
     factorization; raises ``SingularInnovationCovariance`` when it is not
-    positive definite.
+    positive definite, and ``FilterError`` when the residual is not finite.
     """
     _check_update_dims(pred, z, model)
     h = model.observation
@@ -332,7 +335,7 @@ def update_joseph(
     Returns the updated estimate together with the innovation quantities
     so constrained variants can reuse them without recomputation.  Raises
     ``IndefiniteCovariance`` when the Joseph covariance fails the
-    ``StateEstimate`` checks.
+    ``StateEstimate`` checks, ``FilterError`` on a non-finite residual.
     """
     _check_update_dims(pred, z, model)
     h = model.observation

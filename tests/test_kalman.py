@@ -21,6 +21,7 @@ from eqkf import (
 )
 from eqkf.errors import (
     DimensionMismatch,
+    FilterError,
     IndefiniteCovariance,
     SingularInnovationCovariance,
 )
@@ -337,10 +338,10 @@ def test_symmetry_survives_long_recursions():
                  IndefiniteCovariance, "prediction: mean has non-finite entries",
                  id="predict"),
     pytest.param(innovate, 1e300, 1.0, 1e10,
-                 SingularInnovationCovariance, "residual has non-finite entries",
+                 FilterError, "innovation: residual z - H x has non-finite entries",
                  id="innovate"),
     pytest.param(update_joseph, 1e300, 1.0, 1e10,
-                 SingularInnovationCovariance, "residual has non-finite entries",
+                 FilterError, "innovation: residual z - H x has non-finite entries",
                  id="update_joseph"),
     pytest.param(update_fusion, 1e300, 1.0, 1e10,
                  IndefiniteCovariance, "posterior: mean has non-finite entries",
@@ -358,5 +359,8 @@ def test_an_overflowing_input_raises_a_typed_error_and_no_warning(
     huge = StateEstimate(pred.mean * mean_scale, pred.covariance, pred.step)
     scaled = dataclasses.replace(model, transition=f_scale * model.transition,
                                  observation=h_scale * model.observation)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as raised:
         call(huge, z, scaled)
+    # S is positive definite here, so the residual must not read as a
+    # singular innovation covariance (a subclass of FilterError).
+    assert type(raised.value) is error

@@ -19,7 +19,9 @@ on the workload's documents, less generating the documents.
 Prints one JSON object: per side (``rev`` and ``checkout``), the median and
 quartiles of filtering, emission and set-up time, and per figure the
 median over pairs of the checkout/rev ratio (below 1 means this checkout is
-faster)::
+faster).  Each side also reports ``peak_rss_mb``, its worker's
+``ru_maxrss`` after the last operation, as ``perfbench/run.py`` reads it: one
+figure per worker process, not a median, with the plain checkout/rev ratio::
 
     python3 tools/paired_timing.py --against HEAD --workload track_wide
     python3 tools/paired_timing.py --against HEAD~1 --workload track_small --seed 11 --reps 15
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -45,7 +48,8 @@ BLAS_THREADS = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NU
 
 
 def _worker(src: str, workload: str, seed: int) -> None:
-    """Run one operation per line read from stdin; answer each with its times."""
+    """Run one operation per line read from stdin; answer each with its times,
+    and the end of stdin with the process's peak RSS."""
     sys.path[:0] = [src, str(ROOT / "perfbench")]
     from eqkf import harness
     import workloads
@@ -73,6 +77,8 @@ def _worker(src: str, workload: str, seed: int) -> None:
     print("ready", flush=True)
     for _ in sys.stdin:
         print(json.dumps(operation()), flush=True)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps({"peak_rss_mb": peak_rss_mb}), flush=True)
 
 
 # The set-up probe: argv is the side's src, perfbench, the workload and the seed.
@@ -133,7 +139,8 @@ def _spread(values: list[float]) -> dict[str, float]:
 
 
 def paired_times(rev_src: Path, workload: str, seed: int, reps: int) -> dict:
-    """The per-side spreads and the median paired ratios of ``reps`` pairs."""
+    """The per-side spreads and peak RSS, and the median paired ratios of
+    ``reps`` pairs."""
     srcs = {"rev": rev_src, "checkout": ROOT / "src"}
     sides = {side: _start(src, workload, seed) for side, src in srcs.items()}
     times: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
@@ -149,10 +156,13 @@ def paired_times(rev_src: Path, workload: str, seed: int, reps: int) -> dict:
             worker.wait()
     out: dict = {side: {f: _spread([t[f] for t in times[side]]) for f in FIGURES}
                  for side in sides}
+    for side, worker in sides.items():
+        out[side]["peak_rss_mb"] = json.loads(worker.stdout.readline())["peak_rss_mb"]
     out["ratio"] = {
         f: statistics.median(c[f] / r[f] for r, c in zip(times["rev"], times["checkout"]))
         for f in FIGURES if all(r[f] > 0.0 for r in times["rev"])
     }
+    out["ratio"]["peak_rss_mb"] = out["checkout"]["peak_rss_mb"] / out["rev"]["peak_rss_mb"]
     return out
 
 

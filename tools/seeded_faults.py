@@ -1,4 +1,4 @@
-"""Seed one-line faults into a copy of this checkout and report which the gates catch.
+"""Seed small faults into a copy of this checkout and report which the gates catch.
 
 Each entry of ``FAULTS`` is ``(file, old, new, why)``: ``old`` occurs exactly
 once in ``src/eqkf/<file>``, and the fault replaces it with ``new``.  For each
@@ -104,6 +104,22 @@ FAULTS = [
     ("harness/run.py", "    if method.needs_constraint and config.constraint is None:\n",
      "    if False:\n",
      "_step drops its ValidationError for a constrained row without a constraint"),
+    # One per branch of the report writer.
+    ("harness/run.py", "            floats = math.isfinite(sum(value))\n",
+     "            floats = True\n",
+     "_json_text joins a float list with a non-finite entry as finite floats"),
+    ("harness/run.py", "            for k, v in sorted(value.items())\n",
+     "            for k, v in value.items()\n",
+     "_json_text leaves a dict's keys unsorted"),
+    ("harness/run.py",
+     "    truth, truth_cells = None, []\n"
+     "    for rec in sorted(report.records, key=lambda r: (r.step, r.method)):\n"
+     "        if rec.truth is not truth:\n"
+     "            truth, truth_cells = rec.truth, list(map(repr, rec.truth.tolist()))\n",
+     "    by_method = {}\n"
+     "    for rec in sorted(report.records, key=lambda r: (r.step, r.method)):\n"
+     "        truth_cells = by_method.setdefault(rec.method, list(map(repr, rec.truth.tolist())))\n",
+     "_record_cells keys the truth cells by method, not by step"),
 ]
 
 # why -> the reason no result can show the fault.
