@@ -45,21 +45,21 @@ semidefinite over long runs.  A posterior the ``StateEstimate`` checks
 reject raises ``IndefiniteCovariance`` (``kalman._estimate``, and
 :func:`_check_posterior` for one that no estimate carries).
 
-Each update's arithmetic is a private kernel in two stages on plain arrays,
-the constraint as its rows ``a`` and ``b`` (a constraint's ``_rows``), which
-the public function composes after checking its inputs.  The covariance stage
-(``_*_stage``) reads only the covariance, the model, ``a`` and the weight, and
-returns the posterior covariances and the blocks the mean needs: the gain and
-``U``; augmentation and the restricted gain run the stage of the projection
-they equal.  The mean stage (``_*_mean``, :func:`_along`) applies them with
-``a`` and ``b`` to one mean ``(n,)`` or a stack ``(T, n)`` sharing one covariance.
+Each update is its row of :data:`METHODS`, two private kernel stages on plain
+arrays with the constraint as its rows ``a`` and ``b`` (a constraint's
+``_rows``), which the public update runs after checking its inputs, as scenario
+runs and the Monte-Carlo oracle do.  The covariance stage reads only the
+covariance, the model, ``a``, the weight and the soft noise, and returns the
+posterior covariances and the blocks the mean needs: the gain and ``U``;
+augmentation and the restricted gain run the stage of the projection they
+equal.  The mean stage applies them to one mean ``(n,)`` or a stack ``(T, n)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -294,6 +294,20 @@ def _result(method: str, c: EqualityConstraint, mean, cov, step: int):
     return ConstrainedUpdateResult(est, method, c._residual(mean))
 
 
+def _run_row(tag: str, pred, z, model: SystemModel, c: EqualityConstraint, noise=None):
+    """Check a public update's inputs and run its row ``METHODS[tag]`` on them:
+    the covariance stage, then the estimate and the unconstrained update of the
+    mean stage, as ``(mean, cov)``, the latter checked if the row forms it."""
+    _check_state_dims(pred.dim, c)
+    kalman._check_update_dims(pred, z, model)
+    row = METHODS[tag]
+    stage = row.covariance(pred.covariance, model, c.matrix, None, noise)
+    estimate, plain = row.mean(stage, pred.mean, z.value, model, c.matrix, c.rhs)
+    if plain is not None:
+        _check_posterior(plain[1], "unconstrained")
+    return stage, estimate, plain
+
+
 def _gram_factorization(
     l_factor: np.ndarray, a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -304,13 +318,15 @@ def _gram_factorization(
     (``?geqrf`` and ``?orgqr``, :func:`matops._qr`) so its condition number
     is never squared; ``SingularConstraintGram`` is raised when its estimate
     ``(|R|_F / min |r_ii|)^2``, which unlike the ratio of extreme diagonal
-    entries sees nearly parallel rows of ``A L``, exceeds ``CONDITION_LIMIT``.
+    entries sees nearly parallel rows of ``A L``, exceeds ``CONDITION_LIMIT``
+    (``|R|_F = |A L|_F``, the norm of the QR's input).
     """
-    q_mat, r = matops._qr((a @ l_factor).T)
+    al = a @ l_factor
+    q_mat, r = matops._qr(al.T)
     diag = np.abs(r.diagonal()).tolist()
     if diag and (
         min(diag) <= 0.0
-        or (np.linalg.norm(np.triu(r)) / min(diag)) ** 2 > matops.CONDITION_LIMIT
+        or (np.linalg.norm(al) / min(diag)) ** 2 > matops.CONDITION_LIMIT
     ):
         raise SingularConstraintGram("constraint Gram matrix is numerically singular")
     z = matops._triangular_solve(r, q_mat.T)
@@ -336,6 +352,14 @@ def _covariance_factor(cov: np.ndarray) -> np.ndarray:
 def _along(ups, a, b, mean) -> np.ndarray:
     """Mean stage of a projection along ``U``: each row's ``mean - U (a mean - b)``."""
     return mean - (mean @ a.T - b) @ ups.T
+
+
+def _projection_mean(stage, mean, z, model: SystemModel, a, b):
+    """Mean stage of the projection rows: each row's gain update, then its move
+    along ``U``, as the constrained and the unconstrained ``(mean, cov)``."""
+    _, gain, post, ((ups, _), cov) = stage
+    plain = kalman._correct(mean, z, model.observation, gain)[1]
+    return (_along(ups, a, b, plain), cov), (plain, post)
 
 
 def constrain_posterior(est: StateEstimate, c: EqualityConstraint) -> ConstrainedUpdateResult:
@@ -391,17 +415,17 @@ def block_s_inverse(
     return SaddleInverseBlocks(0.5 * (upper_left + upper_left.T), -akt_ginv, -g_inv @ ak, g_inv)
 
 
-def _joseph_stage(cov, model: SystemModel, a, spec: ProjectionSpec):
+def _joseph_stage(cov, model: SystemModel, a, weight: ProjectionSpec, noise=None):
     """Covariance stage of each gain update that projects: ``kalman._joseph``'s
     ``S``, ``K`` and ``P_post``, and the :func:`_project_stage` of ``P_post``
-    onto the rows ``a`` with ``spec``'s weight (None without rows)."""
+    onto the rows ``a`` with ``weight`` (None without rows)."""
     s, gain, post = kalman._joseph(cov, model.observation, model.measurement_noise)
     if a is None or not len(a):
         return s, gain, post, None
-    return s, gain, post, _project_stage(post, a, spec)
+    return s, gain, post, _project_stage(post, a, weight)
 
 
-def _augmented_stage(cov, model: SystemModel, a):
+def _augmented_stage(cov, model: SystemModel, a, weight, noise):
     """Covariance stage of :func:`augmented_update`: :func:`_joseph_stage` with
     the ``POSTERIOR_INVERSE`` weight, which is the projection's stage."""
     try:
@@ -443,11 +467,7 @@ def augmented_update(
     that update with q = 0.  A singular stacked residual covariance raises
     ``SingularAugmentedInnovation`` (``SingularInnovationCovariance`` if q = 0).
     """
-    _check_state_dims(pred.dim, c)
-    kalman._check_update_dims(pred, z, model)
-    stage = _augmented_stage(pred.covariance, model, c.matrix)
-    (mean, cov), plain = _augmented_mean(stage, pred.mean, z.value, model, c.matrix, c.rhs)
-    _check_posterior(plain[1], "unconstrained")
+    _, (mean, cov), _ = _run_row(AUGMENTED, pred, z, model, c)
     return _result(AUGMENTED, c, mean, cov, pred.step)
 
 
@@ -490,11 +510,18 @@ def project(
 
 
 def _innovation_weight(s, residual) -> tuple[np.ndarray, np.ndarray]:
-    """``S^-1 v`` and the quadratic form ``v' S^-1 v`` of each innovation row ``v``."""
+    """``S^-1 v`` and the quadratic form ``v' S^-1 v`` of each innovation row
+    ``v``; one innovation ``(m,)`` whose form is :func:`_degenerate` raises
+    ``DegenerateResidual``, which a stack ``(T, m)`` leaves to its caller."""
     s_inv_nu = matops._cholesky_solve(
         s, residual.T, "innovation covariance", SingularInnovationCovariance
     ).T
-    return s_inv_nu, np.sum(residual * s_inv_nu, axis=-1)
+    quad = np.sum(residual * s_inv_nu, axis=-1)
+    if residual.ndim == 1 and _degenerate(quad):
+        raise DegenerateResidual(
+            f"innovation quadratic form {quad:.3e} is below tolerance or not finite"
+        )
+    return s_inv_nu, quad
 
 
 def _degenerate(quad):
@@ -508,10 +535,6 @@ def _gain_correction(gram, target, s_inv_nu, quad):
     """The ``(correction, multipliers)`` of :func:`solve_lagrange_system` for
     the identity weight's ``gram = (U, (A A')^-1)``, ``target = b - A x_post``
     and one innovation's ``S^-1 v`` and ``v' S^-1 v``."""
-    if _degenerate(quad):
-        raise DegenerateResidual(
-            f"innovation quadratic form {quad:.3e} is below tolerance or not finite"
-        )
     ups, gram_inv = gram
     correction = np.outer(ups @ target, s_inv_nu / quad).reshape(-1, order="F")
     return correction, -2.0 * (gram_inv @ target) / quad
@@ -550,24 +573,23 @@ def solve_lagrange_system(
             f"posterior_residual length {residual.size} does not match "
             f"{c.constraint_dim} constraint rows"
         )
-    weight = _innovation_weight(innov.residual_cov, innov.residual)
     gram = _gram_factorization(matops._identity(c.state_dim), c.matrix)
+    weight = _innovation_weight(innov.residual_cov, innov.residual)
     return _gain_correction(gram, -residual, *weight)
 
 
 def _restricted_gain_mean(stage, mean, z, model: SystemModel, a, b):
     """Mean stage of :func:`restricted_gain_update` (whose covariance stage is
     :func:`_joseph_stage` with the ``IDENTITY`` weight): the constrained and the
-    unconstrained ``(mean, cov)``, then the unconstrained gain ``K`` with each
-    row's ``S^-1 v`` and ``v' S^-1 v`` (None with q = 0).  Each row's
-    innovation ``v`` gets the gain ``K + U d w'`` of
-    :func:`solve_lagrange_system` as ``K v + U d (w' v)``; a row with a
-    degenerate ``v' S^-1 v`` takes the identity-weight projection, which has
-    the same mean."""
+    unconstrained ``(mean, cov)``.  Each row's innovation ``v`` gets the gain
+    ``K + U d w'`` of :func:`solve_lagrange_system` as ``K v + U d (w' v)``.  A
+    row of a stack with a degenerate ``v' S^-1 v`` takes the identity-weight
+    projection, which has the same mean; one mean with a degenerate form raises
+    ``DegenerateResidual``, as the public update does."""
     s, gain, post, projected = stage
     residual, plain = kalman._correct(mean, z, model.observation, gain)
     if projected is None:
-        return ((plain, post),) * 2, (gain, None, None)
+        return (plain, post), (plain, post)
     (ups, _), cov = projected
     s_inv_nu, quad = _innovation_weight(s, residual)
     degenerate = _degenerate(quad)
@@ -575,7 +597,7 @@ def _restricted_gain_mean(stage, mean, z, model: SystemModel, a, b):
     defect = b - plain @ a.T
     corrected = plain + np.sum(w * residual, axis=-1)[..., None] * (defect @ ups.T)
     mean = np.where(degenerate[..., None], _along(ups, a, b, plain), corrected)
-    return ((mean, cov), (plain, post)), (gain, s_inv_nu, quad)
+    return (mean, cov), (plain, post)
 
 
 @np.errstate(over="ignore")
@@ -595,18 +617,15 @@ def restricted_gain_update(
     ``DegenerateResidual`` when the innovation is too small to carry a
     gain correction.
     """
-    _check_state_dims(pred.dim, c)
-    kalman._check_update_dims(pred, z, model)
-    stage = _joseph_stage(pred.covariance, model, c.matrix, _IDENTITY_SPEC)
-    ((mean, cov), unconstrained), (gain, s_inv_nu, quad) = _restricted_gain_mean(
-        stage, pred.mean, z.value, model, c.matrix, c.rhs
-    )
-    _check_posterior(unconstrained[1], "unconstrained")
+    stage, (mean, cov), (plain, _) = _run_row(RESTRICTED_GAIN, pred, z, model, c)
+    s, gain, _, projected = stage
     correction, multipliers = np.zeros(gain.size), np.zeros(0)
     if c.constraint_dim:
-        target = c.rhs - c.matrix @ unconstrained[0]
+        weight = _innovation_weight(s, z.value - pred.mean @ model.observation.T)
         # the stage's (U, (A A')^-1), factored for the identity weight
-        correction, multipliers = _gain_correction(stage[3][0], target, s_inv_nu, quad)
+        correction, multipliers = _gain_correction(
+            projected[0], c.rhs - c.matrix @ plain, *weight
+        )
     gain = gain + correction.reshape(gain.shape, order="F")
     solution = RestrictedGainSolution(gain, correction, multipliers)
     return solution, _result(RESTRICTED_GAIN, c, mean, cov, pred.step)
@@ -634,10 +653,7 @@ def fusion_constrained_update(
     ``1 / CONDITION_LIMIT``.  :func:`kalman.update_fusion` is its q = 0 case;
     both run the stages ``kalman._fusion_stage`` and ``kalman._fusion_solve``.
     """
-    kalman._check_update_dims(pred, z, model)
-    _check_state_dims(pred.dim, c)
-    stage = kalman._fusion_stage(pred.covariance, model, c.matrix)
-    mean, cov = kalman._fusion_solve(stage, pred.mean, z.value, c.rhs)
+    _, (mean, cov), _ = _run_row(FUSION, pred, z, model, c)
     return _result(FUSION, c, mean, cov, pred.step)
 
 
@@ -690,7 +706,7 @@ def linearize(nc: NonlinearConstraint, x_ref) -> EqualityConstraint:
         ) from exc
 
 
-def _soft_stage(cov, model: SystemModel, a, noise):
+def _soft_stage(cov, model: SystemModel, a, weight, noise):
     """Covariance stage of :func:`soft_augmented_update`: the stacked
     observation ``[H; A]`` and the gain and Joseph covariance of it with noise
     ``blkdiag(R, sym(noise))``, each stack written into one array."""
@@ -748,7 +764,49 @@ def soft_augmented_update(
             f"constraint_noise must be {q}x{q}, got {noise.shape}"
         )
     kalman._check_covariance(noise, "constraint_noise")
-    kalman._check_update_dims(pred, z, model)
-    stage = _soft_stage(pred.covariance, model, c.matrix, noise)
-    (mean, cov), _ = _soft_mean(stage, pred.mean, z.value, model, c.matrix, c.rhs)
+    _, (mean, cov), _ = _run_row(SOFT_AUGMENTED, pred, z, model, c, noise)
     return _result(SOFT_AUGMENTED, c, mean, cov, pred.step)
+
+
+class Method(NamedTuple):
+    """A row of :data:`METHODS`, an update in two stages.  The covariance stage
+    ``covariance(cov, model, a, weight, noise)`` reads no mean: ``a`` and ``b``
+    are the constraint rows ``a x = b``, None if not ``needs_constraint`` (so
+    the unconstrained row is augmentation with no rows); only the projection
+    rows read the :class:`ProjectionSpec` ``weight``, only the soft row the
+    constraint ``noise``.  The mean stage ``mean(stage, mean, z, model, a, b)``
+    applies it and returns the estimate and the unconstrained update if
+    ``forms_unconstrained`` (else None), as ``(mean, cov)``.  Tags in one
+    ``group`` have equal means in exact arithmetic; the group names the
+    projection weight.  ``shares`` names the tag whose covariance stage the
+    row's is, which a scenario run then computes once per step for both."""
+
+    covariance: Callable[..., tuple]
+    mean: Callable[..., tuple[tuple, tuple | None]]
+    group: str | None = None
+    needs_constraint: bool = True
+    forms_unconstrained: bool = True
+    shares: str | None = None
+
+
+# Every method, keyed by its document tag, which is also its report label.
+# The order fixes the order of the harness's method names and divergence pairs.
+METHODS = {
+    "unconstrained": Method(_augmented_stage, _augmented_mean, needs_constraint=False),
+    AUGMENTED: Method(_augmented_stage, _augmented_mean, POSTERIOR_INVERSE, shares=PROJECTION),
+    FUSION: Method(
+        lambda cov, model, a, *_: kalman._fusion_stage(cov, model, a),
+        lambda stage, mean, z, model, a, b: (kalman._fusion_solve(stage, mean, z, b), None),
+        POSTERIOR_INVERSE,
+        forms_unconstrained=False,
+    ),
+    PROJECTION: Method(_joseph_stage, _projection_mean, POSTERIOR_INVERSE),
+    RESTRICTED_GAIN: Method(
+        lambda cov, model, a, *_: _joseph_stage(cov, model, a, _IDENTITY_SPEC),
+        _restricted_gain_mean,
+        IDENTITY,
+        shares="projection_identity",
+    ),
+    "projection_identity": Method(_joseph_stage, _projection_mean, IDENTITY),
+    SOFT_AUGMENTED: Method(_soft_stage, _soft_mean, forms_unconstrained=False),
+}

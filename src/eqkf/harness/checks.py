@@ -24,10 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .. import constrained, kalman, oracle
-from ..constrained import EqualityConstraint, ProjectionSpec
+from ..constrained import METHODS, EqualityConstraint, ProjectionSpec
 from ..kalman import Measurement, StateEstimate, SystemModel
 from ..matops import min_eigenvalue
-from .config import METHODS, MethodSpec, load_bundled_scenario
+from .config import MethodSpec, load_bundled_scenario
 from .run import emit_report, run_scenario
 from .simulate import simulate_truth
 

@@ -32,9 +32,9 @@ index-selected) components; "product" constrains the product of two
 components.  Nonlinear families are relinearized about each step's
 predicted mean before the constrained update runs.
 
-A method entry is a tag string, one of the keys of the method table
-:data:`METHODS` (which also gives each tag's update and equivalence
-group), or, for projection, an object {"method": "projection", "weight": W}
+A method entry is a tag string, one of the keys of the library's method
+table :data:`eqkf.constrained.METHODS` (which also gives each tag's update and
+equivalence group), or, for projection, an object {"method": "projection", "weight": W}
 where W is a ``ProjectionSpec`` weight: "posterior_inverse" or "identity"
 (the ``POSTERIOR_INVERSE`` and ``IDENTITY`` markers), or an explicit matrix,
 which is checked, condition-tested and factored once, at load.
@@ -51,18 +51,20 @@ import contextlib
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any, Callable, NamedTuple
+from typing import Any
 
 import numpy as np
 
 from .. import constrained, kalman
 from ..constrained import (
-    IDENTITY,
+    METHODS,
     POSTERIOR_INVERSE,
     PROJECTION,
     EqualityConstraint,
     NonlinearConstraint,
     ProjectionSpec,
+    _projection_mean,
+    _soft_stage,
 )
 from ..errors import DegenerateResidual, ParseError, SingularWeight, ValidationError
 from ..kalman import Measurement, StateEstimate, SystemModel
@@ -101,55 +103,13 @@ class MethodSpec:
         return {"method": PROJECTION, "weight": self.weight.tolist()}
 
 
-class Method(NamedTuple):
-    """A row of :data:`METHODS`, an update in two stages.  The covariance stage
-    ``covariance(cov, model, a, spec, config)`` reads no mean: ``a`` and ``b``
-    are the arrays of the constraint rows ``a x = b`` about the predicted means,
-    None if not ``needs_constraint`` (so the unconstrained row is augmentation
-    with no rows).  The mean stage ``mean(stage, mean, z, model, a, b)`` applies
-    it and returns the estimate and the unconstrained update if
-    ``forms_unconstrained`` (else None), as ``(mean, cov)``.  Tags in one
-    ``group`` have equal means in exact arithmetic; the group names the
-    projection weight.  ``shares`` names the tag whose covariance stage the
-    row's is, which ``run_scenario`` then computes once per step for both."""
-
-    covariance: Callable[..., tuple]
-    mean: Callable[..., tuple[tuple, tuple | None]]
-    group: str | None = None
-    needs_constraint: bool = True
-    forms_unconstrained: bool = True
-    shares: str | None = None
-
-
-# A gain row's stage is (P, constrained._joseph_stage); the detour below reads P.
-def _augmented_stage(cov, model, a, spec, config):
-    return cov, constrained._augmented_stage(cov, model, a)
-
-
-def _augmented_mean(stage, mean, z, model, a, b):
-    return constrained._augmented_mean(stage[1], mean, z, model, a, b)
-
-
-def _projection_stage(cov, model, a, spec, config):
-    return cov, constrained._joseph_stage(cov, model, a, spec._projection)
-
-
-def _projection_mean(stage, mean, z, model, a, b):
-    _, (_, gain, post, ((ups, _), cov)) = stage
-    plain = kalman._correct(mean, z, model.observation, gain)[1]
-    return (constrained._along(ups, a, b, plain), cov), (plain, post)
-
-
-def _restricted_gain_mean(stage, mean, z, model, a, b):
-    pred_cov, stage = stage
-    estimates, (_, _, quad) = constrained._restricted_gain_mean(stage, mean, z, model, a, b)
-    if mean.ndim == 2 or quad is None or not constrained._degenerate(quad):
-        return estimates
-    # A stack of means keeps the kernel's per-row fallback.  One estimate whose
-    # v' S^-1 v vanishes or overflows goes through the public functions, so the
-    # fallback shows at the public boundary (the benchmark's tracer counts it):
-    # restricted_gain_update raises DegenerateResidual, and the identity-weight
-    # projection reaches the same corrected mean.
+def _restricted_gain_mean(pred_cov, mean, z, model, a, b):
+    """The estimate and the unconstrained update ``(mean, cov)`` of one
+    prediction ``(mean, pred_cov)`` whose ``v' S^-1 v`` vanishes or overflows,
+    where the restricted-gain row raises ``DegenerateResidual``.  The fallback
+    goes through the public functions, so it shows at the public boundary (the
+    benchmark's tracer counts it): restricted_gain_update raises
+    DegenerateResidual, and the identity-weight projection has the same mean."""
     pred, z, c = StateEstimate(mean, pred_cov), Measurement(z), EqualityConstraint(a, b)
     with contextlib.suppress(DegenerateResidual):
         constrained.restricted_gain_update(pred, z, model, c)
@@ -157,33 +117,6 @@ def _restricted_gain_mean(stage, mean, z, model, a, b):
     est = constrained.project(unconstrained, c, constrained._IDENTITY_SPEC).estimate
     return (est.mean, est.covariance), (unconstrained.mean, unconstrained.covariance)
 
-
-def _soft_stage(cov, model, a, spec, config):
-    return constrained._soft_stage(cov, model, a, config.soft_noise)
-
-
-# Every method, keyed by its document tag, which is also its report label.
-# The order fixes the order of METHOD_NAMES and of the divergence pairs.
-METHODS = {
-    "unconstrained": Method(_augmented_stage, _augmented_mean, needs_constraint=False),
-    "augmented": Method(_augmented_stage, _augmented_mean, POSTERIOR_INVERSE, shares="projection"),
-    "fusion": Method(
-        lambda cov, model, a, *_: kalman._fusion_stage(cov, model, a),
-        lambda stage, mean, z, model, a, b: (kalman._fusion_solve(stage, mean, z, b), None),
-        POSTERIOR_INVERSE,
-        forms_unconstrained=False,
-    ),
-    "projection": Method(_projection_stage, _projection_mean, POSTERIOR_INVERSE),
-    "restricted_gain": Method(
-        lambda cov, model, a, *_:
-            (cov, constrained._joseph_stage(cov, model, a, constrained._IDENTITY_SPEC)),
-        _restricted_gain_mean,
-        IDENTITY,
-        shares="projection_identity",
-    ),
-    "projection_identity": Method(_projection_stage, _projection_mean, IDENTITY),
-    "soft_augmented": Method(_soft_stage, constrained._soft_mean, forms_unconstrained=False),
-}
 
 # The tag of the projection with each string weight; a projection tag other
 # than PROJECTION itself names a weight, not a MethodSpec name.

@@ -8,8 +8,8 @@ metrics.  :func:`emit_report` serializes the result as CSV or as a
 structured JSON document whose config section round-trips through
 :func:`eqkf.harness.config.load_config`.
 
-Each step of each method runs the covariance stage of its
-:data:`~eqkf.harness.config.METHODS` row, which reads no mean, then the mean
+Each step of each method runs its :data:`~eqkf.constrained.METHODS` row, as
+the public updates do: the covariance stage, which reads no mean, then the mean
 stage, on the arrays of the constraint's ``_rows`` (relinearized, if need be,
 with no ``EqualityConstraint`` built).  With one model and a linear constraint
 (or none) :func:`run_scenario` keeps a memory per covariance stage, keyed by
@@ -29,10 +29,12 @@ from typing import Mapping
 import numpy as np
 
 from .. import kalman
-from ..constrained import NonlinearConstraint
-from ..errors import FilterError, ScenarioStepError, UnsupportedFormat, ValidationError
+from ..constrained import METHODS, NonlinearConstraint
+from ..errors import (
+    DegenerateResidual, FilterError, ScenarioStepError, UnsupportedFormat, ValidationError
+)
 from ..kalman import Measurement, StateEstimate, SystemModel
-from .config import METHODS, MethodSpec, ScenarioConfig
+from .config import MethodSpec, ScenarioConfig, _restricted_gain_mean
 from .simulate import SimulationResult, simulate_truth
 
 # Identifier of the random generator algorithm used by the simulator,
@@ -86,7 +88,8 @@ def _step(mean, cov, z, model: SystemModel, spec: MethodSpec, config: ScenarioCo
     and the continuing ``(mean, cov)``, one pair with ``feedback`` on, and the
     covariance stage, which a later call from a byte-equal ``cov`` may pass
     back as ``stage`` to run the mean stage alone.  The caller checks the
-    covariances.  A stack needs a linear constraint."""
+    covariances.  A stack needs a linear constraint; the stage keeps the
+    prediction covariance for the restricted-gain fallback of one mean."""
     method, plain = METHODS[spec.name], METHODS["unconstrained"]
     mean = mean @ model.transition.T
     if method.needs_constraint and config.constraint is None:
@@ -96,14 +99,18 @@ def _step(mean, cov, z, model: SystemModel, spec: MethodSpec, config: ScenarioCo
         cov = kalman._predict_covariance(cov, model)
         separate = not (config.feedback or method.forms_unconstrained)
         stage = (
-            method.covariance(cov, model, rows[0], spec, config),
-            plain.covariance(cov, model, None, spec, config) if separate else None,
+            cov,
+            method.covariance(cov, model, rows[0], spec._projection, config.soft_noise),
+            plain.covariance(cov, model, None, None, None) if separate else None,
         )
-    reported, unconstrained = method.mean(stage[0], mean, z, model, *rows)
+    try:
+        reported, unconstrained = method.mean(stage[1], mean, z, model, *rows)
+    except DegenerateResidual:
+        reported, unconstrained = _restricted_gain_mean(stage[0], mean, z, model, *rows)
     if config.feedback:
         return reported, reported, stage
     if unconstrained is None:
-        unconstrained, _ = plain.mean(stage[1], mean, z, model, None, None)
+        unconstrained, _ = plain.mean(stage[2], mean, z, model, None, None)
     return reported, unconstrained, stage
 
 

@@ -39,7 +39,9 @@ from .errors import (
     SingularInnovationCovariance,
 )
 from .matops import (
-    _cholesky_solve,
+    _POTRF,
+    _POTRS,
+    CONDITION_LIMIT,
     _identity,
     _min_eig,
     _saddle_solver,
@@ -279,13 +281,28 @@ def predict(est: StateEstimate, model: SystemModel) -> StateEstimate:
 
 
 def _gain(cov, h, r) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance stage of :func:`innovate`: ``S`` and the gain ``P H' S^-1``."""
+    """Covariance stage of :func:`innovate`: ``S`` and the gain ``P H' S^-1``.
+
+    ``S = L L'`` is factored once (``?potrf``).  ``SingularInnovationCovariance``
+    is raised when that fails or when ``S`` is numerically singular: the
+    condition estimate ``(|D L|_F / min (D L)_ii)^2 = m / min (l_ii^2 / s_ii)``
+    of the equilibrated ``D S D``, ``D = diag(S)^-1/2``, exceeds
+    ``CONDITION_LIMIT``, the rule :func:`constrained._gram_factorization`
+    applies to its ``R``."""
     s = h @ cov @ h.T + r
     s = 0.5 * (s + s.T)
-    gain = _cholesky_solve(
-        s, (cov @ h.T).T, "innovation covariance", SingularInnovationCovariance
-    ).T
-    return s, gain
+    factor, info = _POTRF(s, lower=1, clean=0)
+    if info > 0:
+        raise SingularInnovationCovariance("innovation covariance is not positive definite")
+    # l_ii^2 / s_ii in (0, 1], the share of s_ii the earlier rows leave
+    # unexplained, on floats, which overflow or underflow without a warning
+    low = min(p * p / d for p, d in zip(factor.diagonal().tolist(), s.diagonal().tolist()))
+    if low * CONDITION_LIMIT < s.shape[0]:
+        raise SingularInnovationCovariance(
+            f"innovation covariance is numerically singular "
+            f"(smallest relative Cholesky pivot {low:.3e})"
+        )
+    return s, _POTRS(factor, (cov @ h.T).T, lower=1)[0].T
 
 
 def _joseph(cov, h, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from eqkf import EqualityConstraint, Measurement, StateEstimate, SystemModel
+from eqkf.oracle import random_constrained_instance
 
 
 def rel(a, b) -> float:
@@ -39,3 +40,21 @@ def worked_planar_instance():
     z = Measurement([2.0], step=1)
     c = line_constraint()
     return pred, z, model, c
+
+
+def scaled_instance(seed, dropped=0):
+    """A random instance whose prediction covariance is rescaled to s D P D,
+    with s in 10^{-8, -6, 6, 8} and D a diagonal spanning 10^-4 to 10^4, and
+    then has its smallest ``dropped`` eigenvalues zeroed (at most n - 1)."""
+    rng = np.random.default_rng((seed, 42))
+    pred, model, z, c = random_constrained_instance(seed % 1000)
+    s = 10.0 ** rng.choice([-8, -6, 6, 8])
+    d = np.diag(10.0 ** rng.uniform(-4, 4, pred.dim))
+    cov = s * d @ pred.covariance @ d
+    cov = 0.5 * (cov + cov.T)
+    if dropped:
+        vals, vecs = np.linalg.eigh(cov)
+        vals[: min(dropped, pred.dim - 1)] = 0.0
+        cov = (vecs * vals) @ vecs.T
+        cov = 0.5 * (cov + cov.T)
+    return estimate(pred.mean, cov, pred.step), model, z, c

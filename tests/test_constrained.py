@@ -49,7 +49,7 @@ from eqkf.errors import (
 from eqkf.matops import min_eigenvalue, pseudo_inverse
 from eqkf.oracle import dense_lagrange_solve, random_constrained_instance
 
-from helpers import estimate, line_constraint, rel, worked_planar_instance
+from helpers import estimate, line_constraint, rel, scaled_instance, worked_planar_instance
 
 
 class TestEqualityConstraint:
@@ -404,9 +404,13 @@ class TestRestrictedGain:
             pred.covariance, model, c.matrix, constrained._IDENTITY_SPEC
         )
         with np.errstate(over="ignore"):
-            ((mean, _), (plain, _)), (_, _, quad) = constrained._restricted_gain_mean(
+            (mean, _), (plain, _) = constrained._restricted_gain_mean(
                 stage, means, zs, model, c.matrix, c.rhs
             )
+            _, quad = constrained._innovation_weight(stage[0], zs - means @ model.observation.T)
+            # one mean with that form raises, as the public update does
+            with pytest.raises(DegenerateResidual, match="not finite"):
+                constrained._restricted_gain_mean(stage, means[1], z.value, model, c.matrix, c.rhs)
         assert np.isfinite(quad[0]) and np.isinf(quad[1])
         _, single = restricted_gain_update(pred, z, model, c)
         assert_allclose(mean[0], single.estimate.mean, rtol=1e-12, atol=1e-12)
@@ -604,7 +608,7 @@ class TestInPlaceAssembly:
             stacked_noise = scipy.linalg.block_diag(
                 model.measurement_noise, 0.5 * (noise + noise.T)
             )
-            stage = constrained._soft_stage(cov, model, c.matrix, noise)
+            stage = constrained._soft_stage(cov, model, c.matrix, None, noise)
             _, gain, post = kalman._joseph(cov, obs, stacked_noise)
             assert np.array_equal(stage[0], obs)
             assert np.array_equal(stage[1], gain)
@@ -893,24 +897,6 @@ def test_posterior_from_prior_minus_gain_term():
         assert rel(0.5 * (short_form + short_form.T), post.covariance) < 1e-9
 
 
-def _scaled_instance(seed, dropped=0):
-    """A random instance whose prediction covariance is rescaled to s D P D,
-    with s in 10^{-8, -6, 6, 8} and D a diagonal spanning 10^-4 to 10^4, and
-    then has its smallest ``dropped`` eigenvalues zeroed (at most n - 1)."""
-    rng = np.random.default_rng((seed, 42))
-    pred, model, z, c = random_constrained_instance(seed % 1000)
-    s = 10.0 ** rng.choice([-8, -6, 6, 8])
-    d = np.diag(10.0 ** rng.uniform(-4, 4, pred.dim))
-    cov = s * d @ pred.covariance @ d
-    cov = 0.5 * (cov + cov.T)
-    if dropped:
-        vals, vecs = np.linalg.eigh(cov)
-        vals[: min(dropped, pred.dim - 1)] = 0.0
-        cov = (vecs * vals) @ vecs.T
-        cov = 0.5 * (cov + cov.T)
-    return estimate(pred.mean, cov, pred.step), model, z, c
-
-
 HARD_METHODS = {
     "augmented": augmented_update,
     "fusion": fusion_constrained_update,
@@ -927,7 +913,7 @@ HARD_METHODS = {
 def test_ill_scaled_update_returns_or_raises_a_filter_error(seed, method):
     # Seed 389 drives the augmented and projection posteriors indefinite by
     # roundoff, seed 1782 the fusion posterior read off the saddle pseudo-inverse.
-    pred, model, z, c = _scaled_instance(seed)
+    pred, model, z, c = scaled_instance(seed)
     try:
         result = HARD_METHODS[method](pred, z, model, c)
     except FilterError:
@@ -981,7 +967,7 @@ _SCALED_PROBE = given(
 def _feasible_psd_or_filter_error(update, seed, dropped, noise_exponent, row_exponents):
     """``update`` on a scaled-probe instance returns a finite, PSD and feasible
     estimate, or raises a ``FilterError``."""
-    pred, model, z, c = _scaled_instance(seed, dropped)
+    pred, model, z, c = scaled_instance(seed, dropped)
     model = SystemModel(
         model.transition, model.process_noise, model.observation,
         10.0**noise_exponent * model.measurement_noise,
@@ -1036,11 +1022,12 @@ def test_augmented_returns_a_feasible_psd_estimate_or_raises_a_filter_error(
     HARD_METHODS["projection"],
 ], ids=["augmented", "restricted_gain", "update_joseph", "projection"])
 def test_indefinite_unconstrained_posterior_raises_indefinite_covariance(update):
-    # With P's smallest eigenvalue zeroed, seed 14's Joseph posterior has min
-    # eigenvalue -2.0e-7, beyond the StateEstimate allowance; the public
-    # update_joseph, and the projection route through it, raise the same
-    # typed error as the constrained updates.
-    pred, model, z, c = _scaled_instance(14, dropped=1)
+    # With P's smallest eigenvalue zeroed, seed 48's Joseph posterior has min
+    # eigenvalue -1.1e-10 against a trace of 0.079, beyond the StateEstimate
+    # allowance; the public update_joseph, and the projection route through
+    # it, raise the same typed error as the constrained updates.  (Seed 14's
+    # S is now refused first, by the guard of kalman._gain.)
+    pred, model, z, c = scaled_instance(48, dropped=1)
     with pytest.raises(IndefiniteCovariance, match="unconstrained posterior"):
         update(pred, z, model, c)
 
@@ -1048,7 +1035,7 @@ def test_indefinite_unconstrained_posterior_raises_indefinite_covariance(update)
 @pytest.mark.parametrize("seed", [0, 2])
 def test_fusion_with_a_singular_prediction_covariance_matches_augmented(seed):
     # P need not be invertible, only the saddle matrix regular.
-    pred, model, z, c = _scaled_instance(seed, dropped=1)
+    pred, model, z, c = scaled_instance(seed, dropped=1)
     assert np.linalg.matrix_rank(pred.covariance) < pred.dim
     fused = fusion_constrained_update(pred, z, model, c).estimate
     reference = augmented_update(pred, z, model, c).estimate

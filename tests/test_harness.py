@@ -34,6 +34,7 @@ from eqkf import (
     update_joseph,
 )
 from eqkf.errors import (
+    FilterError,
     IndefiniteCovariance,
     ParseError,
     ScenarioStepError,
@@ -62,6 +63,8 @@ from eqkf.harness import run as run_module
 from eqkf.harness.config import METHODS
 from eqkf.harness.run import RNG_ALGORITHM, advance_method, emit_report
 from eqkf.oracle import empirical_covariance_check, random_constrained_instance
+
+from helpers import line_constraint, scaled_instance
 
 
 def minimal_doc(**overrides):
@@ -604,6 +607,9 @@ class TestStageReuse:
 
     @pytest.mark.parametrize("tag", list(METHODS))
     def test_every_row_equals_its_public_update_bit_for_bit(self, tag):
+        # The row, given what a run passes it, and the public update return
+        # byte-equal estimates (and the row's unconstrained update equals
+        # update_joseph's) or raise the same FilterError type.
         def public(pred, z, model, c):
             return {
                 "unconstrained": lambda: update_joseph(pred, z, model)[0],
@@ -619,24 +625,41 @@ class TestStageReuse:
                 ).estimate,
             }[tag]()
 
+        def row(pred, z, model, c):
+            (mean, cov), unconstrained = _run_row(
+                spec, pred, z, model, c, 0.25 * np.eye(c.constraint_dim)
+            )
+            assert (unconstrained is None) == (not METHODS[tag].forms_unconstrained)
+            pairs = [(mean, cov)] + ([unconstrained] if unconstrained is not None else [])
+            return [kalman._estimate(*pair, pred.step, tag) for pair in pairs]
+
+        def outcome(call, *instance):
+            try:
+                return call(*instance)
+            except FilterError as exc:
+                return type(exc)
+
         spec = method_spec(tag)
         instances = _line_2d_and_random_instances(
             lambda pred, z, model, c: SimpleNamespace(estimate=public(pred, z, model, c))
         )
         assert len(instances) == 100
-        for pred, model, z, c in instances:
-            config = dataclasses.replace(
-                load_bundled_scenario("line_2d"), soft_noise=0.25 * np.eye(c.constraint_dim)
-            )
-            (mean, cov), unconstrained = _run_row(spec, pred, z, model, c, config)
-            expected = public(pred, z, model, c)
-            assert np.array_equal(mean, expected.mean)
-            assert np.array_equal(cov, expected.covariance)
-            if unconstrained is not None:
-                plain = update_joseph(pred, z, model)[0]
-                assert np.array_equal(unconstrained[0], plain.mean)
-                assert np.array_equal(unconstrained[1], plain.covariance)
-            assert (unconstrained is None) == (not METHODS[tag].forms_unconstrained)
+        raised = []
+        for pred, model, z, c in instances + _hard_instances():
+            got = outcome(row, pred, z, model, c)
+            expected = outcome(lambda *instance: [public(*instance)] + (
+                [update_joseph(*instance[:3])[0]] if METHODS[tag].forms_unconstrained else []
+            ), pred, z, model, c)
+            if isinstance(got, type) or isinstance(expected, type):
+                assert got is expected
+                raised.append(got)
+                continue
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a.mean, b.mean)
+                assert np.array_equal(a.covariance, b.covariance)
+        # the R = 0 instances raise on every row
+        assert len(raised) >= 2
 
     def test_a_line_2d_run_checks_at_most_half_its_estimates(self, monkeypatch):
         # Without reuse every estimate's covariance is checked once.
@@ -861,12 +884,28 @@ class TestSharedStage:
         assert reports[0].summary.to_document() == reports[1].summary.to_document()
 
 
-def _run_row(spec, pred, z, model, c, config=None):
-    """The two stages of the ``METHODS`` row of ``spec`` on one prediction."""
+def _run_row(spec, pred, z, model, c, soft_noise=None):
+    """The two stages of the ``METHODS`` row of ``spec`` on one prediction, with
+    the arguments a scenario run passes."""
     row = METHODS[spec.name]
     a, b = (c.matrix, c.rhs) if row.needs_constraint else (None, None)
-    stage = row.covariance(pred.covariance, model, a, spec, config)
+    stage = row.covariance(pred.covariance, model, a, spec._projection, soft_noise)
     return row.mean(stage, pred.mean, z.value, model, a, b)
+
+
+def _hard_instances():
+    """``(pred, model, z, c)`` of scaled-probe instances, as drawn and with one
+    eigenvalue of ``P`` zeroed: those the constrained tests name, seed 3, whose
+    innovation form is degenerate, and seed 2251, whose ``S`` is numerically
+    singular.  Then ``random_kalman_instance`` seeds 27 and 37 with ``R = 0``,
+    whose ``S = H P H'`` (m = 3 > n = 2) is singular to roundoff."""
+    instances = [scaled_instance(seed) for seed in (1, 3, 10, 295, 389, 530, 1782, 2251)]
+    instances += [scaled_instance(seed, dropped=1) for seed in (0, 2, 14, 48)]
+    for seed in (27, 37):
+        pred, model, z = oracle.random_kalman_instance(seed)
+        model = dataclasses.replace(model, measurement_noise=np.zeros((3, 3)))
+        instances.append((pred, model, z, line_constraint()))
+    return instances
 
 
 def _line_2d_and_random_instances(update):

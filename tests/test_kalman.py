@@ -174,6 +174,30 @@ class TestInnovate:
         with pytest.raises(SingularInnovationCovariance):
             innovate(pred, Measurement(np.ones(len(observation)), 1), model)
 
+    @pytest.mark.parametrize("seed", [27, 37])
+    def test_a_numerically_singular_s_raises_on_both_gain_paths(self, seed):
+        # With R = 0 and m = 3 > n = 2, S = H P H' is singular, yet its
+        # Cholesky factorization succeeds through roundoff: the smallest
+        # relative pivot l_ii^2 / s_ii is 4.1e-16 (seed 27) or 6.2e-14 (seed 37)
+        pred, model, z = random_kalman_instance(seed)
+        model = dataclasses.replace(model, measurement_noise=np.zeros((3, 3)))
+        assert (pred.dim, model.measurement_dim) == (2, 3)
+        for call in (
+            lambda: update_joseph(pred, z, model),
+            lambda: kalman._joseph(pred.covariance, model.observation, model.measurement_noise),
+        ):
+            with pytest.raises(SingularInnovationCovariance, match="numerically singular") as info:
+                call()
+            assert type(info.value) is SingularInnovationCovariance
+
+    def test_a_badly_scaled_but_regular_s_is_accepted(self):
+        # S = diag(1, 1e13) has condition 1e13, but its equilibrated form is I:
+        # the guard judges S's rows relative to their own scale
+        pred = estimate([0.0, 0.0], np.eye(2))
+        model = SystemModel(np.eye(2), np.zeros((2, 2)), np.eye(2), np.diag([0.0, 1e13 - 1.0]))
+        innov = innovate(pred, Measurement([1.0, 1.0], 1), model)
+        assert_allclose(innov.gain, np.diag([1.0, 1e-13]))
+
 
 class TestUpdateJoseph:
     def test_scalar_equal_variance_fusion(self):

@@ -104,6 +104,14 @@ FAULTS = [
     ("harness/run.py", "    if method.needs_constraint and config.constraint is None:\n",
      "    if False:\n",
      "_step drops its ValidationError for a constrained row without a constraint"),
+    ("kalman.py", "    if low * CONDITION_LIMIT < s.shape[0]:\n", "    if False:\n",
+     "_gain drops its condition guard on S"),
+    ("constrained.py", "    if residual.ndim == 1 and _degenerate(quad):\n", "    if False:\n",
+     "_innovation_weight lets one degenerate innovation through"),
+    # The stage pairs the method table declares.
+    ("constrained.py", "POSTERIOR_INVERSE, shares=PROJECTION),\n",
+     'POSTERIOR_INVERSE, shares="projection_identity"),\n',
+     "augmented shares the identity projection's covariance stage"),
     # One per branch of the report writer.
     ("harness/run.py", "            floats = math.isfinite(sum(value))\n",
      "            floats = True\n",
