@@ -103,13 +103,14 @@ class MethodSpec:
         return {"method": PROJECTION, "weight": self.weight.tolist()}
 
 
-def _restricted_gain_mean(pred_cov, mean, z, model, a, b):
-    """The estimate and the unconstrained update ``(mean, cov)`` of one
-    prediction ``(mean, pred_cov)`` whose ``v' S^-1 v`` vanishes or overflows,
-    where the restricted-gain row raises ``DegenerateResidual``.  The fallback
-    goes through the public functions, so it shows at the public boundary (the
-    benchmark's tracer counts it): restricted_gain_update raises
-    DegenerateResidual, and the identity-weight projection has the same mean."""
+def _degenerate_restricted_gain(pred_cov, mean, z, model, a, b):
+    """The restricted-gain estimate and the unconstrained update ``(mean,
+    cov)`` of one prediction ``(mean, pred_cov)`` whose ``v' S^-1 v`` vanishes
+    or overflows, where the row :func:`eqkf.constrained._restricted_gain_mean`
+    raises ``DegenerateResidual``.  The fallback goes through the public
+    functions, so it shows at the public boundary (the benchmark's tracer
+    counts it): restricted_gain_update raises DegenerateResidual, and the
+    identity-weight projection has the same mean."""
     pred, z, c = StateEstimate(mean, pred_cov), Measurement(z), EqualityConstraint(a, b)
     with contextlib.suppress(DegenerateResidual):
         constrained.restricted_gain_update(pred, z, model, c)

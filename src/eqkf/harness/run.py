@@ -34,7 +34,7 @@ from ..errors import (
     DegenerateResidual, FilterError, ScenarioStepError, UnsupportedFormat, ValidationError
 )
 from ..kalman import Measurement, StateEstimate, SystemModel
-from .config import MethodSpec, ScenarioConfig, _restricted_gain_mean
+from .config import MethodSpec, ScenarioConfig, _degenerate_restricted_gain
 from .simulate import SimulationResult, simulate_truth
 
 # Identifier of the random generator algorithm used by the simulator,
@@ -105,8 +105,8 @@ def _step(mean, cov, z, model: SystemModel, spec: MethodSpec, config: ScenarioCo
         )
     try:
         reported, unconstrained = method.mean(stage[1], mean, z, model, *rows)
-    except DegenerateResidual:
-        reported, unconstrained = _restricted_gain_mean(stage[0], mean, z, model, *rows)
+    except DegenerateResidual:  # raised only by the restricted-gain row, for one mean
+        reported, unconstrained = _degenerate_restricted_gain(stage[0], mean, z, model, *rows)
     if config.feedback:
         return reported, reported, stage
     if unconstrained is None:

@@ -295,13 +295,14 @@ def _gain(cov, h, r) -> tuple[np.ndarray, np.ndarray]:
     if info > 0:
         raise SingularInnovationCovariance("innovation covariance is not positive definite")
     # l_ii^2 / s_ii in (0, 1], the share of s_ii the earlier rows leave
-    # unexplained, on floats, which overflow or underflow without a warning
-    low = min(p * p / d for p, d in zip(factor.diagonal().tolist(), s.diagonal().tolist()))
-    if low * CONDITION_LIMIT < s.shape[0]:
-        raise SingularInnovationCovariance(
-            f"innovation covariance is numerically singular "
-            f"(smallest relative Cholesky pivot {low:.3e})"
-        )
+    # unexplained, on floats, which overflow or underflow without a warning;
+    # an overflowing s_ii gives inf / inf, a NaN share, which fails the test
+    for p, d in zip(factor.diagonal().tolist(), s.diagonal().tolist()):
+        if not p * p / d * CONDITION_LIMIT >= s.shape[0]:
+            raise SingularInnovationCovariance(
+                f"innovation covariance is numerically singular "
+                f"(relative Cholesky pivot {p * p / d:.3e})"
+            )
     return s, _POTRS(factor, (cov @ h.T).T, lower=1)[0].T
 
 

@@ -609,7 +609,8 @@ class TestStageReuse:
     def test_every_row_equals_its_public_update_bit_for_bit(self, tag):
         # The row, given what a run passes it, and the public update return
         # byte-equal estimates (and the row's unconstrained update equals
-        # update_joseph's) or raise the same FilterError type.
+        # update_joseph's).  On the hard instances both may instead raise the
+        # same FilterError type; the R = 0 instances raise on every row.
         def public(pred, z, model, c):
             return {
                 "unconstrained": lambda: update_joseph(pred, z, model)[0],
@@ -633,6 +634,17 @@ class TestStageReuse:
             pairs = [(mean, cov)] + ([unconstrained] if unconstrained is not None else [])
             return [kalman._estimate(*pair, pred.step, tag) for pair in pairs]
 
+        def expected(pred, z, model, c):
+            return [public(pred, z, model, c)] + (
+                [update_joseph(pred, z, model)[0]] if METHODS[tag].forms_unconstrained else []
+            )
+
+        def assert_equal(got, want):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.mean, b.mean)
+                assert np.array_equal(a.covariance, b.covariance)
+
         def outcome(call, *instance):
             try:
                 return call(*instance)
@@ -644,22 +656,17 @@ class TestStageReuse:
             lambda pred, z, model, c: SimpleNamespace(estimate=public(pred, z, model, c))
         )
         assert len(instances) == 100
-        raised = []
-        for pred, model, z, c in instances + _hard_instances():
+        for pred, model, z, c in instances:
+            assert_equal(row(pred, z, model, c), expected(pred, z, model, c))
+        hard = _hard_instances()
+        for k, (pred, model, z, c) in enumerate(hard):
             got = outcome(row, pred, z, model, c)
-            expected = outcome(lambda *instance: [public(*instance)] + (
-                [update_joseph(*instance[:3])[0]] if METHODS[tag].forms_unconstrained else []
-            ), pred, z, model, c)
-            if isinstance(got, type) or isinstance(expected, type):
-                assert got is expected
-                raised.append(got)
+            want = outcome(expected, pred, z, model, c)
+            if isinstance(got, type) or isinstance(want, type):
+                assert got is want
                 continue
-            assert len(got) == len(expected)
-            for a, b in zip(got, expected):
-                assert np.array_equal(a.mean, b.mean)
-                assert np.array_equal(a.covariance, b.covariance)
-        # the R = 0 instances raise on every row
-        assert len(raised) >= 2
+            assert k < len(hard) - 2, "an R = 0 instance was updated"
+            assert_equal(got, want)
 
     def test_a_line_2d_run_checks_at_most_half_its_estimates(self, monkeypatch):
         # Without reuse every estimate's covariance is checked once.

@@ -13,9 +13,12 @@ from eqkf import (
     Measurement,
     StateEstimate,
     SystemModel,
+    augmented_update,
     fusion_constrained_update,
     innovate,
     predict,
+    restricted_gain_update,
+    soft_augmented_update,
     update_fusion,
     update_joseph,
 )
@@ -23,13 +26,14 @@ from eqkf.errors import (
     DimensionMismatch,
     FilterError,
     IndefiniteCovariance,
+    SingularAugmentedInnovation,
     SingularInnovationCovariance,
 )
 from eqkf import kalman, matops
 from eqkf.matops import min_eigenvalue
 from eqkf.oracle import random_constrained_instance, random_kalman_instance
 
-from helpers import estimate, rel
+from helpers import estimate, rel, scaled_instance
 
 
 class TestConstruction:
@@ -197,6 +201,65 @@ class TestInnovate:
         model = SystemModel(np.eye(2), np.zeros((2, 2)), np.eye(2), np.diag([0.0, 1e13 - 1.0]))
         innov = innovate(pred, Measurement([1.0, 1.0], 1), model)
         assert_allclose(innov.gain, np.diag([1.0, 1e-13]))
+
+    def test_the_s_guard_refuses_no_well_conditioned_s_and_every_singular_one(self):
+        # The guard's estimate m / min(l_ii^2 / s_ii) is at most m times the
+        # 2-norm condition of the equilibrated S, so an S whose condition is
+        # at most CONDITION_LIMIT / m is never refused.  An S whose condition
+        # passes 1 / eps is singular at working precision; the scaled probe
+        # has such S on both gain paths, the update's and the soft update's
+        # stacked [H; A] with noise R + 0.25 I.  In between the guard may go
+        # either way, as the Gram and weight guards do.  Kept S include some
+        # whose raw condition passes CONDITION_LIMIT: the rows are judged on
+        # their own scale.
+        eps = np.finfo(float).eps
+        refused = singular = ill_scaled = 0
+        for seed in [*range(1000), 2569]:
+            pred, model, z, c = scaled_instance(seed)
+            m, q = model.measurement_dim, c.constraint_dim
+            stacked = np.block([
+                [model.measurement_noise, np.zeros((m, q))],
+                [np.zeros((q, m)), 0.25 * np.eye(q)],
+            ])
+            for h, r in (
+                (model.observation, model.measurement_noise),
+                (np.vstack([model.observation, c.matrix]), stacked),
+            ):
+                s = h @ pred.covariance @ h.T + r
+                d = 1.0 / np.sqrt(np.diag(s))
+                cond = np.linalg.cond(d[:, None] * s * d)
+                singular += cond > 1.0 / eps
+                try:
+                    kalman._gain(pred.covariance, h, r)
+                except SingularInnovationCovariance:
+                    refused += 1
+                    assert cond > matops.CONDITION_LIMIT / len(s)
+                else:
+                    assert cond <= 1.0 / eps
+                    ill_scaled += np.linalg.cond(s) > matops.CONDITION_LIMIT
+        assert singular and refused > singular and ill_scaled
+
+    def test_a_probe_s_singular_at_working_precision_is_refused_by_every_gain_update(self):
+        # Scaled-probe seed 2569: P has eigenvalues 1.6e2 to 4.3e16 and R is
+        # of order 1, so S = H P H' + R is regular, but the roundoff of H P H'
+        # swamps R: the equilibrated S has condition 4.1e17.  Without the
+        # guard update_joseph returned a mean 130 % away from the information
+        # form's, which does not form S and still updates.
+        pred, model, z, c = scaled_instance(2569)
+        for call, error in (
+            (lambda: update_joseph(pred, z, model), SingularInnovationCovariance),
+            (lambda: kalman._joseph(pred.covariance, model.observation,
+                                    model.measurement_noise), SingularInnovationCovariance),
+            (lambda: augmented_update(pred, z, model, c), SingularAugmentedInnovation),
+            (lambda: restricted_gain_update(pred, z, model, c), SingularInnovationCovariance),
+            (lambda: soft_augmented_update(pred, z, model, c, 0.25 * np.eye(1)),
+             SingularAugmentedInnovation),
+        ):
+            with pytest.raises(error) as raised:
+                call()
+            assert type(raised.value) is error
+        assert np.isfinite(update_fusion(pred, z, model).mean).all()
+        assert fusion_constrained_update(pred, z, model, c).estimate.dim == pred.dim
 
 
 class TestUpdateJoseph:
@@ -373,6 +436,13 @@ def test_symmetry_survives_long_recursions():
     pytest.param(update_fusion, 1e308, 1.0, 1.0,
                  IndefiniteCovariance, "posterior: mean has non-finite entries",
                  id="update_fusion-refinement"),
+    # S = H P H' + R overflows to inf, whose relative pivot inf / inf is NaN
+    pytest.param(update_joseph, 1.0, 1.0, 1e160,
+                 SingularInnovationCovariance, "numerically singular",
+                 id="update_joseph-overflowing-s"),
+    pytest.param(lambda pred, z, model: _joseph_as_run(pred, model), 1.0, 1.0, 1e160,
+                 SingularInnovationCovariance, "numerically singular",
+                 id="run-joseph-overflowing-s"),
 ])
 def test_an_overflowing_input_raises_a_typed_error_and_no_warning(
     call, mean_scale, f_scale, h_scale, error, message
@@ -385,6 +455,13 @@ def test_an_overflowing_input_raises_a_typed_error_and_no_warning(
                                  observation=h_scale * model.observation)
     with pytest.raises(error, match=message) as raised:
         call(huge, z, scaled)
-    # S is positive definite here, so the residual must not read as a
-    # singular innovation covariance (a subclass of FilterError).
+    # Where S is positive definite the residual must not read as a singular
+    # innovation covariance (a subclass of FilterError).
     assert type(raised.value) is error
+
+
+def _joseph_as_run(pred, model):
+    """The covariance stage a scenario run takes for an update, under the
+    run's ``np.errstate(over="ignore")``."""
+    with np.errstate(over="ignore"):
+        return kalman._joseph(pred.covariance, model.observation, model.measurement_noise)

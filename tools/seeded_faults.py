@@ -104,7 +104,8 @@ FAULTS = [
     ("harness/run.py", "    if method.needs_constraint and config.constraint is None:\n",
      "    if False:\n",
      "_step drops its ValidationError for a constrained row without a constraint"),
-    ("kalman.py", "    if low * CONDITION_LIMIT < s.shape[0]:\n", "    if False:\n",
+    ("kalman.py", "        if not p * p / d * CONDITION_LIMIT >= s.shape[0]:\n",
+     "        if False:\n",
      "_gain drops its condition guard on S"),
     ("constrained.py", "    if residual.ndim == 1 and _degenerate(quad):\n", "    if False:\n",
      "_innovation_weight lets one degenerate innovation through"),
