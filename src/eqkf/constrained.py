@@ -52,7 +52,8 @@ runs and the Monte-Carlo oracle do.  The covariance stage reads only the
 covariance, the model, ``a``, the weight and the soft noise, and returns the
 posterior covariances and the blocks the mean needs: the gain and ``U``;
 augmentation and the restricted gain run the stage of the projection they
-equal.  The mean stage applies them to one mean ``(n,)`` or a stack ``(T, n)``.
+equal.  The mean stage applies them to one mean ``(n,)``, with ``b`` ``(q,)``,
+or to a stack ``(n, T)`` of means in columns, with ``b`` ``(q, 1)``.
 """
 
 from __future__ import annotations
@@ -350,12 +351,12 @@ def _covariance_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def _along(ups, a, b, mean) -> np.ndarray:
-    """Mean stage of a projection along ``U``: each row's ``mean - U (a mean - b)``."""
-    return mean - (mean @ a.T - b) @ ups.T
+    """Mean stage of a projection along ``U``: each column's ``mean - U (a mean - b)``."""
+    return mean - ups @ (a @ mean - b)
 
 
 def _projection_mean(stage, mean, z, model: SystemModel, a, b):
-    """Mean stage of the projection rows: each row's gain update, then its move
+    """Mean stage of the projection rows: each column's gain update, then its move
     along ``U``, as the constrained and the unconstrained ``(mean, cov)``."""
     _, gain, post, ((ups, _), cov) = stage
     plain = kalman._correct(mean, z, model.observation, gain)[1]
@@ -439,14 +440,14 @@ def _augmented_stage(cov, model: SystemModel, a, weight, noise):
 
 def _augmented_mean(stage, mean, z, model: SystemModel, a, b):
     """Mean stage of :func:`augmented_update`: the constrained and the
-    unconstrained ``(mean, cov)``, each row's ``[v; b - A x]`` times the
+    unconstrained ``(mean, cov)``, each column's ``[v; b - A x]`` times the
     stacked gain ``[K - U (A K), U]`` that :func:`block_s_inverse` gives."""
     _, gain, post, projected = stage
     residual, plain = kalman._correct(mean, z, model.observation, gain)
     if projected is None:
         return ((plain, post),) * 2
     (ups, _), cov = projected
-    mean = mean + residual @ (gain - ups @ (a @ gain)).T + (b - mean @ a.T) @ ups.T
+    mean = mean + (gain - ups @ (a @ gain)) @ residual + ups @ (b - a @ mean)
     return (mean, cov), (plain, post)
 
 
@@ -510,13 +511,13 @@ def project(
 
 
 def _innovation_weight(s, residual) -> tuple[np.ndarray, np.ndarray]:
-    """``S^-1 v`` and the quadratic form ``v' S^-1 v`` of each innovation row
+    """``S^-1 v`` and the quadratic form ``v' S^-1 v`` of each innovation column
     ``v``; one innovation ``(m,)`` whose form is :func:`_degenerate` raises
-    ``DegenerateResidual``, which a stack ``(T, m)`` leaves to its caller."""
+    ``DegenerateResidual``, which a stack ``(m, T)`` leaves to its caller."""
     s_inv_nu = matops._cholesky_solve(
-        s, residual.T, "innovation covariance", SingularInnovationCovariance
-    ).T
-    quad = np.sum(residual * s_inv_nu, axis=-1)
+        s, residual, "innovation covariance", SingularInnovationCovariance
+    )
+    quad = np.sum(residual * s_inv_nu, axis=0)
     if residual.ndim == 1 and _degenerate(quad):
         raise DegenerateResidual(
             f"innovation quadratic form {quad:.3e} is below tolerance or not finite"
@@ -581,9 +582,9 @@ def solve_lagrange_system(
 def _restricted_gain_mean(stage, mean, z, model: SystemModel, a, b):
     """Mean stage of :func:`restricted_gain_update` (whose covariance stage is
     :func:`_joseph_stage` with the ``IDENTITY`` weight): the constrained and the
-    unconstrained ``(mean, cov)``.  Each row's innovation ``v`` gets the gain
+    unconstrained ``(mean, cov)``.  Each column's innovation ``v`` gets the gain
     ``K + U d w'`` of :func:`solve_lagrange_system` as ``K v + U d (w' v)``.  A
-    row of a stack with a degenerate ``v' S^-1 v`` takes the identity-weight
+    column of a stack with a degenerate ``v' S^-1 v`` takes the identity-weight
     projection, which has the same mean; one mean with a degenerate form raises
     ``DegenerateResidual``, as the public update does."""
     s, gain, post, projected = stage
@@ -593,10 +594,10 @@ def _restricted_gain_mean(stage, mean, z, model: SystemModel, a, b):
     (ups, _), cov = projected
     s_inv_nu, quad = _innovation_weight(s, residual)
     degenerate = _degenerate(quad)
-    w = s_inv_nu / np.where(degenerate, np.inf, quad)[..., None]
-    defect = b - plain @ a.T
-    corrected = plain + np.sum(w * residual, axis=-1)[..., None] * (defect @ ups.T)
-    mean = np.where(degenerate[..., None], _along(ups, a, b, plain), corrected)
+    w = s_inv_nu / np.where(degenerate, np.inf, quad)
+    defect = b - a @ plain
+    corrected = plain + np.sum(w * residual, axis=0) * (ups @ defect)
+    mean = np.where(degenerate, _along(ups, a, b, plain), corrected)
     return (mean, cov), (plain, post)
 
 
@@ -621,7 +622,7 @@ def restricted_gain_update(
     s, gain, _, projected = stage
     correction, multipliers = np.zeros(gain.size), np.zeros(0)
     if c.constraint_dim:
-        weight = _innovation_weight(s, z.value - pred.mean @ model.observation.T)
+        weight = _innovation_weight(s, z.value - model.observation @ pred.mean)
         # the stage's (U, (A A')^-1), factored for the identity weight
         correction, multipliers = _gain_correction(
             projected[0], c.rhs - c.matrix @ plain, *weight
@@ -729,12 +730,12 @@ def _soft_stage(cov, model: SystemModel, a, weight, noise):
 
 def _soft_mean(stage, mean, z, model: SystemModel, a, b):
     """Mean stage of :func:`soft_augmented_update`: the ``(mean, cov)`` of the
-    gain update with each row's ``[z, b]``, written into one array, and None."""
+    gain update with each column's ``[z, b]``, written into one array, and None."""
     stacked_obs, gain, post = stage
     m = model.measurement_dim
-    stacked_z = np.empty((*z.shape[:-1], stacked_obs.shape[0]))
-    stacked_z[..., :m] = z
-    stacked_z[..., m:] = b
+    stacked_z = np.empty((stacked_obs.shape[0], *z.shape[1:]))
+    stacked_z[:m] = z
+    stacked_z[m:] = b
     return (kalman._correct(mean, stacked_z, stacked_obs, gain)[1], post), None
 
 

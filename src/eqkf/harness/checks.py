@@ -590,9 +590,9 @@ def check_monte_carlo(
     times the unconstrained filter's.
 
     Each run goes through :func:`eqkf.oracle.empirical_covariance_check`,
-    which filters all trials at once through the array step of scenario
-    runs.  Both bundled scenarios use a linear model and, where
-    constrained, a linear constraint, as that oracle requires.
+    which filters all trials at once, in the columns of one array, through
+    the array step of scenario runs.  Both bundled scenarios use a linear
+    model and, where constrained, a linear constraint, as that oracle requires.
     """
     scalar = oracle.empirical_covariance_check(
         load_bundled_scenario("mc_scalar"), "unconstrained", trials, seed=5

@@ -83,18 +83,21 @@ class RunReport:
 
 def _step(mean, cov, z, model: SystemModel, spec: MethodSpec, config: ScenarioConfig,
           stage=None):
-    """:func:`advance_method` on arrays: ``mean`` ``(n,)`` or ``(T, n)`` with
-    one shared ``cov``, and ``z`` ``(m,)`` or ``(T, m)``.  Returns the reported
-    and the continuing ``(mean, cov)``, one pair with ``feedback`` on, and the
-    covariance stage, which a later call from a byte-equal ``cov`` may pass
-    back as ``stage`` to run the mean stage alone.  The caller checks the
-    covariances.  A stack needs a linear constraint; the stage keeps the
-    prediction covariance for the restricted-gain fallback of one mean."""
+    """:func:`advance_method` on arrays: ``mean`` ``(n,)``, or ``(n, T)`` for a
+    stack of means in columns with one shared ``cov``, and ``z`` ``(m,)`` or
+    ``(m, T)``.  Returns the reported and the continuing ``(mean, cov)``, one
+    pair with ``feedback`` on, and the covariance stage, which a later call
+    from a byte-equal ``cov`` may pass back as ``stage`` to run the mean stage
+    alone.  The caller checks the covariances.  A stack needs a linear
+    constraint; the stage keeps the prediction covariance for the
+    restricted-gain fallback of one mean."""
     method, plain = METHODS[spec.name], METHODS["unconstrained"]
-    mean = mean @ model.transition.T
+    mean = model.transition @ mean
     if method.needs_constraint and config.constraint is None:
         raise ValidationError("constraint: a constrained method needs one")
     rows = config.constraint._rows(mean) if method.needs_constraint else (None, None)
+    if mean.ndim > 1 and method.needs_constraint:  # b for each column
+        rows = rows[0], rows[1][:, None]
     if stage is None:
         cov = kalman._predict_covariance(cov, model)
         separate = not (config.feedback or method.forms_unconstrained)

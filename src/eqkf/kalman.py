@@ -17,7 +17,8 @@ kernels on arrays in two stages: a covariance stage that reads no mean
 (:func:`_predict_covariance`, :func:`_gain`, :func:`_joseph`,
 :func:`_fusion_stage`) and returns the covariance and what the mean needs,
 and a mean stage (:func:`_correct`, :func:`_fusion_solve`) that applies it
-to one mean or a ``(T, n)`` stack of means in rows.  :func:`_estimate`
+to one mean ``(n,)`` or an ``(n, T)`` stack of means in columns, each product
+written ``matrix @ mean`` so one text serves both.  :func:`_estimate`
 builds an estimate from a kernel's arrays; one that fails the
 ``StateEstimate`` checks raises ``IndefiniteCovariance``, naming the mean or
 the covariance when it is the non-finite array.  The public functions run
@@ -277,7 +278,7 @@ def predict(est: StateEstimate, model: SystemModel) -> StateEstimate:
             f"model state dimension {model.state_dim} does not match estimate {est.dim}"
         )
     cov = _predict_covariance(est.covariance, model)
-    return _estimate(est.mean @ model.transition.T, cov, est.step + 1, "prediction")
+    return _estimate(model.transition @ est.mean, cov, est.step + 1, "prediction")
 
 
 def _gain(cov, h, r) -> tuple[np.ndarray, np.ndarray]:
@@ -316,9 +317,9 @@ def _joseph(cov, h, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _correct(mean, z, h, gain) -> tuple[np.ndarray, np.ndarray]:
-    """Mean stage of a gain update: each row's residual ``v = z - H x`` and ``x + K v``."""
-    residual = z - mean @ h.T
-    return residual, mean + residual @ gain.T
+    """Mean stage of a gain update: each column's residual ``v = z - H x`` and ``x + K v``."""
+    residual = z - h @ mean
+    return residual, mean + gain @ residual
 
 
 def _innovation_stats(residual, s, gain) -> InnovationStats:
@@ -394,21 +395,19 @@ def _fusion_solve(stage, mean, z, b) -> tuple[np.ndarray, np.ndarray]:
     right-hand side, also when the covariance is already known: ``?sytrs`` is
     not bound to round a column the same when other columns share its solve."""
     saddle, solve = stage
-    n = mean.shape[-1]
+    n = mean.shape[0]
     k = saddle.shape[0] - n
-    stacked_z = np.empty((*mean.shape[:-1], k))
-    stacked_z[..., :n] = mean
-    stacked_z[..., n : k - b.size] = z
-    stacked_z[..., k - b.size :] = b
-    stacked_z = stacked_z.reshape(-1, k)
-    columns = np.zeros((k + n, n + stacked_z.shape[0]))
+    columns = np.zeros((k + n, n + mean.size // n))
     np.fill_diagonal(columns[k:], 1.0)
-    columns[:k, n:] = stacked_z.T
+    stacked_z = columns[:k, n:].reshape(k, *mean.shape[1:])  # a view
+    stacked_z[:n] = mean
+    stacked_z[n : k - len(b)] = z
+    stacked_z[k - len(b) :] = b
     solved = solve(columns)
     fused = solved[:, n:]
     fused += solve(columns[:, n:] - saddle @ fused)
     post = solved[k:, :n]
-    return fused[k:].T.reshape(mean.shape), -0.5 * (post + post.T)
+    return fused[k:].reshape(mean.shape), -0.5 * (post + post.T)
 
 
 @np.errstate(over="ignore", invalid="ignore")

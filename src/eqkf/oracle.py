@@ -209,6 +209,12 @@ class CovarianceCheckReport:
         )
 
 
+def _times(matrix, x):
+    """``matrix @ x`` for a stack ``x`` ``(k, T)``: a broadcast multiply when
+    ``k`` is 1, where it is the same product without a matmul's overhead."""
+    return matrix * x if matrix.shape[1] == 1 else matrix @ x
+
+
 def empirical_covariance_check(
     config: ScenarioConfig,
     method: str | MethodSpec,
@@ -225,11 +231,13 @@ def empirical_covariance_check(
     covariance of the final-step errors is then compared against the
     covariance the filter reports.
 
-    All trials are filtered at once, as a ``(trials, n)`` stack of means
-    through the array step that :func:`eqkf.harness.run.advance_method`
+    All trials are filtered at once, as an ``(n, trials)`` stack of means in
+    columns through the array step that :func:`eqkf.harness.run.advance_method`
     wraps, one call per time step.  That is exact, not an approximation:
     with a linear model and a linear constraint no method's covariance or
-    gain reads the mean, so one covariance serves every trial.
+    gain reads the mean, so one covariance serves every trial.  Every
+    product is a small matrix times the wide stack, and the noise factors
+    are computed once per model.
 
     Constrained scenarios must use a linear (``affine``) constraint and a
     transition that maps the constraint set to itself (the bundled
@@ -259,33 +267,41 @@ def empirical_covariance_check(
     belief = config.initial_estimate
     if c is not None and c.constraint_dim > 0:
         belief = constrain_posterior(belief, c).estimate
-    x = belief.mean + rng.standard_normal((trials, n)) @ psd_factor(belief.covariance).T
-    means = np.broadcast_to(config.initial_estimate.mean, (trials, n))
+    # each draw is a (trials, k) row stack, one trial a row, taken as columns
+    x = belief.mean[:, None] + _times(
+        psd_factor(belief.covariance), rng.standard_normal((trials, n)).T
+    )
+    means = np.broadcast_to(config.initial_estimate.mean[:, None], (n, trials))
     cov = config.initial_estimate.covariance
+    factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in range(steps):
         model = config.model_at(k)
-        q = model.process_noise
-        if c is not None:
-            # covariance of w given A w = 0; the pinv tolerates a singular A Q A'
-            a = c.matrix
-            q = q - q @ a.T @ np.linalg.pinv(a @ q @ a.T) @ (a @ q)
-        lq = psd_factor(q)
-        lr = psd_factor(model.measurement_noise)
-        x = x @ model.transition.T + rng.standard_normal((trials, n)) @ lq.T
-        m = model.measurement_dim
-        z = x @ model.observation.T + rng.standard_normal((trials, m)) @ lr.T
+        key = id(model)
+        if key not in factors:
+            q = model.process_noise
+            if c is not None:
+                # covariance of w given A w = 0; the pinv tolerates a singular A Q A'
+                a = c.matrix
+                q = q - q @ a.T @ np.linalg.pinv(a @ q @ a.T) @ (a @ q)
+            factors[key] = psd_factor(q), psd_factor(model.measurement_noise)
+        lq, lr = factors[key]
+        x = _times(model.transition, x) + _times(lq, rng.standard_normal((trials, n)).T)
+        z = _times(model.observation, x) + _times(
+            lr, rng.standard_normal((trials, model.measurement_dim)).T
+        )
         (reported, p), (means, cov), _ = _step(means, cov, z, model, spec, config)
         _check_posterior(p, spec.label)
         if cov is not p:
             _check_posterior(cov, "unconstrained")
     if c is not None and c.constraint_dim > 0:
-        drift = float(np.abs(x @ c.matrix.T - c.rhs).max())
+        drift = float(np.abs(_times(c.matrix, x) - c.rhs[:, None]).max())
         if drift > 1e-6 * (1.0 + float(np.linalg.norm(c.rhs))):
             raise ValueError(
                 "scenario transition does not preserve the constraint set"
             )
 
-    errors = x - reported
+    # one trial a row in C order: np.cov's sums round by the memory order
+    errors = (x - reported).T.copy()
     sample = np.atleast_2d(np.cov(errors, rowvar=False))
     threshold = 1e-6 * abs(float(np.trace(p)))
     matched = np.abs(p) > threshold

@@ -398,24 +398,27 @@ class TestRestrictedGain:
 
     def test_a_stacked_row_with_an_overflowing_form_takes_the_projection(self):
         pred, model, z, c = random_constrained_instance(3)
-        means = np.stack([pred.mean, pred.mean * 1e300])
-        zs = np.stack([z.value, z.value])
+        means = np.stack([pred.mean, pred.mean * 1e300], axis=1)
+        zs = np.stack([z.value, z.value], axis=1)
         stage = constrained._joseph_stage(
             pred.covariance, model, c.matrix, constrained._IDENTITY_SPEC
         )
         with np.errstate(over="ignore"):
             (mean, _), (plain, _) = constrained._restricted_gain_mean(
-                stage, means, zs, model, c.matrix, c.rhs
+                stage, means, zs, model, c.matrix, c.rhs[:, None]
             )
-            _, quad = constrained._innovation_weight(stage[0], zs - means @ model.observation.T)
+            _, quad = constrained._innovation_weight(stage[0], zs - model.observation @ means)
             # one mean with that form raises, as the public update does
             with pytest.raises(DegenerateResidual, match="not finite"):
-                constrained._restricted_gain_mean(stage, means[1], z.value, model, c.matrix, c.rhs)
+                constrained._restricted_gain_mean(
+                    stage, means[:, 1], z.value, model, c.matrix, c.rhs
+                )
         assert np.isfinite(quad[0]) and np.isinf(quad[1])
         _, single = restricted_gain_update(pred, z, model, c)
-        assert_allclose(mean[0], single.estimate.mean, rtol=1e-12, atol=1e-12)
+        assert_allclose(mean[:, 0], single.estimate.mean, rtol=1e-12, atol=1e-12)
         ups = stage[3][0][0]
-        assert_allclose(mean[1], constrained._along(ups, c.matrix, c.rhs, plain[1]), rtol=1e-12)
+        assert_allclose(mean[:, 1], constrained._along(ups, c.matrix, c.rhs, plain[:, 1]),
+                        rtol=1e-12)
 
     @IDENTITY_WEIGHTS
     def test_equals_identity_weight_projection(self, identity_weight):
@@ -522,19 +525,19 @@ class TestFusionConstrained:
         for seed in range(200):
             pred, model, z, c = random_constrained_instance(seed)
             rng = np.random.default_rng(seed)
-            means = pred.mean + rng.standard_normal((4, pred.dim))
-            zs = z.value + rng.standard_normal((4, z.dim))
+            means = (pred.mean + rng.standard_normal((4, pred.dim))).T
+            zs = (z.value + rng.standard_normal((4, z.dim))).T
             cov = pred.covariance
             stage = kalman._fusion_stage(cov, model, c.matrix)
             single = kalman._fusion_solve(stage, pred.mean, z.value, c.rhs)
-            stacked = kalman._fusion_solve(stage, means, zs, c.rhs)
+            stacked = kalman._fusion_solve(stage, means, zs, c.rhs[:, None])
             for (mean, post), (ref_mean, ref_post) in (
                 (single, _pseudo_inverse_fusion(pred.mean, cov, z.value, model, c)),
                 (stacked, _pseudo_inverse_fusion(means, cov, zs, model, c)),
             ):
                 assert rel(mean, ref_mean) <= 1e-10
                 assert rel(post, ref_post) <= 1e-10
-            for row, mean, zv in zip(stacked[0], means, zs):
+            for row, mean, zv in zip(stacked[0].T, means.T, zs.T):
                 row_fused = kalman._fusion_solve(stage, mean, zv, c.rhs)[0]
                 assert rel(row, row_fused) <= 1e-12
 
@@ -579,10 +582,10 @@ def _pseudo_inverse_fusion(mean, cov, z, model, c):
     matrix: the reference the factored solve is checked against."""
     n, q = cov.shape[0], c.constraint_dim
     k = n + model.measurement_dim + q
-    rhs = np.broadcast_to(c.rhs, (*mean.shape[:-1], q))
-    stacked_z = np.concatenate([mean, z, rhs], axis=-1)
+    rhs = np.broadcast_to(c.rhs, (*mean.shape[1:], q)).T
+    stacked_z = np.concatenate([mean, z, rhs])
     inv = pseudo_inverse(_block_saddle(cov, model, c))
-    return stacked_z @ inv[k:, :k].T, -0.5 * (inv[k:, k:] + inv[k:, k:].T)
+    return inv[k:, :k] @ stacked_z, -0.5 * (inv[k:, k:] + inv[k:, k:].T)
 
 
 class TestInPlaceAssembly:
@@ -613,13 +616,14 @@ class TestInPlaceAssembly:
             assert np.array_equal(stage[0], obs)
             assert np.array_equal(stage[1], gain)
             assert np.array_equal(stage[2], post)
-            for zs in (z.value, np.stack([z.value, 2.0 * z.value])):
-                # the mean stage writes each row's [z, b] into one array
-                rhs = np.broadcast_to(c.rhs, (*zs.shape[:-1], q))
-                stacked_z = np.concatenate([zs, rhs], axis=-1)
-                mean = np.zeros(zs.shape[:-1] + (c.state_dim,))
+            for zs, b in ((z.value, c.rhs),
+                          (np.stack([z.value, 2.0 * z.value], axis=1), c.rhs[:, None])):
+                # the mean stage writes each column's [z, b] into one array
+                rhs = np.broadcast_to(b, (q, *zs.shape[1:]))
+                stacked_z = np.concatenate([zs, rhs])
+                mean = np.zeros((c.state_dim, *zs.shape[1:]))
                 expected = kalman._correct(mean, stacked_z, obs, stage[1])[1]
-                (got, _), _ = constrained._soft_mean(stage, mean, zs, model, c.matrix, c.rhs)
+                (got, _), _ = constrained._soft_mean(stage, mean, zs, model, c.matrix, b)
                 assert np.array_equal(got, expected)
 
     def test_gram_factorization_equals_the_numpy_qr_form(self):

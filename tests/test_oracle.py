@@ -20,7 +20,7 @@ from eqkf import (
     restricted_gain_update,
     update_joseph,
 )
-from eqkf import kalman
+from eqkf import constrained, kalman, matops
 from eqkf.errors import DegenerateResidual, DimensionMismatch, IndefiniteCovariance, SingularKkt
 from eqkf.harness import config_from_document, load_bundled_scenario, run
 from eqkf.harness.run import advance_method
@@ -300,9 +300,186 @@ class TestEmpiricalCovarianceCheck:
             assert np.array_equal(a, b), field.name
 
 
+# The oracle loop as it ran on row stacks: each trial a row of a (trials, n)
+# array, every product (trials, n) @ M.T, and the mean stages in that form.
+def _row_correct(mean, z, h, gain):
+    residual = z - mean @ h.T
+    return residual, mean + residual @ gain.T
+
+
+def _row_along(ups, a, b, mean):
+    return mean - (mean @ a.T - b) @ ups.T
+
+
+def _row_augmented(stage, mean, z, model, a, b):
+    _, gain, post, projected = stage
+    residual, plain = _row_correct(mean, z, model.observation, gain)
+    if projected is None:
+        return ((plain, post),) * 2
+    (ups, _), cov = projected
+    mean = mean + residual @ (gain - ups @ (a @ gain)).T + (b - mean @ a.T) @ ups.T
+    return (mean, cov), (plain, post)
+
+
+def _row_projection(stage, mean, z, model, a, b):
+    _, gain, post, ((ups, _), cov) = stage
+    plain = _row_correct(mean, z, model.observation, gain)[1]
+    return (_row_along(ups, a, b, plain), cov), (plain, post)
+
+
+def _row_restricted_gain(stage, mean, z, model, a, b):
+    s, gain, post, ((ups, _), cov) = stage
+    residual, plain = _row_correct(mean, z, model.observation, gain)
+    s_inv_nu = matops._cholesky_solve(s, residual.T, "S", ValueError).T
+    quad = np.sum(residual * s_inv_nu, axis=-1)
+    degenerate = constrained._degenerate(quad)
+    w = s_inv_nu / np.where(degenerate, np.inf, quad)[..., None]
+    defect = b - plain @ a.T
+    corrected = plain + np.sum(w * residual, axis=-1)[..., None] * (defect @ ups.T)
+    mean = np.where(degenerate[..., None], _row_along(ups, a, b, plain), corrected)
+    return (mean, cov), (plain, post)
+
+
+def _row_fusion(stage, mean, z, model, a, b):
+    saddle, solve = stage
+    trials, n = mean.shape
+    k = saddle.shape[0] - n
+    columns = np.zeros((k + n, n + trials))
+    np.fill_diagonal(columns[k:], 1.0)
+    columns[:k, n:] = np.hstack([mean, z, np.broadcast_to(b, (trials, b.size))]).T
+    solved = solve(columns)
+    fused = solved[:, n:]
+    fused += solve(columns[:, n:] - saddle @ fused)
+    post = solved[k:, :n]
+    return (fused[k:].T, -0.5 * (post + post.T)), None
+
+
+def _row_soft(stage, mean, z, model, a, b):
+    stacked_obs, gain, post = stage
+    stacked_z = np.hstack([z, np.broadcast_to(b, (len(z), b.size))])
+    return (_row_correct(mean, stacked_z, stacked_obs, gain)[1], post), None
+
+
+_ROW_MEANS = {
+    "unconstrained": _row_augmented,
+    "augmented": _row_augmented,
+    "fusion": _row_fusion,
+    "projection": _row_projection,
+    "restricted_gain": _row_restricted_gain,
+    "soft_augmented": _row_soft,
+}
+
+
+def _row_step(mean, cov, z, model, spec, config):
+    method = constrained.METHODS[spec.name]
+    mean = mean @ model.transition.T
+    a, b = config.constraint._rows(mean) if method.needs_constraint else (None, None)
+    cov = kalman._predict_covariance(cov, model)
+    stage = method.covariance(cov, model, a, spec._projection, config.soft_noise)
+    reported, unconstrained = _ROW_MEANS[spec.name](stage, mean, z, model, a, b)
+    if config.feedback:
+        return reported, reported
+    if unconstrained is None:
+        plain = constrained.METHODS["unconstrained"].covariance(cov, model, None, None, None)
+        unconstrained, _ = _row_augmented(plain, mean, z, model, None, None)
+    return reported, unconstrained
+
+
+def _row_stack_check(config, spec, trials, seed):
+    """The fields of ``empirical_covariance_check``'s report from the row-stack loop."""
+    n, c = config.state_dim, config.constraint
+    rng = np.random.default_rng(seed)
+    belief = config.initial_estimate
+    if c is not None:
+        belief = constrained.constrain_posterior(belief, c).estimate
+    x = belief.mean + rng.standard_normal((trials, n)) @ matops.psd_factor(belief.covariance).T
+    means = np.broadcast_to(config.initial_estimate.mean, (trials, n))
+    cov = config.initial_estimate.covariance
+    for k in range(config.steps):
+        model = config.model_at(k)
+        q = model.process_noise
+        if c is not None:
+            a = c.matrix
+            q = q - q @ a.T @ np.linalg.pinv(a @ q @ a.T) @ (a @ q)
+        lr = matops.psd_factor(model.measurement_noise)
+        x = x @ model.transition.T + rng.standard_normal((trials, n)) @ matops.psd_factor(q).T
+        m = model.measurement_dim
+        z = x @ model.observation.T + rng.standard_normal((trials, m)) @ lr.T
+        (reported, p), (means, cov) = _row_step(means, cov, z, model, spec, config)
+    errors = x - reported
+    sample = np.atleast_2d(np.cov(errors, rowvar=False))
+    matched = np.abs(p) > 1e-6 * abs(float(np.trace(p)))
+    deviation = float(np.max(np.abs(sample[matched] - p[matched]) / np.abs(p[matched])))
+    row_rms = None
+    if c is not None:
+        row_rms = float(np.sqrt(np.mean(np.sum((errors @ c.matrix.T) ** 2, axis=1))))
+    return {
+        "method": spec.label, "trials": trials, "reported_covariance": p,
+        "sample_covariance": sample, "max_relative_deviation": deviation,
+        "matched_entries": int(matched.sum()), "constraint_row_rms": row_rms,
+    }
+
+
+def _two_model_config():
+    """A time-varying three-state scenario: two models, each twice, that differ
+    in every matrix; both transitions keep ``x0 + x1 + x2 = 1``."""
+    def model(transition, q, observation, r):
+        return {"transition": transition, "process_noise": q,
+                "observation": observation, "measurement_noise": r}
+
+    first = model([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                  [[0.03, 0.01, 0.0], [0.01, 0.02, 0.0], [0.0, 0.0, 0.01]],
+                  [[1.0, 0.0, 0.0], [0.0, 1.0, 0.5]], [[0.02, 0.0], [0.0, 0.05]])
+    second = model([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                   [[0.01, 0.0, 0.0], [0.0, 0.04, -0.01], [0.0, -0.01, 0.02]],
+                   [[0.5, 1.0, 0.0], [0.0, 0.0, 1.0]], [[0.08, 0.01], [0.01, 0.03]])
+    return config_from_document({
+        "steps": 4,
+        "seed": 0,
+        "model": [first, second, first, second],
+        "constraint": {"kind": "affine", "matrix": [[1.0, 1.0, 1.0]], "rhs": [1.0]},
+        "initial_truth": [0.2, 0.3, 0.5],
+        "initial_estimate": {"mean": [0.3, 0.3, 0.3], "covariance": np.eye(3).tolist()},
+        "methods": list(constrained.METHODS),
+        "soft_noise": [[0.1]],
+    })
+
+
+def _reference_cases():
+    for feedback in (True, False):
+        config = dataclasses.replace(load_bundled_scenario("line_2d"), feedback=feedback)
+        for spec in config.methods:
+            yield f"line_2d-{spec.label}-feedback-{'on' if feedback else 'off'}", config, spec
+    for name in ("mc_scalar", "mc_line_2d"):
+        config = load_bundled_scenario(name)
+        for spec in config.methods:
+            yield f"{name}-{spec.label}", config, spec
+    config = _two_model_config()
+    for spec in config.methods:
+        yield f"two_models-{spec.label}", config, spec
+
+
+class TestColumnStackOracle:
+    """``empirical_covariance_check`` filters its trials as columns; every field
+    of its report equals, bit for bit, that of the loop on row stacks."""
+
+    @pytest.mark.parametrize(
+        "config, spec", [case[1:] for case in _reference_cases()],
+        ids=[case[0] for case in _reference_cases()],
+    )
+    def test_report_equals_the_row_stack_loop(self, config, spec):
+        for seed, trials in ((3, 1000), (8, 2000)):
+            report = empirical_covariance_check(config, spec, trials, seed=seed)
+            expected = _row_stack_check(config, spec, trials, seed)
+            for field, value in expected.items():
+                got = getattr(report, field)
+                assert type(got) is type(value), field
+                assert np.array_equal(got, value), (field, seed)
+
+
 class TestArrayStep:
-    """``run._step`` on a ``(T, n)`` stack of means against ``advance_method``
-    once per mean."""
+    """``run._step`` on an ``(n, T)`` stack of means in columns against
+    ``advance_method`` once per mean."""
 
     @pytest.mark.parametrize("feedback", [True, False])
     @pytest.mark.parametrize("method", load_bundled_scenario("line_2d").methods,
@@ -311,26 +488,26 @@ class TestArrayStep:
         config = dataclasses.replace(load_bundled_scenario("line_2d"), feedback=feedback)
         rng = np.random.default_rng(29)
         start = config.initial_estimate
-        means = start.mean + 0.3 * rng.standard_normal((50, start.dim))
-        states = [StateEstimate(mean, start.covariance) for mean in means]
+        means = (start.mean + 0.3 * rng.standard_normal((50, start.dim))).T
+        states = [StateEstimate(mean, start.covariance) for mean in means.T]
         cov = start.covariance
         for k in range(config.steps):
             model = config.model_at(k)
-            z = 0.5 * rng.standard_normal((len(states), model.measurement_dim))
+            z = 0.5 * rng.standard_normal((model.measurement_dim, len(states)))
             (reported, reported_cov), (means, cov), _ = run._step(
                 means, cov, z, model, method, config
             )
             got = []
             for t, state in enumerate(states):
                 estimate, states[t] = advance_method(
-                    state, Measurement(z[t], step=k + 1), model, method, config
+                    state, Measurement(z[:, t], step=k + 1), model, method, config
                 )
                 got.append(estimate.mean)
                 assert np.array_equal(reported_cov, estimate.covariance)
                 assert np.array_equal(cov, states[t].covariance)
             # relative to the largest mean of the step, as report columns are
-            for stacked, single in ((reported, np.array(got)),
-                                    (means, np.array([s.mean for s in states]))):
+            for stacked, single in ((reported, np.array(got).T),
+                                    (means, np.array([s.mean for s in states]).T)):
                 assert np.abs(stacked - single).max() <= 1e-12 * np.abs(single).max()
 
     @pytest.mark.parametrize("feedback", [True, False])
@@ -358,7 +535,7 @@ class TestArrayStep:
         predicted = means @ model.transition.T
         z = predicted @ model.observation.T + 0.2 * rng.standard_normal((4, 2))
         z[1] = predicted[1] @ model.observation.T  # a zero innovation
-        (reported, cov), _, _ = run._step(means, start.covariance, z, model, spec, config)
+        (reported, cov), _, _ = run._step(means.T, start.covariance, z.T, model, spec, config)
         assert np.isfinite(reported).all()
         for t in range(4):
             pred = predict(StateEstimate(means[t], start.covariance), model)
@@ -369,7 +546,7 @@ class TestArrayStep:
             if t == 1:
                 with pytest.raises(DegenerateResidual):
                     restricted_gain_update(pred, measurement, model, c)
-                assert rel(reported[t], projected.mean) < 1e-12
+                assert rel(reported[:, t], projected.mean) < 1e-12
             else:
                 _, result = restricted_gain_update(pred, measurement, model, c)
-                assert rel(reported[t], result.estimate.mean) < 1e-12
+                assert rel(reported[:, t], result.estimate.mean) < 1e-12

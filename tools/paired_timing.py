@@ -19,7 +19,8 @@ on the workload's documents, less generating the documents.
 Prints one JSON object: per side (``rev`` and ``checkout``), the median and
 quartiles of filtering, emission and set-up time, and per figure the
 median over pairs of the checkout/rev ratio (below 1 means this checkout is
-faster).  Each side also reports ``peak_rss_mb``, its worker's
+faster) and, as ``checkout_faster``, the pairs in which this checkout was
+faster.  Each side also reports ``peak_rss_mb``, its worker's
 ``ru_maxrss`` after the last operation, as ``perfbench/run.py`` reads it: one
 figure per worker process, not a median, with the plain checkout/rev ratio::
 
@@ -158,10 +159,11 @@ def paired_times(rev_src: Path, workload: str, seed: int, reps: int) -> dict:
                  for side in sides}
     for side, worker in sides.items():
         out[side]["peak_rss_mb"] = json.loads(worker.stdout.readline())["peak_rss_mb"]
-    out["ratio"] = {
-        f: statistics.median(c[f] / r[f] for r, c in zip(times["rev"], times["checkout"]))
-        for f in FIGURES if all(r[f] > 0.0 for r in times["rev"])
-    }
+    pairs = list(zip(times["rev"], times["checkout"]))
+    timed = [f for f in FIGURES if all(r[f] > 0.0 for r in times["rev"])]
+    out["ratio"] = {f: statistics.median(c[f] / r[f] for r, c in pairs) for f in timed}
+    out["checkout_faster"] = {f: f"{sum(c[f] < r[f] for r, c in pairs)}/{len(pairs)}"
+                              for f in timed}
     out["ratio"]["peak_rss_mb"] = out["checkout"]["peak_rss_mb"] / out["rev"]["peak_rss_mb"]
     return out
 

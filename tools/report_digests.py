@@ -1,6 +1,6 @@
 """Print the sha256 of every report in the byte-identity set, as JSON.
 
-The set is 75 reports.  58 come from scenario runs, each run emitted as CSV
+The set is 80 reports.  58 come from scenario runs, each run emitted as CSV
 and as structured JSON:
 
 * every bundled scenario, with ``feedback`` on and off (24 reports);
@@ -10,10 +10,13 @@ and as structured JSON:
 * every ``track_small`` and ``track_wide`` document of
   ``perfbench/workloads.documents`` at seeds 1 to 3 (30 reports).
 
-The other 3 are the ``empirical_covariance_check`` reports of
-``perfbench/workloads.MC_RUNS`` at ``MC_TRIALS`` trials, with the oracle
-seeds of the ``mc_sweep`` workload at seed 1: the bytes of the reported and
-sample covariances and the ``repr`` of each statistic.
+The next 8 are ``empirical_covariance_check`` reports at ``MC_TRIALS``
+trials: the 3 of ``perfbench/workloads.MC_RUNS``, with the oracle seeds of
+the ``mc_sweep`` workload at seed 1, and one for each of the other five
+methods on the bundled ``line_2d`` (``ORACLE_METHODS``), with its planar
+seed, so that every mean stage's column-stack path is digested.  Each is the
+bytes of the reported and sample covariances and the ``repr`` of each
+statistic.
 
 The last 14 are the ``detail`` lines of the fast verification battery
 (``eqkf check``), keyed ``check/<name>``: every figure it prints except the
@@ -51,7 +54,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 _SRC = sys.argv[sys.argv.index("--src") + 1] if "--src" in sys.argv[:-1] else ROOT / "src"
 sys.path[:0] = [str(_SRC), str(ROOT / "perfbench")]
 
-from eqkf import harness  # noqa: E402
+from eqkf import harness, oracle  # noqa: E402
 from eqkf.harness import checks  # noqa: E402
 import workloads  # noqa: E402
 from revision_src import extracted_src  # noqa: E402
@@ -60,6 +63,8 @@ FORMATS = ("csv", "structured")
 SEEDS = (1, 2, 3)
 EXPLICIT_WEIGHT = [[2.0, 0.3], [0.3, 1.0]]
 MC_TRIALS = 2000
+ORACLE_METHODS = ("augmented", "fusion", "projection_identity", "restricted_gain",
+                  "soft_augmented")
 
 
 def _documents():
@@ -90,12 +95,20 @@ def digests() -> dict[str, str]:
             out[f"{label}.{fmt}"] = hashlib.sha256(text.encode()).hexdigest()
     docs = workloads.documents("mc_sweep", 1)
     mc = workloads.McWorkload(docs, workloads.load(docs), 1, MC_TRIALS)
-    for (index, method), report in zip(workloads.MC_RUNS, mc.run_op().outputs[0]):
+    reports = {
+        f"oracle/mc_sweep/{index}-{docs[index]['name']}-{method}": report
+        for (index, method), report in zip(workloads.MC_RUNS, mc.run_op().outputs[0])
+    }
+    line_2d = harness.load_bundled_scenario("line_2d")
+    for method in ORACLE_METHODS:
+        reports[f"oracle/line_2d/{method}"] = oracle.empirical_covariance_check(
+            line_2d, method, MC_TRIALS, seed=mc.oracle_seeds[1]
+        )
+    for label, report in reports.items():
         stats = (report.max_relative_deviation, report.matched_entries,
                  report.constraint_row_rms)
         data = (report.reported_covariance.tobytes() + report.sample_covariance.tobytes()
                 + repr(stats).encode())
-        label = f"oracle/mc_sweep/{index}-{docs[index]['name']}-{method}"
         out[label] = hashlib.sha256(data).hexdigest()
     for result in checks.run_default_checks(fast=True):
         out[f"check/{result.name}"] = hashlib.sha256(result.detail.encode()).hexdigest()

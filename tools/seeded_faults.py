@@ -61,23 +61,23 @@ FAULTS = [
     # One per kernel stage.
     ("kalman.py", "    s = h @ cov @ h.T + r\n", "    s = h @ cov @ h.T + 0.5 * r\n",
      "_gain halves R in S = H P H' + R"),
-    ("kalman.py", "    residual = z - mean @ h.T\n", "    residual = mean @ h.T - z\n",
+    ("kalman.py", "    residual = z - h @ mean\n", "    residual = h @ mean - z\n",
      "_correct flips the sign of the innovation"),
     ("kalman.py", "    saddle[n:nm, n:nm] = model.measurement_noise\n",
      "    saddle[n:nm, n:nm] = 0.5 * model.measurement_noise\n",
      "_fusion_stage halves R in the saddle matrix"),
-    ("constrained.py", "    return mean - (mean @ a.T - b) @ ups.T\n",
-     "    return mean - (mean @ a.T + b) @ ups.T\n",
+    ("constrained.py", "    return mean - ups @ (a @ mean - b)\n",
+     "    return mean - ups @ (a @ mean + b)\n",
      "_along moves by A x + b, not A x - b"),
     ("constrained.py", "    stacked_noise[m:, m:] = 0.5 * (noise + noise.T)\n",
      "    stacked_noise[m:, m:] = 2.0 * noise\n",
      "_soft_stage doubles the constraint noise"),
     ("constrained.py",
-     "    mean = mean + residual @ (gain - ups @ (a @ gain)).T + (b - mean @ a.T) @ ups.T\n",
-     "    mean = mean + residual @ gain.T + (b - mean @ a.T) @ ups.T\n",
+     "    mean = mean + (gain - ups @ (a @ gain)) @ residual + ups @ (b - a @ mean)\n",
+     "    mean = mean + gain @ residual + ups @ (b - a @ mean)\n",
      "_augmented_mean drops the -U (A K) block of the stacked gain"),
-    ("constrained.py", "    defect = b - plain @ a.T\n",
-     "    defect = plain @ a.T - b\n",
+    ("constrained.py", "    defect = b - a @ plain\n",
+     "    defect = a @ plain - b\n",
      "_restricted_gain_mean flips the sign of the feasibility defect"),
     ("constrained.py", '    gain = gain + correction.reshape(gain.shape, order="F")\n',
      "    gain = gain + correction.reshape(gain.shape)\n",
@@ -109,6 +109,11 @@ FAULTS = [
      "_gain drops its condition guard on S"),
     ("constrained.py", "    if residual.ndim == 1 and _degenerate(quad):\n", "    if False:\n",
      "_innovation_weight lets one degenerate innovation through"),
+    # The Monte-Carlo oracle's column stack.
+    ("oracle.py", "        key = id(model)\n", "        key = 0\n",
+     "empirical_covariance_check reuses the first model's noise factors for every model"),
+    ("oracle.py", "    errors = (x - reported).T.copy()\n", "    errors = (x - reported).T\n",
+     "empirical_covariance_check reduces column-ordered errors"),
     # The stage pairs the method table declares.
     ("constrained.py", "POSTERIOR_INVERSE, shares=PROJECTION),\n",
      'POSTERIOR_INVERSE, shares="projection_identity"),\n',
